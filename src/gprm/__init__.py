@@ -32,7 +32,6 @@ from .vm import (
     StuckReductionError,
     TaskError,
     VmError,
-    boot,
 )
 from .oracle import Oracle, OracleError, evaluate, eval_flat
 from .gpc import GpcError, compile_gpc

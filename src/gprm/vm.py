@@ -17,6 +17,11 @@ Ownership rules (the whole concurrency argument):
     queued, and queue hand-off orders the write before any remote read;
   - the only inter-tile channel is the packet queues.
 
+Quiescence is exact: every tile-bound packet is counted in flight when it is
+queued and counted out once its worker is done with it, and the worker that
+brings the count to zero tells the host.  So a kernel must not send packets
+from a thread of its own; every send happens inside a tile's handler.
+
 Tiles may outnumber worker threads, in which case tiles map onto workers
 round-robin and each worker serves its tiles' packets from one merged FIFO.
 The host gateway behaves as one extra pseudo-tile (id == tile_count).
@@ -30,6 +35,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import words as W
 from .kernels import KernelError, NO_RESULT, is_list, materialize
@@ -46,6 +52,7 @@ REQUESTED = 0
 PRESENT = 1
 
 _STOP = object()
+_QUIET = object()  # gateway token: no packet left in flight
 
 
 class VmError(Exception):
@@ -74,8 +81,7 @@ class TaskError(VmError):
         super().__init__(f"{message} [{chain}]" if chain else message)
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     kind: int
     src: int
     dst: int
@@ -105,7 +111,7 @@ LAMBDA_VALUE = LambdaValue()
 
 class SubtaskRecord:
     __slots__ = ("live", "op_word", "self_ref", "caller", "slots", "status",
-                 "pending", "phase", "err")
+                 "pending", "err")
 
     def __init__(self):
         self.live = False
@@ -115,7 +121,6 @@ class SubtaskRecord:
         self.slots = []
         self.status = []
         self.pending = 0
-        self.phase = 0
         self.err = None
 
 
@@ -220,7 +225,6 @@ class Tile:
         rec = self.subtask_list[addr]
         rec.live = True
         rec.err = None
-        rec.phase = 1
         rec.self_ref = ref
         rec.caller = (pkt.caller_tile, pkt.caller_addr, pkt.caller_arg)
         rec.op_word = code[0]
@@ -274,7 +278,6 @@ class Tile:
         return self.machine.registry.op_name(sid, mid)
 
     def finish(self, addr, rec):
-        rec.phase = 2
         if rec.err is not None:
             # error short-circuits the kernel but waited for all slots
             self.reply_error_word(rec, rec.err)
@@ -473,18 +476,17 @@ class _Worker(threading.Thread):
         super().__init__(name=f"gprm-worker-{index}", daemon=True)
         self.machine = machine
         self.queue = queue.SimpleQueue()
-        self.busy = False
         self.fuzz = machine.fuzz_seed is not None
         self.rng = random.Random(None if machine.fuzz_seed is None
                                  else machine.fuzz_seed + 104729 * index)
 
     def run(self):
         machine = self.machine
+        inflight_lock = machine._inflight_lock
         while True:
             pkt = self.queue.get()
             if pkt is _STOP:
                 return
-            self.busy = True
             try:
                 if machine._fatal is None:
                     if self.fuzz and self.rng.random() < 0.25:
@@ -492,9 +494,11 @@ class _Worker(threading.Thread):
                     machine.tiles[pkt.dst].handle(pkt)
             except Exception as e:  # engine invariant broken: poison the machine
                 machine.set_fatal(e)
-            finally:
-                self.busy = False
-                machine._processed += 1
+            with inflight_lock:
+                machine._inflight -= 1
+                quiet = machine._inflight == 0
+            if quiet:
+                machine._gateway.put(_QUIET)
 
 
 class Machine:
@@ -535,8 +539,8 @@ class Machine:
         self._shared = {}
         self._shared_lock = threading.RLock()
         self._fatal = None
-        self._processed = 0
-        self._sent = 0
+        self._inflight = 0  # tile-bound packets queued and not yet handled
+        self._inflight_lock = threading.Lock()
         self._running = threading.Lock()
         self._gateway = queue.SimpleQueue()
         self._trace = [] if trace else None
@@ -609,13 +613,14 @@ class Machine:
         if self._trace is not None:
             with self._trace_lock:
                 self._trace.append((len(self._trace), pkt))
-        self._sent += 1
         if dst == self.gateway_tile:
             self._gateway.put(pkt)
         else:
             self._enqueue(pkt)
 
     def _enqueue(self, pkt):
+        with self._inflight_lock:
+            self._inflight += 1
         self._worker_of[pkt.dst].queue.put(pkt)
 
     def restart_evaluation(self, ref_word, tile_id, caller, src=0):
@@ -635,8 +640,9 @@ class Machine:
         """Evaluate the program root; blocks until its result reaches the host.
 
         Returns the result payload words.  Raises TaskError for kernel or
-        reduction errors, StuckReductionError if the machine quiesces without
-        an answer."""
+        reduction errors, StuckReductionError if no packet is left in flight
+        and no answer came.  A run that times out poisons the machine: its
+        packets may still be in flight, so every later run raises too."""
         if self._closed:
             raise VmError("machine is shut down")
         if self._fatal is not None:
@@ -652,8 +658,7 @@ class Machine:
             deadline = time.monotonic() + timeout
             self.send(REQ, self.gateway_tile, W.ref_tile(root),
                       (self.gateway_tile, 0, 0), (root,))
-            pkt = self._await_result(deadline)
-            self._quiesce(deadline)
+            pkt = self._await_quiet(deadline)
             self.check_conservation()
         finally:
             self._running.release()
@@ -667,41 +672,29 @@ class Machine:
         words = self.run(host_args, timeout)
         return self.decode_word(words[0])
 
-    def _await_result(self, deadline):
-        stable = 0
+    def _await_quiet(self, deadline):
+        """Block until no packet is in flight; returns the root result.
+
+        The result reaches the gateway before the token, because the packet
+        whose handler sends it is still counted until the handler returns."""
+        result = None
         while True:
             try:
-                return self._gateway.get(timeout=0.02)
+                pkt = self._gateway.get(timeout=max(0.0, deadline - time.monotonic()))
             except queue.Empty:
-                pass
-            if self._fatal is not None:
-                raise self._fatal
-            if time.monotonic() > deadline:
-                raise StuckReductionError("stuck reduction: timed out")
-            if self._looks_idle():
-                stable += 1
-                if stable >= 3:
-                    raise StuckReductionError(
-                        "stuck reduction: all FIFOs empty, no pending root")
-            else:
-                stable = 0
-
-    def _looks_idle(self):
-        before = self._sent + self._processed
-        if any(not w.queue.empty() or w.busy for w in self.workers):
-            return False
-        time.sleep(0.005)
-        if any(not w.queue.empty() or w.busy for w in self.workers):
-            return False
-        return self._sent + self._processed == before
-
-    def _quiesce(self, deadline):
-        # the root result can overtake the sender's own cleanup by a hair
-        while not self._looks_idle():
-            if self._fatal is not None:
-                raise self._fatal
-            if time.monotonic() > deadline:
-                raise StuckReductionError("machine did not quiesce after the result")
+                self.set_fatal(StuckReductionError("stuck reduction: timed out"))
+                raise self._fatal from None
+            if pkt is _QUIET:
+                break
+            if result is not None:
+                self.set_fatal(ProtocolError("second result for the root"))
+            result = pkt
+        if self._fatal is not None:
+            raise self._fatal
+        if result is None:
+            raise StuckReductionError(
+                "stuck reduction: no packet in flight and no result")
+        return result
 
     def check_conservation(self):
         """Quiescence hook: no leaked records, no queued packets."""
@@ -753,8 +746,3 @@ class Machine:
     def __exit__(self, *exc):
         self.shutdown()
         return False
-
-
-def boot(image, registry, thread_count=None, **kw):
-    """Create the thread pool and load the code store; tiles block on FIFOs."""
-    return Machine(image, registry, thread_count, **kw)

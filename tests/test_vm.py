@@ -1,6 +1,8 @@
 """The reduction machine: dispatch, beta, if, placement, errors, conservation."""
 
 import queue
+import sys
+import time
 
 import pytest
 
@@ -376,8 +378,88 @@ def test_per_tile_kernel_instance_state():
 def test_stuck_reduction_detected():
     reg = fresh_registry()
     reg.register("sink", [("hole", 1, lambda ctx, ws: NO_RESULT, True)])
+    start = time.perf_counter()
     with pytest.raises(StuckReductionError, match="stuck reduction"):
         execute("(sink.hole '1)", registry=reg, timeout=10.0)
+    # exact quiescence: no polling window, let alone the timeout
+    assert time.perf_counter() - start < 1.0
+
+
+def test_timed_out_run_poisons_machine():
+    # the first run's result arrives after its timeout; it must not be
+    # taken for the second run's answer
+    reg = fresh_registry()
+    calls = []
+
+    def slow(ctx, x):
+        if not calls:
+            time.sleep(0.4)
+        calls.append(x)
+        return x * 10
+
+    reg.register("k", [("slow", 1, slow)])
+    img = compile_for("(k.slow (ctrl.arg '0))", 1, reg)
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(StuckReductionError, match="timed out"):
+            m.run_value((1,), timeout=0.1)
+        with pytest.raises(StuckReductionError, match="timed out"):
+            m.run_value((2,))
+
+
+def test_second_root_result_is_fatal():
+    # a control kernel that both restarts and replies answers its caller
+    # twice; at the root, the spare answer must not wait for the next run
+    reg = fresh_registry()
+
+    def twice(ctx, ws):
+        ctx.restart(ws[0], 0)
+        return 5
+
+    reg.register("k", [("twice", 1, twice, True)])
+    img = compile_for("(k.twice '(+ '1 '2))", 1, reg)
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(ProtocolError, match="second result"):
+            m.run_value()
+        with pytest.raises(ProtocolError, match="second result"):
+            m.run_value()
+
+
+def test_inflight_count_exact_under_contention():
+    # more workers than cores and a short switch interval: a lost update on
+    # the in-flight count would end a run early (no result, or a leak) or
+    # never (timeout), or leave the count off zero between runs
+    def tree(depth, n):
+        if depth == 0:
+            return f"'{n}", n + 1
+        a, n = tree(depth - 1, n)
+        b, n = tree(depth - 1, n)
+        return f"(+ {a} {b})", n
+
+    text, n = tree(6, 0)
+    reg = fresh_registry()
+    img = compile_for(text, 8, reg)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Machine(img, reg, 8) as m:
+            for _ in range(50):
+                assert m.run_value(timeout=10.0) == n * (n - 1) // 2
+                assert m._inflight == 0
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_run_latency_floor():
+    # one reused machine, many small runs: fails if a sleep creeps back
+    # into the end-of-run detection
+    reg = fresh_registry()
+    img = compile_for("(beta (lambda 'x '(* (- x '1) (+ x '1))) (ctrl.arg '0))",
+                      2, reg)
+    with Machine(img, reg, 2) as m:
+        start = time.perf_counter()
+        for x in range(1000):
+            assert m.run_value((x,)) == x * x - 1
+        assert time.perf_counter() - start < 2.0
 
 
 # ── overload policies ────────────────────────────────────────────────
