@@ -112,9 +112,8 @@ def _verify_sorted(a, want_checksum):
         raise VerificationError("output is not a permutation of the input")
 
 
-def run_mergesort(cfg, machine_kw=None):
+def run_mergesort(cfg):
     """Returns CSV rows: one aggregated row per thread count (median time)."""
-    machine_kw = machine_kw or {}
     rng = np.random.default_rng(cfg.seed)
     base = rng.integers(-(2**31), 2**31, size=cfg.size, dtype=np.int32)
     want = _checksum(np.sort(base))
@@ -126,7 +125,7 @@ def run_mergesort(cfg, machine_kw=None):
         times = []
         for _ in range(cfg.reps):
             arr = base.copy()
-            with Machine(image, registry, p, **machine_kw) as m:
+            with Machine(image, registry, p) as m:
                 m.register_data(arr)
                 t0 = time.perf_counter()
                 m.run(timeout=3600.0)
@@ -148,8 +147,7 @@ def run_mergesort(cfg, machine_kw=None):
     return rows
 
 
-def run_listchase(cfg, machine_kw=None):
-    machine_kw = machine_kw or {}
+def run_listchase(cfg):
     m_work, x_work = cfg.work
     data = ChaseList(cfg.size, m_work, x_work)
     medians = {}
@@ -160,7 +158,7 @@ def run_listchase(cfg, machine_kw=None):
         times = []
         for _ in range(cfg.reps):
             data.reset()
-            with Machine(image, registry, p, **machine_kw) as m:
+            with Machine(image, registry, p) as m:
                 m.register_data(data)
                 t0 = time.perf_counter()
                 total = m.run_value(timeout=3600.0)
@@ -204,11 +202,11 @@ def write_csv(rows, path):
             w.writerow(row)
 
 
-def run_benchmark(cfg, machine_kw=None):
+def run_benchmark(cfg):
     if cfg.benchmark == "mergesort":
-        rows = run_mergesort(cfg, machine_kw)
+        rows = run_mergesort(cfg)
     elif cfg.benchmark == "listchase":
-        rows = run_listchase(cfg, machine_kw)
+        rows = run_listchase(cfg)
     else:
         raise VerificationError(f"unknown benchmark '{cfg.benchmark}'")
     if cfg.csv_path:

@@ -1,9 +1,8 @@
 """Command-line driver: compile, run, oracle-check and benchmark programs.
 
 Exit codes: 0 ok, 1 usage, 2 compile error, 3 runtime error, 4 verification
-failure.  Environment knobs: GPRM_THREADS (default thread/tile count),
-GPRM_TRACE (default trace file for `run`), GPRM_SUBTASK_CAP (per-tile
-subtask list capacity).
+failure.  Environment knobs: GPRM_THREADS (default thread/tile count) and
+GPRM_TRACE (default trace file for `run`).
 
 Unknown `service.method` operations are auto-registered as stub kernels that
 return the sum of their integer arguments, so the toy example programs run
@@ -57,16 +56,6 @@ class _Parser(argparse.ArgumentParser):
 def _env_int(name, default):
     v = os.environ.get(name)
     return int(v) if v else default
-
-
-def _machine_kw(trace=False):
-    kw = {}
-    cap = _env_int("GPRM_SUBTASK_CAP", 0)
-    if cap:
-        kw["capacity"] = cap
-    if trace:
-        kw["trace"] = True
-    return kw
 
 
 def _stub_registry(op_names):
@@ -133,7 +122,7 @@ def cmd_run(args):
     registry = _registry_for_image(image)
     threads = args.threads or _env_int("GPRM_THREADS", 0) or image.tile_count
     trace_path = args.trace or os.environ.get("GPRM_TRACE")
-    with Machine(image, registry, threads, **_machine_kw(bool(trace_path))) as m:
+    with Machine(image, registry, threads, trace=bool(trace_path)) as m:
         value = m.run_value(tuple(args.arg))
         if trace_path:
             m.write_trace(trace_path)
@@ -165,7 +154,7 @@ def cmd_bench(args):
         work=tuple(int(w) for w in args.work.split(",")),
         strategy=args.strategy,
     )
-    rows = run_benchmark(cfg, _machine_kw())
+    rows = run_benchmark(cfg)
     print(",".join(CSV_COLUMNS))
     for row in rows:
         print(",".join(str(row[c]) for c in CSV_COLUMNS))

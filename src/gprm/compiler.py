@@ -19,12 +19,7 @@ from .kernels import KernelRegistry, UnknownServiceError
 
 COMPILE_ADDR_LIMIT = 1 << 31
 
-_FORM_CODES = {
-    lang.FORM_LAMBDA: W.FORM_CODE_LAMBDA,
-    lang.FORM_BETA: W.FORM_CODE_BETA,
-    lang.FORM_IF: W.FORM_CODE_IF,
-}
-_FORM_NAMES = {v: k for k, v in _FORM_CODES.items()}
+_FORM_CODES = {name: code for code, name in W.FORM_NAMES.items()}
 
 
 class CompileError(lang.GpirError):
@@ -93,11 +88,11 @@ def used_operations(fp):
 
 
 class _Flattener:
-    def __init__(self):
+    def __init__(self, label_bodies):
         self.entries = {}
         self.next_addr = 0
         self.next_slot = 0
-        self.label_bodies = {}
+        self.label_bodies = label_bodies
         self.label_addrs = {}
 
     def alloc_addr(self):
@@ -106,16 +101,6 @@ class _Flattener:
         addr = self.next_addr
         self.next_addr += 1
         return addr
-
-    def collect_labels(self, e):
-        if isinstance(e, lang.Label):
-            self.label_bodies[e.name] = e.body
-            self.collect_labels(e.body)
-        elif isinstance(e, lang.Quoted):
-            self.collect_labels(e.inner)
-        elif isinstance(e, lang.SExpr):
-            for a in e.args:
-                self.collect_labels(a)
 
     def label_entry(self, name):
         addr = self.label_addrs.get(name)
@@ -158,10 +143,7 @@ class _Flattener:
             if slot is None:
                 raise CompileError(f"unbound variable '{e.name}'")
             return WVar(slot, quoted)
-        if isinstance(e, lang.Label):
-            self.label_bodies.setdefault(e.name, e.body)
-            return WRef(self.label_entry(e.name), 0, quoted)
-        if isinstance(e, lang.LabelRef):
+        if isinstance(e, (lang.Label, lang.LabelRef)):
             return WRef(self.label_entry(e.name), 0, quoted)
         if isinstance(e, lang.SExpr):
             return WRef(self.entry(e, scope), 0, quoted)
@@ -170,8 +152,7 @@ class _Flattener:
 
 def flatten(e):
     """Desugared AST -> FlatProgram; labels become one shared entry each."""
-    fl = _Flattener()
-    fl.collect_labels(e)
+    fl = _Flattener(lang.label_bodies(e))
     if isinstance(e, lang.Label):
         root = fl.label_entry(e.name)
     elif isinstance(e, lang.SExpr):
@@ -271,7 +252,7 @@ def decode(image):
         opw = ws[0]
         kind = W.kind_of(opw)
         if kind == W.KIND_BUILTIN:
-            op = _FORM_NAMES.get(W.builtin_form(opw))
+            op = W.FORM_NAMES.get(W.builtin_form(opw))
             if op is None:
                 raise CompileError(f"unknown special form code {W.builtin_form(opw)}")
         elif kind == W.KIND_OPER:

@@ -187,10 +187,10 @@ def _read(tokens, i):
 # ── Structure and resolve ────────────────────────────────────────────
 
 
-def _collect_labels(raw, names, order):
+def _collect_labels(raw, names):
     kind, value, pos = raw
     if kind == "quote":
-        _collect_labels(value, names, order)
+        _collect_labels(value, names)
     elif kind == "list":
         items = value
         if items and items[0][0] == "name" and items[0][1] == FORM_LABEL:
@@ -202,9 +202,8 @@ def _collect_labels(raw, names, order):
             if name in names:
                 raise GpirSyntaxError(f"duplicate label '{name}'", *items[1][2])
             names.add(name)
-            order.append(name)
         for item in items:
-            _collect_labels(item, names, order)
+            _collect_labels(item, names)
 
 
 class _Resolver:
@@ -212,7 +211,6 @@ class _Resolver:
 
     def __init__(self, labels):
         self.labels = labels
-        self.label_bodies = {}
 
     def expr(self, raw, scope):
         kind, value, pos = raw
@@ -317,7 +315,6 @@ class _Resolver:
             raise GpirSyntaxError(
                 f"label '{name}' body must not reference lambda variables", *pos
             )
-        self.label_bodies[name] = body
         return Label(name, body)
 
 
@@ -337,6 +334,24 @@ def _free_vars(e, bound=frozenset()):
             out |= _free_vars(a, bound)
         return out
     return set()
+
+
+def label_bodies(e):
+    """{name: body} for every label defined anywhere in the tree."""
+    out = {}
+
+    def walk(e):
+        if isinstance(e, Label):
+            out[e.name] = e.body
+            walk(e.body)
+        elif isinstance(e, Quoted):
+            walk(e.inner)
+        elif isinstance(e, SExpr):
+            for a in e.args:
+                walk(a)
+
+    walk(e)
+    return out
 
 
 def _label_refs(e):
@@ -388,11 +403,10 @@ def parse(text):
         raise GpirSyntaxError("quoted literal is not a program", *raw[2])
     if raw[0] != "list":
         raise GpirSyntaxError("program must be an operation-rooted S-expression", *raw[2])
-    labels, order = set(), []
-    _collect_labels(raw, labels, order)
-    resolver = _Resolver(labels)
-    root = resolver.expr(raw, frozenset())
-    _check_label_cycles(resolver.label_bodies)
+    labels = set()
+    _collect_labels(raw, labels)
+    root = _Resolver(labels).expr(raw, frozenset())
+    _check_label_cycles(label_bodies(root))
     return root
 
 

@@ -117,19 +117,9 @@ class Oracle:
         self.ctx = _SeqContext(host_args, data)
         self.labels = {}
 
-    def _collect_labels(self, e):
-        if isinstance(e, lang.Label):
-            self.labels[e.name] = e.body
-            self._collect_labels(e.body)
-        elif isinstance(e, lang.Quoted):
-            self._collect_labels(e.inner)
-        elif isinstance(e, lang.SExpr):
-            for a in e.args:
-                self._collect_labels(a)
-
     def eval_program(self, e):
         e = _uniquify(lang.desugar(e), {}, [0])
-        self._collect_labels(e)
+        self.labels = lang.label_bodies(e)
         return self.eval(e)
 
     def eval(self, e):

@@ -172,9 +172,8 @@ class Tile:
     def __init__(self, machine, tile_id):
         self.machine = machine
         self.tile_id = tile_id
-        cap = machine.capacity
-        self.subtask_list = [SubtaskRecord() for _ in range(cap)]
-        self.subtask_stack = list(range(cap - 1, -1, -1))
+        self.subtask_list = []
+        self.subtask_stack = []  # free addresses, reused LIFO
         self.arena = {}
         self.arena_next = 0
         self.local_state = {}
@@ -185,15 +184,10 @@ class Tile:
     # ── record allocation ────────────────────────────────────
 
     def alloc_record(self):
-        if not self.subtask_stack:
-            if self.machine.overload == "grow":
-                base = len(self.subtask_list)
-                grow = base  # double
-                self.subtask_list.extend(SubtaskRecord() for _ in range(grow))
-                self.subtask_stack.extend(range(base + grow - 1, base - 1, -1))
-            else:
-                return None  # caller re-enqueues ("block" policy)
-        return self.subtask_stack.pop()
+        if self.subtask_stack:
+            return self.subtask_stack.pop()
+        self.subtask_list.append(SubtaskRecord())
+        return len(self.subtask_list) - 1
 
     def free_record(self, addr, rec):
         rec.live = False
@@ -210,18 +204,14 @@ class Tile:
             self.on_result(pkt)
 
     def on_request(self, pkt):
-        addr = self.alloc_record()
-        if addr is None:
-            self.machine._enqueue(pkt)  # tile overloaded: retry after a free
-            return
         ref = pkt.payload[0]
         try:
             code = self.machine.code_words(W.ref_addr(ref))
         except KeyError:
             self.machine.set_fatal(ProtocolError(
                 f"reference to unknown code address {W.ref_addr(ref)}"))
-            self.subtask_stack.append(addr)
             return
+        addr = self.alloc_record()
         rec = self.subtask_list[addr]
         rec.live = True
         rec.err = None
@@ -270,10 +260,8 @@ class Tile:
     # ── reduction ────────────────────────────────────────────
 
     def op_name(self, op_word):
-        k = W.kind_of(op_word)
-        if k == W.KIND_BUILTIN:
-            return {W.FORM_CODE_LAMBDA: "lambda", W.FORM_CODE_BETA: "beta",
-                    W.FORM_CODE_IF: "if"}[W.builtin_form(op_word)]
+        if W.kind_of(op_word) == W.KIND_BUILTIN:
+            return W.word_str(op_word)
         sid, mid = W.oper_ids(op_word)
         return self.machine.registry.op_name(sid, mid)
 
@@ -290,8 +278,10 @@ class Tile:
                 self.reply(rec, W.set_quote(W.clear_quote(rec.self_ref)))
             elif form == W.FORM_CODE_IF:
                 self.eval_if(rec)
-            else:
+            elif form == W.FORM_CODE_BETA:
                 self.beta_reduce(rec)
+            else:
+                self.reply_error(rec, f"unknown special form code {form}")
         elif k == W.KIND_OPER:
             self.invoke_kernel(addr, rec)
             return  # invoke_kernel frees
@@ -505,15 +495,13 @@ class Machine:
     """A booted reduction machine; reusable across run() calls."""
 
     def __init__(self, image, registry, threads=None, *, trace=False,
-                 fuzz_seed=None, capacity=1024, overload="grow"):
+                 fuzz_seed=None):
         if threads is None:
             threads = image.tile_count
         if threads < 1:
             raise VmError("thread count must be >= 1 (no tile to host the root)")
         if not 1 <= image.tile_count <= MAX_TILES:
             raise VmError(f"tile count must be in 1..{MAX_TILES}")
-        if overload not in ("grow", "block"):
-            raise VmError("overload policy must be 'grow' or 'block'")
         for (sid, mid), name in image.symbols.items():
             try:
                 rsid, rmid, _ = registry.resolve(name)
@@ -525,8 +513,6 @@ class Machine:
                     f"{rsid}.{rmid} in the registry, {sid}.{mid} in the image")
         self.image = image
         self.registry = registry
-        self.capacity = capacity
-        self.overload = overload
         self.fuzz_seed = fuzz_seed
         self.tile_count = image.tile_count
         self.gateway_tile = image.tile_count
@@ -615,13 +601,10 @@ class Machine:
                 self._trace.append((len(self._trace), pkt))
         if dst == self.gateway_tile:
             self._gateway.put(pkt)
-        else:
-            self._enqueue(pkt)
-
-    def _enqueue(self, pkt):
+            return
         with self._inflight_lock:
             self._inflight += 1
-        self._worker_of[pkt.dst].queue.put(pkt)
+        self._worker_of[dst].queue.put(pkt)
 
     def restart_evaluation(self, ref_word, tile_id, caller, src=0):
         if W.kind_of(ref_word) != W.KIND_REF or not W.is_quoted(ref_word):

@@ -138,7 +138,7 @@ def mk_error(index):
     return _pack(KIND_ERROR, index)
 
 
-_FORM_NAMES = {FORM_CODE_LAMBDA: "lambda", FORM_CODE_BETA: "beta", FORM_CODE_IF: "if"}
+FORM_NAMES = {FORM_CODE_LAMBDA: "lambda", FORM_CODE_BETA: "beta", FORM_CODE_IF: "if"}
 
 
 def word_str(w, symbols=None):
@@ -156,7 +156,7 @@ def word_str(w, symbols=None):
         name = (symbols or {}).get((sid, mid), f"{sid}.{mid}")
         return name
     if k == KIND_BUILTIN:
-        return _FORM_NAMES.get(builtin_form(w), f"form{builtin_form(w)}")
+        return FORM_NAMES.get(builtin_form(w), f"form{builtin_form(w)}")
     if k == KIND_HANDLE:
         return f"h{handle_index(w)}"
     if k == KIND_ERROR:

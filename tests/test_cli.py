@@ -124,7 +124,6 @@ def test_env_config(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK and "2 tiles" in out
     trace = tmp_path / "env.log"
     monkeypatch.setenv("GPRM_TRACE", str(trace))
-    monkeypatch.setenv("GPRM_SUBTASK_CAP", "64")
     code, out, _ = run_cli(capsys, "run", str(img))
     assert code == EXIT_OK and out == "3"
     assert trace.exists()

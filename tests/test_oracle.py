@@ -83,6 +83,17 @@ def test_label_evaluation():
     assert flat("(+ (label L (* '2 '3)) L)") == 12
 
 
+@pytest.mark.parametrize("text,want", [
+    ("(+ L (label L (* '2 '3)))", 12),  # used before its definition
+    ("(beta (lambda 'x '(+ x L)) (label L (beta (lambda 'x '(* x x)) '3)))", 18),
+])
+def test_labels_agree_across_routes(text, want):
+    assert seq(text) == want
+    assert flat(text) == want
+    for threads in (1, 2):
+        assert execute(text, threads=threads) == want
+
+
 def test_lambda_result_is_opaque():
     v = evaluate("(lambda 'x 'x)", fresh_registry())
     assert repr(v) == "<lambda>"

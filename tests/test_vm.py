@@ -7,6 +7,7 @@ import time
 import pytest
 
 from gprm import compiler, kernels, lang, vm, words as W
+from gprm.gpc import compile_gpc
 from gprm.kernels import NO_RESULT, KernelError
 from gprm.vm import (
     REQ,
@@ -462,17 +463,50 @@ def test_run_latency_floor():
         assert time.perf_counter() - start < 2.0
 
 
-# ── overload policies ────────────────────────────────────────────────
+# ── subtask record pool ──────────────────────────────────────────────
+
+FIB_GPC = """
+int fib(int n) {
+  if (n < 2) {
+    return n;
+  } else {
+    return fib(n - 1) + fib(n - 2);
+  }
+}
+
+int GPRM::main() {
+  return fib(10);
+}
+"""
 
 
-def test_overload_grow():
-    text = "(+ (+ '1 (+ '2 '3)) (+ '4 (+ '5 '6)))"
-    assert execute(text, threads=1, capacity=1, overload="grow") == 21
+def test_record_pool_grows_on_demand_and_is_reused():
+    reg = fresh_registry()
+    img = compile_for("(+ (+ '1 (+ '2 '3)) (+ '4 (+ '5 '6)))", 1, reg)
+    with Machine(img, reg, 1) as m:
+        assert [len(t.subtask_list) for t in m.tiles] == [0]
+        assert m.run_value() == 21
+        # grew past one record, never past one per entry (5 entries)
+        assert 1 < len(m.tiles[0].subtask_list) <= 5
+    # 2 tiles on 1 thread: one FIFO, so every run has the same live peak
+    img = compile_for(compile_gpc(FIB_GPC, num_threads=2), 2, reg)
+    with Machine(img, reg, 1) as m:
+        assert [len(t.subtask_list) for t in m.tiles] == [0, 0]
+        assert m.run_value() == 55
+        after_first = [list(t.subtask_list) for t in m.tiles]
+        for _ in range(49):
+            assert m.run_value() == 55
+        # the same record objects, neither regrown nor remade
+        assert [t.subtask_list for t in m.tiles] == after_first
 
 
-def test_overload_block_requeues():
-    text = "(+ (+ '1 '2) (+ '3 '4))"
-    assert execute(text, threads=1, capacity=2, overload="block") == 10
+def test_unknown_special_form_code_is_a_task_error():
+    reg = fresh_registry()
+    img = compile_for("(+ '1 '2)", 1, reg)
+    img.code[W.ref_addr(img.root)] = (W.mk_builtin(7), W.mk_const(1))
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(TaskError, match="unknown special form code 7"):
+            m.run_value()
 
 
 # ── controllable interleaving harness ────────────────────────────────
@@ -548,12 +582,13 @@ def test_freed_address_reused_by_next_request():
     reg = fresh_registry()
     h = Manual("(+ '1 '2)", reg, tiles=1)
     tile = h.machine.tiles[0]
+    h.inject_root()
+    assert h.machine.decode_word(h.result().payload[0]) == 3
     top = tile.subtask_stack[-1]
     h.inject_root()
     assert h.machine.decode_word(h.result().payload[0]) == 3
     assert tile.subtask_stack[-1] == top  # freed back to the top of the stack
-    h.inject_root()
-    assert h.machine.decode_word(h.result().payload[0]) == 3
+    assert len(tile.subtask_list) == 1  # and reused, not regrown
 
 
 def test_result_for_freed_record_is_fatal():
