@@ -9,18 +9,30 @@ reduction is string reduction: the lambda body's entries are copied into a
 per-tile runtime code region with argument words substituted for variable
 words, and the fresh root is dispatched.
 
+Kernel dispatch follows the paper's split between communication code and
+task code.  The engine's own services (`builtin` and `ctrl`) and control
+methods are O(1) bookkeeping and run inline on the tile's loop.  Every other
+(task) kernel call is handed, with its arguments already unwrapped, to a
+kernel thread owned by the tile's worker, started on the worker's first task
+kernel.  The kernel thread runs the kernel and posts one completion packet
+(kind DONE, never traced) back to its worker's queue; the tile's loop then
+replies and frees the record.  So a long kernel does not hold up the packets
+queued behind it on its tile.
+
 Ownership rules (the whole concurrency argument):
   - a tile's subtask records and its runtime code arena are touched only by
-    the thread hosting that tile;
+    the thread hosting that tile, never by a kernel thread;
   - the compile-time code region is immutable after boot;
   - runtime code entries are written before the packet referencing them is
     queued, and queue hand-off orders the write before any remote read;
-  - the only inter-tile channel is the packet queues.
+  - the only inter-tile channel is the packet queues, and only a tile's
+    handlers send packets: a kernel thread only posts completions to its
+    own worker, and `KernelContext.restart` is refused off the loop.
 
 Quiescence is exact: every tile-bound packet is counted in flight when it is
-queued and counted out once its worker is done with it, and the worker that
-brings the count to zero tells the host.  So a kernel must not send packets
-from a thread of its own; every send happens inside a tile's handler.
+queued and counted out once its worker is done with it, and a task kernel
+counts as in flight from its hand-off until its completion packet has been
+handled.  The worker that brings the count to zero tells the host.
 
 Tiles may outnumber worker threads, in which case tiles map onto workers
 round-robin and each worker serves its tiles' packets from one merged FIFO.
@@ -38,7 +50,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import words as W
-from .kernels import KernelError, NO_RESULT, is_list, materialize
+from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, is_list, materialize
 
 RUNTIME_BASE = 1 << 31
 RUNTIME_STRIDE = 1 << 20
@@ -46,7 +58,11 @@ MAX_TILES = ((1 << 32) - RUNTIME_BASE) // RUNTIME_STRIDE
 
 REQ = 0
 RES = 1
+DONE = 2  # a task kernel's completion, from its worker's kernel thread; never traced
 _KIND_NAMES = {REQ: "REQ", RES: "RES"}
+
+# services whose non-control methods run inline on the tile loop
+_ENGINE_SERVICES = frozenset((BUILTIN_SERVICE, "ctrl"))
 
 REQUESTED = 0
 PRESENT = 1
@@ -125,7 +141,11 @@ class SubtaskRecord:
 
 
 class KernelContext:
-    """What a kernel method may see of the engine."""
+    """What a kernel method may see of the engine.
+
+    Each tile has two: one for the methods run on its loop, whose `_rec` is
+    set while a control method runs, and one for its task kernels on the
+    kernel thread, whose `_rec` is always None."""
 
     def __init__(self, tile):
         self._tile = tile
@@ -156,14 +176,20 @@ class KernelContext:
         return self._machine.shared_state(name), self._machine._shared_lock
 
     def local(self, name):
-        """Per-tile instance state for the named service (no lock needed:
-        kernels are pinned, one tile's loop runs them one at a time)."""
+        """Per-tile instance state for the named service.  Task kernels need
+        no lock for it: a tile's task kernels run one at a time on its
+        worker's kernel thread.  A control method runs on the tile loop,
+        alongside them, so state it shares with them needs a lock."""
         return self._tile.local_state.setdefault(name, {})
 
     def restart(self, ref_word, tile_id):
         """Rewrite the reference's tile field, drop the quote, re-dispatch.
 
-        The restarted computation answers this record's caller directly."""
+        The restarted computation answers this record's caller directly.
+        Only a control method may restart: it runs on the tile loop, the one
+        place that may send packets."""
+        if self._rec is None:
+            raise KernelError("restart is only allowed in a control method")
         self._machine.restart_evaluation(ref_word, tile_id, self._rec.caller,
                                          src=self._tile.tile_id)
 
@@ -180,6 +206,8 @@ class Tile:
         seed = machine.fuzz_seed
         self.rng = random.Random(None if seed is None else seed + 7919 * tile_id)
         self.ctx = KernelContext(self)
+        self.task_ctx = KernelContext(self)
+        self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
 
     # ── record allocation ────────────────────────────────────
 
@@ -200,8 +228,10 @@ class Tile:
     def handle(self, pkt):
         if pkt.kind == REQ:
             self.on_request(pkt)
-        else:
+        elif pkt.kind == RES:
             self.on_result(pkt)
+        else:
+            self.on_done(pkt)
 
     def on_request(self, pkt):
         ref = pkt.payload[0]
@@ -243,7 +273,8 @@ class Tile:
     def on_result(self, pkt):
         addr = pkt.caller_addr
         rec = self.subtask_list[addr] if addr < len(self.subtask_list) else None
-        if rec is None or not rec.live or rec.status[pkt.caller_arg] != REQUESTED:
+        if rec is None or not rec.live or pkt.caller_arg >= len(rec.status) \
+                or rec.status[pkt.caller_arg] != REQUESTED:
             self.machine.set_fatal(ProtocolError(
                 f"result for freed or unexpected record t{self.tile_id}/{addr} "
                 f"arg {pkt.caller_arg}"))
@@ -257,10 +288,16 @@ class Tile:
         if rec.pending == 0:
             self.finish(addr, rec)
 
+    def on_done(self, pkt):
+        """A task kernel's completion packet: reply and free on the loop."""
+        self.kernel_jobs -= 1
+        addr = pkt.caller_addr
+        self.conclude(addr, self.subtask_list[addr], *pkt.payload)
+
     # ── reduction ────────────────────────────────────────────
 
     def op_name(self, op_word):
-        if W.kind_of(op_word) == W.KIND_BUILTIN:
+        if W.kind_of(op_word) != W.KIND_OPER:
             return W.word_str(op_word)
         sid, mid = W.oper_ids(op_word)
         return self.machine.registry.op_name(sid, mid)
@@ -420,26 +457,31 @@ class Tile:
             machine.set_fatal(ProtocolError(f"undispatchable operation id {sid}.{mid}"))
             self.free_record(addr, rec)
             return
-        self.ctx._rec = rec
+        error = None
         try:
             if spec.control:
+                self.ctx._rec = rec
                 value = machine.registry.invoke(service, mid, self.ctx, rec.slots)
             else:
                 args = [self.unwrap(w, spec) for w in rec.slots]
+                if sid and service.name not in _ENGINE_SERVICES:  # sid 0 is builtin
+                    self.kernel_jobs += 1
+                    machine._worker_of[self.tile_id].submit((self, addr, service, mid, args))
+                    return  # on_done concludes it
                 value = machine.registry.invoke(service, mid, self.ctx, args)
-        except KernelError as e:
-            self.reply_error(rec, str(e))
-            self.free_record(addr, rec)
-            return
-        except Exception as e:  # kernel panic becomes an error result
-            self.reply_error(rec, f"{type(e).__name__}: {e}")
-            self.free_record(addr, rec)
-            return
+        except Exception as e:
+            value, error = None, kernel_failure(e)
         finally:
             self.ctx._rec = None
-        if value is not NO_RESULT:
+        self.conclude(addr, rec, value, error)
+
+    def conclude(self, addr, rec, value, error):
+        """Reply with a kernel's value or error, then free its record."""
+        if error is not None:
+            self.reply_error(rec, error)
+        elif value is not NO_RESULT:
             try:
-                self.reply(rec, machine.wrap_value(value))
+                self.reply(rec, self.machine.wrap_value(value))
             except KernelError as e:
                 self.reply_error(rec, str(e))
         self.free_record(addr, rec)
@@ -459,13 +501,22 @@ class Tile:
         raise KernelError(f"word kind {k} is not a kernel value")
 
 
+def kernel_failure(e):
+    """Error message for an exception raised in a kernel: a KernelError's
+    own message, or the type and message of any other (a kernel panic)."""
+    return str(e) if isinstance(e, KernelError) else f"{type(e).__name__}: {e}"
+
+
 class _Worker(threading.Thread):
-    """One event loop serving one or more tiles (round-robin multiplexing)."""
+    """One event loop serving one or more tiles (round-robin multiplexing),
+    plus a kernel thread for its tiles' task kernels, started on first use."""
 
     def __init__(self, machine, index):
         super().__init__(name=f"gprm-worker-{index}", daemon=True)
         self.machine = machine
         self.queue = queue.SimpleQueue()
+        self.jobs = queue.SimpleQueue()
+        self.kernel_thread = None
         self.fuzz = machine.fuzz_seed is not None
         self.rng = random.Random(None if machine.fuzz_seed is None
                                  else machine.fuzz_seed + 104729 * index)
@@ -489,6 +540,32 @@ class _Worker(threading.Thread):
                 quiet = machine._inflight == 0
             if quiet:
                 machine._gateway.put(_QUIET)
+
+    def submit(self, job):
+        """Hand a task kernel call to the kernel thread; it stays in flight
+        until its completion packet has been handled."""
+        machine = self.machine
+        with machine._inflight_lock:
+            machine._inflight += 1
+        if self.kernel_thread is None:
+            self.kernel_thread = threading.Thread(
+                target=self.run_kernels, name=f"{self.name}-kernels", daemon=True)
+            self.kernel_thread.start()
+        self.jobs.put(job)
+
+    def run_kernels(self):
+        while (job := self.jobs.get()) is not _STOP:
+            self.run_job(job)
+
+    def run_job(self, job):
+        """Run one task kernel and post its completion to this worker."""
+        tile, addr, service, mid, args = job
+        try:
+            outcome = self.machine.registry.invoke(service, mid, tile.task_ctx, args), None
+        except Exception as e:
+            outcome = None, kernel_failure(e)
+        t = tile.tile_id
+        self.queue.put(Packet(DONE, t, t, t, addr, 0, outcome))
 
 
 class Machine:
@@ -680,8 +757,12 @@ class Machine:
         return result
 
     def check_conservation(self):
-        """Quiescence hook: no leaked records, no queued packets."""
+        """Quiescence hook: no kernel job left, no leaked records, no queued
+        packets."""
         for t in self.tiles:
+            if t.kernel_jobs:
+                raise ResourceLeakError(
+                    f"tile {t.tile_id} has {t.kernel_jobs} kernel jobs queued or running")
             if len(t.subtask_stack) != len(t.subtask_list):
                 raise ResourceLeakError(
                     f"tile {t.tile_id} leaked "
@@ -692,9 +773,13 @@ class Machine:
     # ── introspection ────────────────────────────────────────
 
     def code_words(self, addr):
+        """Code entry at addr; KeyError if there is none."""
         if addr < RUNTIME_BASE:
             return self.code[addr]
-        return self.tiles[(addr - RUNTIME_BASE) // RUNTIME_STRIDE].arena[addr]
+        tile = (addr - RUNTIME_BASE) // RUNTIME_STRIDE
+        if tile >= self.tile_count:
+            raise KeyError(addr)
+        return self.tiles[tile].arena[addr]
 
     def trace_packets(self):
         if self._trace is None:
@@ -722,6 +807,9 @@ class Machine:
             w.queue.put(_STOP)
         for w in self.workers:
             w.join(timeout=5.0)
+            if w.kernel_thread is not None:
+                w.jobs.put(_STOP)
+                w.kernel_thread.join(timeout=5.0)
 
     def __enter__(self):
         return self

@@ -2,11 +2,12 @@
 
 import queue
 import sys
+import threading
 import time
 
 import pytest
 
-from gprm import compiler, kernels, lang, vm, words as W
+from gprm import bench, compiler, kernels, lang, vm, words as W
 from gprm.gpc import compile_gpc
 from gprm.kernels import NO_RESULT, KernelError
 from gprm.vm import (
@@ -513,36 +514,71 @@ def test_unknown_special_form_code_is_a_task_error():
 
 
 class Manual:
-    """Workers stopped; packets are handled by hand in a chosen order."""
+    """Workers stopped; packets and task kernel jobs are handled by hand in a
+    chosen order."""
 
     def __init__(self, text, registry, tiles=2):
         img = compiler.compile_text(text, tiles, registry)
         self.machine = Machine(img, registry, tiles)
         self.machine.shutdown()
+        for w in self.machine.workers:
+            # never started: handed-off kernel jobs wait in w.jobs for run_jobs
+            w.kernel_thread = threading.Thread()
 
-    def inject_root(self):
+    def send_root(self):
         root = self.machine.image.root
         gw = self.machine.gateway_tile
         self.machine.send(REQ, gw, W.ref_tile(root), (gw, 0, 0), (root,))
+
+    def inject_root(self):
+        self.send_root()
         self.step_all()
 
+    @staticmethod
+    def drain(q):
+        out = []
+        while True:
+            try:
+                out.append(q.get_nowait())
+            except queue.Empty:
+                return out
+
     def pending(self):
-        pkts = []
-        for w in self.machine.workers:
-            while True:
-                try:
-                    pkts.append(w.queue.get_nowait())
-                except queue.Empty:
-                    break
-        return pkts
+        return [p for w in self.machine.workers for p in self.drain(w.queue)]
+
+    def jobs(self):
+        """Take every queued kernel job, as (worker, job) pairs."""
+        return [(w, job) for w in self.machine.workers for job in self.drain(w.jobs)]
+
+    def run_jobs(self):
+        """Run the queued kernel jobs, each posting its completion packet;
+        returns how many ran."""
+        jobs = self.jobs()
+        for w, job in jobs:
+            w.run_job(job)
+        return len(jobs)
+
+    def serve(self, pkt):
+        """Handle one packet to the end, as a loop running its kernel inline
+        would: a kernel it hands off is run and its completion handled."""
+        self.machine.tiles[pkt.dst].handle(pkt)
+        self.run_jobs()
+        done = []
+        for p in self.pending():
+            if p.kind == vm.DONE:
+                done.append(p)
+            else:  # back in its FIFO, in order, ahead of what the DONEs send
+                self.machine._worker_of[p.dst].queue.put(p)
+        for p in done:
+            self.machine.tiles[p.dst].handle(p)
 
     def step_all(self):
         while True:
             pkts = self.pending()
-            if not pkts:
-                return
             for p in pkts:
                 self.machine.tiles[p.dst].handle(p)
+            if not self.run_jobs() and not pkts:
+                return
 
     def result(self):
         return self.machine._gateway.get_nowait()
@@ -569,7 +605,7 @@ def test_result_arrival_order_does_not_matter():
         if flip:
             kids.reverse()
         for p in kids:  # each produces a RES; deliver in this order
-            h.machine.tiles[p.dst].handle(p)
+            h.serve(p)
         h.step_all()
         res = h.result()
         assert res.kind == RES
@@ -612,3 +648,128 @@ def test_conservation_check_detects_leaks():
         m.tiles[0].subtask_stack.pop()  # simulate a leak
         with pytest.raises(ResourceLeakError):
             m.check_conservation()
+
+
+def test_result_for_running_kernel_record_is_fatal():
+    reg = fresh_registry()
+    reg.register("k", [("id", 1, lambda c, x: x), ("zero", 0, lambda c: 0)])
+    for text in ("(k.id '7)", "(k.zero)"):  # the slot filled, or none at all
+        h = Manual(text, reg, tiles=1)
+        h.send_root()
+        (rootpkt,) = h.pending()
+        h.machine.tiles[0].handle(rootpkt)
+        assert len(h.jobs()) == 1  # handed off, its record 0 still live
+        h.machine.tiles[0].handle(Packet(RES, 0, 0, 0, 0, 0, (W.mk_const(9),)))
+        assert isinstance(h.machine._fatal, ProtocolError)
+
+
+def test_conservation_check_detects_kernel_jobs():
+    reg = fresh_registry()
+    reg.register("k", [("id", 1, lambda c, x: x)])
+    h = Manual("(k.id '7)", reg, tiles=1)
+    h.send_root()
+    (rootpkt,) = h.pending()
+    h.machine.tiles[0].handle(rootpkt)
+    with pytest.raises(ResourceLeakError, match="kernel jobs queued or running"):
+        h.machine.check_conservation()  # queued
+    ((w, job),) = h.jobs()
+    with pytest.raises(ResourceLeakError, match="kernel jobs queued or running"):
+        h.machine.check_conservation()  # taken by the kernel thread, running
+    w.run_job(job)
+    with pytest.raises(ResourceLeakError, match="kernel jobs queued or running"):
+        h.machine.check_conservation()  # done, completion not yet handled
+    h.step_all()
+    assert h.machine.decode_word(h.result().payload[0]) == 7
+    h.machine.check_conservation()
+
+
+# ── task kernels off the tile loop ───────────────────────────────────
+
+
+def test_task_kernel_does_not_block_its_tile():
+    # the 2-thread merge sort's shape: leaf 2 runs on tile 0, and leaf 3 is
+    # reached through node 3's if/ctrl.run bookkeeping, which also sits on
+    # tile 0 behind leaf 2.  Leaf 2 waits for leaf 3, so the run succeeds
+    # only if tile 0's loop goes on while leaf 2's kernel runs.
+    sibling = threading.Event()
+    ran = {}
+
+    def leaf(ctx, n, a):
+        ran[n] = ctx.tile_id
+        if n == 3:
+            sibling.set()
+        elif not sibling.wait(timeout=5):
+            raise KernelError(f"leaf {n} timed out waiting for leaf 3")
+        return n
+
+    reg = fresh_registry()
+    reg.register("ms", [("leaf", 2, leaf), ("stem", 3, lambda c, nl, nr, a: nl // 2)])
+    img = compile_for(bench.mergesort_gpir(2), 2, reg)
+    data = object()
+    with Machine(img, reg, 2) as m:
+        m.register_data(data)
+        assert m.run_value(timeout=10.0) is data
+        assert ran == {2: 0, 3: 1}
+
+
+def test_task_kernel_errors_keep_subtask_chain():
+    reg = reg_with_stubs()
+
+    def fail(ctx, x):
+        raise KernelError(f"bad input {x}")
+
+    reg.register("k", [("fail", 1, fail), ("boom", 0, lambda c: 1 // 0)])
+    for threads in (1, 2):
+        with pytest.raises(TaskError, match="bad input 4") as ei:
+            execute("(t1.m2 (k.fail '4) '1)", threads=threads, registry=reg)
+        assert ei.value.frames == ("k.fail", "t1.m2")
+        with pytest.raises(TaskError, match="ZeroDivisionError") as ei:
+            execute("(+ '1 (k.boom))", threads=threads, registry=reg)
+        assert ei.value.frames == ("k.boom", "+")
+
+
+def test_restart_from_task_kernel_is_refused():
+    # only the tile loop sends packets: a task kernel that tries to restart
+    # gets an error, and the restart never goes out
+    reg = fresh_registry()
+    target = []
+
+    def sneaky(ctx):
+        ctx.restart(target[0], 0)
+        return NO_RESULT
+
+    reg.register("k", [("sneaky", 0, sneaky)])
+    img = compile_for("(+ (k.sneaky) (* '2 '3))", 1, reg)
+    sid, mid, _ = reg.resolve("*")
+    addr = next(a for a, code in img.code.items() if code[0] == W.mk_oper(sid, mid))
+    target.append(W.mk_ref(addr, 0, quoted=True))
+    with Machine(img, reg, 1, trace=True) as m:
+        with pytest.raises(TaskError, match="restart") as ei:
+            m.run_value()
+        assert ei.value.frames == ("k.sneaky", "+")
+        reqs = [p for p in m.trace_packets()
+                if p.kind == REQ and W.ref_addr(p.payload[0]) == addr]
+        assert len(reqs) == 1  # the argument request only
+
+
+# ── corrupt images ───────────────────────────────────────────────────
+
+
+def test_reference_to_runtime_address_of_missing_tile():
+    reg = fresh_registry()
+    img = compile_for("(+ '1 '2)", 1, reg)
+    bad = W.mk_ref(vm.RUNTIME_BASE + 99 * vm.RUNTIME_STRIDE, 0)
+    img.code[W.ref_addr(img.root)] = (img.code[W.ref_addr(img.root)][0], bad, W.mk_const(1))
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(ProtocolError, match="unknown code address"):
+            m.run_value()
+
+
+def test_non_operation_first_word_names_itself_in_the_frame():
+    reg = fresh_registry()
+    img = compile_for("(+ '1 '2)", 1, reg)
+    img.code[W.ref_addr(img.root)] = (W.mk_const(5), W.mk_const(1))
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(TaskError, match="does not start with an operation") as ei:
+            m.run_value()
+    assert ei.value.frames == ("5",)
