@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import lang
 from . import words as W
-from .kernels import KernelRegistry, UnknownServiceError
+from .kernels import KernelRegistry
 
 COMPILE_ADDR_LIMIT = 1 << 31
 
@@ -29,26 +29,26 @@ class CompileError(lang.GpirError):
 # ── Flat program ─────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WConst:
     value: int
     quoted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WVar:
     slot: int
     quoted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WRef:
     addr: int
     tile: int = 0
     quoted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlatEntry:
     op: str
     args: tuple
@@ -87,79 +87,82 @@ def used_operations(fp):
 # ── Flatten ──────────────────────────────────────────────────────────
 
 
-class _Flattener:
-    def __init__(self, label_bodies):
-        self.entries = {}
-        self.next_addr = 0
-        self.next_slot = 0
-        self.label_bodies = label_bodies
-        self.label_addrs = {}
+def flatten(e):
+    """Desugared AST -> FlatProgram; labels become one shared entry each.
 
-    def alloc_addr(self):
-        if self.next_addr >= COMPILE_ADDR_LIMIT:
+    An entry gets its address when the walk reaches it and its FlatEntry
+    once its last argument is done; the open entries are an explicit stack.
+    """
+    entries, labels, stack = {}, {}, []  # labels: name -> address
+    bodies = None  # name -> label body, collected on the first label reached
+    next_addr = next_slot = 0
+
+    def open_entry(e, scope):
+        nonlocal next_addr, next_slot
+        if next_addr >= COMPILE_ADDR_LIMIT:
             raise CompileError("address space exhausted")
-        addr = self.next_addr
-        self.next_addr += 1
-        return addr
-
-    def label_entry(self, name):
-        addr = self.label_addrs.get(name)
-        if addr is None:
-            body = self.label_bodies[name]
-            if not isinstance(body, lang.SExpr):
-                raise CompileError(f"label '{name}' body must be an S-expression")
-            # reserve first so self-contained cycles would be caught upstream
-            addr = self.entry(body, {})
-            self.label_addrs[name] = addr
-        return addr
-
-    def entry(self, e, scope):
-        addr = self.alloc_addr()
         op = e.op.name
         if op in lang.SUGAR_FORMS:
             raise CompileError(f"flatten requires a desugared tree, found '{op}'")
+        out, items = [], e.args
         if op == lang.FORM_LAMBDA:
-            *formals, body = e.args
-            inner = dict(scope)
-            flat_formals = []
-            for f in formals:
-                slot = self.next_slot
-                self.next_slot += 1
-                inner[f.inner.name] = slot
-                flat_formals.append(WVar(slot, quoted=True))
-            args = tuple(flat_formals) + (self.arg(body, inner),)
-        else:
-            args = tuple(self.arg(a, scope) for a in e.args)
-        self.entries[addr] = FlatEntry(op, args)
+            scope = dict(scope)
+            for f in items[:-1]:
+                scope[f.inner.name] = next_slot
+                out.append(WVar(next_slot, quoted=True))
+                next_slot += 1
+            items = items[-1:]
+        stack.append([next_addr, op, out, scope, items, 0])
+        next_addr += 1
+        return next_addr - 1
+
+    def label_entry(name):
+        nonlocal bodies
+        addr = labels.get(name)
+        if addr is None:
+            if bodies is None:
+                bodies = lang.label_bodies(e)
+            body = bodies.get(name)
+            if type(body) is not lang.SExpr:
+                raise CompileError(f"label '{name}' body must be an S-expression")
+            addr = labels[name] = open_entry(body, {})
         return addr
 
-    def arg(self, e, scope, quoted=False):
-        if isinstance(e, lang.Quoted):
-            return self.arg(e.inner, scope, True)
-        if isinstance(e, lang.ConstInt):
-            return WConst(e.value, quoted)
-        if isinstance(e, lang.Var):
-            slot = scope.get(e.name)
-            if slot is None:
-                raise CompileError(f"unbound variable '{e.name}'")
-            return WVar(slot, quoted)
-        if isinstance(e, (lang.Label, lang.LabelRef)):
-            return WRef(self.label_entry(e.name), 0, quoted)
-        if isinstance(e, lang.SExpr):
-            return WRef(self.entry(e, scope), 0, quoted)
-        raise CompileError(f"cannot flatten {e!r}")
-
-
-def flatten(e):
-    """Desugared AST -> FlatProgram; labels become one shared entry each."""
-    fl = _Flattener(lang.label_bodies(e))
     if isinstance(e, lang.Label):
-        root = fl.label_entry(e.name)
+        root = label_entry(e.name)
     elif isinstance(e, lang.SExpr):
-        root = fl.entry(e, {})
+        root = open_entry(e, {})
     else:
         raise CompileError("program must be an operation-rooted S-expression")
-    return FlatProgram(fl.entries, root)
+    while stack:
+        frame = stack[-1]
+        addr, op, out, scope, items, i = frame
+        while i < len(items):
+            a = items[i]
+            i += 1
+            quoted = False
+            while type(a) is lang.Quoted:
+                a, quoted = a.inner, True
+            kind = type(a)
+            if kind is lang.ConstInt:
+                out.append(WConst(a.value, quoted))
+            elif kind is lang.Var:
+                slot = scope.get(a.name)
+                if slot is None:
+                    raise CompileError(f"unbound variable '{a.name}'")
+                out.append(WVar(slot, quoted))
+            elif kind is lang.SExpr or kind is lang.Label or kind is lang.LabelRef:
+                ref = open_entry(a, scope) if kind is lang.SExpr else label_entry(a.name)
+                out.append(WRef(ref, 0, quoted))
+                if stack[-1] is not frame:  # descend; come back for argument i
+                    frame[5] = i
+                    break
+            else:
+                raise CompileError(f"cannot flatten {a!r}")
+        else:
+            entries[addr] = FlatEntry(op, tuple(out))
+            stack.pop()
+    return FlatProgram(entries, root)
 
 
 # ── Tile assignment ──────────────────────────────────────────────────
@@ -167,30 +170,34 @@ def flatten(e):
 
 def assign_tiles(fp, tile_count):
     """Place entries on tiles: root on 0, siblings spread round-robin,
-    an only child shares its parent's tile (dependent work can't overlap)."""
+    an only child shares its parent's tile (dependent work can't overlap).
+
+    A child reached from several entries stays where the first placed it.
+    Entries whose references do not move are kept as they are."""
     if tile_count < 1:
         raise CompileError("tile count must be >= 1")
     tile_of = {fp.root: 0}
-
-    def visit(addr):
+    stack = [fp.root]
+    while stack:
+        addr = stack.pop()
         parent = tile_of[addr]
-        children = [a.addr for a in fp.entries[addr].args if isinstance(a, WRef)]
+        children = [a.addr for a in fp.entries[addr].args if type(a) is WRef]
         fresh = []
         for i, child in enumerate(children):
             if child not in tile_of:
                 tile_of[child] = parent if len(children) == 1 else (parent + 1 + i) % tile_count
                 fresh.append(child)
-        for child in fresh:
-            visit(child)
-
-    visit(fp.root)
+        stack.extend(reversed(fresh))  # the first child's subtree is placed first
     entries = {}
     for addr, e in fp.entries.items():
-        args = tuple(
-            WRef(a.addr, tile_of.get(a.addr, 0), a.quoted) if isinstance(a, WRef) else a
-            for a in e.args
-        )
-        entries[addr] = FlatEntry(e.op, args)
+        for a in e.args:
+            if type(a) is WRef and a.tile != tile_of.get(a.addr, 0):
+                e = FlatEntry(e.op, tuple(
+                    WRef(a.addr, tile_of.get(a.addr, 0), a.quoted)
+                    if type(a) is WRef and a.tile != tile_of.get(a.addr, 0) else a
+                    for a in e.args))
+                break
+        entries[addr] = e
     return FlatProgram(entries, fp.root)
 
 
@@ -211,22 +218,25 @@ def encode(fp, tile_count, registry):
     """FlatProgram -> BytecodeImage; names resolved against the registry snapshot."""
     if not fp.entries:
         raise CompileError("a program must have a root")
-    symbols = {}
-    code = {}
+    symbols, code, op_words = {}, {}, {}
     arg_arity = 0
     for addr in sorted(fp.entries):
         e = fp.entries[addr]
-        if e.op in _FORM_CODES:
-            op_word = W.mk_builtin(_FORM_CODES[e.op])
-        else:
-            sid, mid, _spec = registry.resolve(e.op)
-            symbols[(sid, mid)] = e.op
-            op_word = W.mk_oper(sid, mid)
+        op_word = op_words.get(e.op)
+        if op_word is None:
+            if e.op in _FORM_CODES:
+                op_word = W.mk_builtin(_FORM_CODES[e.op])
+            else:
+                sid, mid, _spec = registry.resolve(e.op)
+                symbols[(sid, mid)] = e.op
+                op_word = W.mk_oper(sid, mid)
+            op_words[e.op] = op_word
         ws = [op_word]
         for a in e.args:
-            if isinstance(a, WConst):
+            kind = type(a)
+            if kind is WConst:
                 ws.append(W.mk_const(a.value, a.quoted))
-            elif isinstance(a, WVar):
+            elif kind is WVar:
                 ws.append(W.mk_var(a.slot, a.quoted))
             else:
                 if a.tile >= tile_count:
@@ -235,14 +245,7 @@ def encode(fp, tile_count, registry):
         if e.op == "ctrl.arg" and e.args and isinstance(e.args[0], WConst):
             arg_arity = max(arg_arity, e.args[0].value + 1)
         code[addr] = tuple(ws)
-    return BytecodeImage(
-        version=1,
-        tile_count=tile_count,
-        symbols=symbols,
-        code=code,
-        root=W.mk_ref(fp.root, 0),
-        arg_arity=arg_arity,
-    )
+    return BytecodeImage(VERSION, tile_count, symbols, code, W.mk_ref(fp.root, 0), arg_arity)
 
 
 def decode(image):
@@ -285,22 +288,21 @@ VERSION = 1
 
 
 def image_to_bytes(image):
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<HH", image.version, image.tile_count)
-    out += struct.pack("<H", len(image.symbols))
+    fmt = ["<4sHHH"]
+    vals = [MAGIC, image.version, image.tile_count, len(image.symbols)]
     for (sid, mid), name in sorted(image.symbols.items()):
         raw = name.encode("utf-8")
-        out += struct.pack("<HHH", sid, mid, len(raw))
-        out += raw
-    out += struct.pack("<I", len(image.code))
+        fmt.append(f"HHH{len(raw)}s")
+        vals += (sid, mid, len(raw), raw)
+    fmt.append("I")
+    vals.append(len(image.code))
     for addr in sorted(image.code):
         ws = image.code[addr]
-        out += struct.pack("<IH", addr, len(ws))
-        out += struct.pack(f"<{len(ws)}Q", *ws)
-    out += struct.pack("<Q", image.root)
-    out += struct.pack("<H", image.arg_arity)
-    return bytes(out)
+        fmt.append(f"IH{len(ws)}Q")
+        vals += (addr, len(ws), *ws)
+    fmt.append("QH")
+    vals += (image.root, image.arg_arity)
+    return struct.Struct("".join(fmt)).pack(*vals)
 
 
 def image_from_bytes(data):
@@ -308,36 +310,37 @@ def image_from_bytes(data):
         raise CompileError("not a bytecode image (bad magic)")
     try:
         return _parse_image(data)
-    except struct.error:
+    except (struct.error, IndexError):
         raise CompileError("truncated bytecode image") from None
 
 
 def _parse_image(data):
-    off = 4
-    version, tile_count = struct.unpack_from("<HH", data, off)
-    off += 4
+    version, tile_count, nsyms = struct.unpack_from("<HHH", data, 4)
     if version != VERSION:
         raise CompileError(f"unsupported image version {version}")
-    (nsyms,) = struct.unpack_from("<H", data, off)
-    off += 2
-    symbols = {}
+    off, symbols = 10, {}
     for _ in range(nsyms):
         sid, mid, ln = struct.unpack_from("<HHH", data, off)
-        off += 6
-        symbols[(sid, mid)] = data[off : off + ln].decode("utf-8")
-        off += ln
+        try:
+            symbols[(sid, mid)] = data[off + 6:off + 6 + ln].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CompileError(f"symbol name of {sid}.{mid} is not UTF-8") from None
+        off += 6 + ln
     (nentries,) = struct.unpack_from("<I", data, off)
-    off += 4
-    code = {}
+    start = off = off + 4
+    sizes = []  # words per entry, read ahead so one struct call unpacks them all
     for _ in range(nentries):
-        addr, nwords = struct.unpack_from("<IH", data, off)
-        off += 6
-        code[addr] = struct.unpack_from(f"<{nwords}Q", data, off)
-        off += 8 * nwords
-    (root,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    (arg_arity,) = struct.unpack_from("<H", data, off)
-    return BytecodeImage(version, tile_count, symbols, code, root, arg_arity)
+        sizes.append(data[off + 4] | data[off + 5] << 8)
+        off += 6 + 8 * sizes[-1]
+    if len(data) > off + 10:
+        raise CompileError(f"{len(data) - off - 10} trailing bytes after the bytecode image")
+    fmt = "<" + "".join([f"IH{n}Q" for n in sizes]) + "QH"
+    words = struct.Struct(fmt).unpack_from(data, start)  # struct's cache would keep fmt alive
+    code, i = {}, 0
+    for n in sizes:
+        code[words[i]] = words[i + 2:i + 2 + n]
+        i += 2 + n
+    return BytecodeImage(version, tile_count, symbols, code, words[-2], words[-1])
 
 
 def write_image(image, path):

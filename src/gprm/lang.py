@@ -14,10 +14,14 @@ Quoting defers evaluation from the reduction engine to a kernel or a later
 restart.  A quote on an atom is idempotent (''42 == '42, a quoted constant is
 already a value); a quote wrapping an already-quoted S-expression is rejected,
 since code can only be deferred once.
+
+Every pass keeps its own stack instead of recursing, so nesting depth has no
+limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -56,43 +60,43 @@ class GpirSyntaxError(GpirError):
 # ── AST ──────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstInt:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """Head of an S-expression: a service.method literal or a special form."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """Lambda-bound identifier occurrence."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quoted:
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SExpr:
     op: Operation
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     name: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelRef:
     name: str
 
@@ -109,305 +113,263 @@ def quote(e):
     return Quoted(e)
 
 
-# ── Lexer ────────────────────────────────────────────────────────────
-
-_DELIMS = set("()';") | set(" \t\r\n")
-
-
-def _lex(text):
-    """Return (kind, value, line, col) tokens; kind in {'(', ')', "'", 'int', 'name'}."""
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "()'":
-            tokens.append((c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        start, startcol = i, col
-        while i < n and text[i] not in _DELIMS:
-            i += 1
-            col += 1
-        word = text[start:i]
-        if word.isdigit() or (word.startswith("-") and word[1:].isdigit()):
-            value = int(word)
-            if not INT32_MIN <= value <= INT32_MAX:
-                raise GpirSyntaxError(
-                    f"integer literal out of 32-bit range: {word}", line, startcol
-                )
-            tokens.append(("int", value, line, startcol))
-        else:
-            tokens.append(("name", _ALIASES.get(word, word), line, startcol))
-    return tokens
-
-
-# raw reader tree: ('int', v, pos) | ('name', s, pos) | ('quote', raw, pos) | ('list', [raw...], pos)
-
-
-def _read(tokens, i):
-    kind, value, line, col = tokens[i]
-    pos = (line, col)
-    if kind == "int":
-        return ("int", value, pos), i + 1
-    if kind == "name":
-        return ("name", value, pos), i + 1
-    if kind == "'":
-        if i + 1 >= len(tokens):
-            raise GpirSyntaxError("nothing to quote", line, col)
-        inner, j = _read(tokens, i + 1)
-        return ("quote", inner, pos), j
-    if kind == "(":
-        items = []
-        j = i + 1
-        while True:
-            if j >= len(tokens):
-                raise GpirSyntaxError("unclosed '('", line, col)
-            if tokens[j][0] == ")":
-                return ("list", items, pos), j + 1
-            item, j = _read(tokens, j)
-            items.append(item)
-    raise GpirSyntaxError("unexpected ')'", line, col)
-
-
-# ── Structure and resolve ────────────────────────────────────────────
-
-
-def _collect_labels(raw, names):
-    kind, value, pos = raw
-    if kind == "quote":
-        _collect_labels(value, names)
-    elif kind == "list":
-        items = value
-        if items and items[0][0] == "name" and items[0][1] == FORM_LABEL:
-            if len(items) != 3:
-                raise GpirSyntaxError("label expects a name and one expression", *pos)
-            if items[1][0] != "name":
-                raise GpirSyntaxError("label name must be an identifier", *items[1][2])
-            name = items[1][1]
-            if name in names:
-                raise GpirSyntaxError(f"duplicate label '{name}'", *items[1][2])
-            names.add(name)
-        for item in items:
-            _collect_labels(item, names)
-
-
-class _Resolver:
-    """Turns raw reader trees into validated Expr nodes."""
-
-    def __init__(self, labels):
-        self.labels = labels
-
-    def expr(self, raw, scope):
-        kind, value, pos = raw
-        if kind == "int":
-            return ConstInt(value)
-        if kind == "quote":
-            # collapse idempotent quotes on atoms, reject deferred-twice code
-            inner = value
-            while inner[0] == "quote":
-                if inner[1][0] == "list":
-                    raise GpirSyntaxError("nested quote", *pos)
-                inner = inner[1]
-            return Quoted(self.expr(inner, scope))
-        if kind == "name":
-            if value in scope:
-                return Var(value)
-            if value in self.labels:
-                return LabelRef(value)
-            raise GpirSyntaxError(f"unbound variable '{value}'", *pos)
-        return self.sexpr(value, pos, scope)
-
-    def sexpr(self, items, pos, scope):
-        if not items:
-            raise GpirSyntaxError("empty list", *pos)
-        head = items[0]
-        if head[0] != "name":
-            raise GpirSyntaxError("list head is not an operation", *head[2])
-        op = head[1]
-        if op in scope:
-            raise GpirSyntaxError(
-                f"list head is not an operation: '{op}' is a lambda variable here", *head[2]
-            )
-        args = items[1:]
-        if op == FORM_LAMBDA:
-            return self.lambda_form(args, pos, scope)
-        if op == FORM_LABEL:
-            return self.label_form(args, pos, scope)
-        if op == FORM_IF:
-            if len(args) != 3:
-                raise GpirSyntaxError("if expects condition and two branches", *pos)
-        if op == FORM_BETA and not args:
-            raise GpirSyntaxError("beta expects an operator expression", *pos)
-        if op == "let":
-            return self.let_form(args, pos, scope)
-        if op == "assign":
-            raise GpirSyntaxError("assign outside let", *pos)
-        if op == "return" and len(args) != 1:
-            raise GpirSyntaxError("return expects one expression", *pos)
-        if op == "begin" and not args:
-            raise GpirSyntaxError("begin expects at least one expression", *pos)
-        return SExpr(Operation(op), tuple(self.expr(a, scope) for a in args))
-
-    def lambda_form(self, args, pos, scope):
-        if not args:
-            raise GpirSyntaxError("lambda expects a quoted body", *pos)
-        *formal_raws, body_raw = args
-        names = []
-        for f in formal_raws:
-            if f[0] != "quote" or f[1][0] != "name":
-                raise GpirSyntaxError("lambda formal must be a quoted identifier", *f[2])
-            name = f[1][1]
-            if name in names:
-                raise GpirSyntaxError(f"duplicate lambda formal '{name}'", *f[1][2])
-            names.append(name)
-        inner = scope | set(names)
-        if body_raw[0] == "quote":
-            body = self.expr(body_raw, inner)
-        else:
-            # evaluating a lambda body eagerly is meaningless; normalize to quoted
-            body = quote(self.expr(body_raw, inner))
-        formals = tuple(Quoted(Var(n)) for n in names)
-        return SExpr(Operation(FORM_LAMBDA), formals + (body,))
-
-    def let_form(self, args, pos, scope):
-        if len(args) != 2:
-            raise GpirSyntaxError("let expects one assign and one quoted body", *pos)
-        assign_raw, body_raw = args
-        if (
-            assign_raw[0] != "list"
-            or not assign_raw[1]
-            or assign_raw[1][0][:2] != ("name", "assign")
-        ):
-            raise GpirSyntaxError("let expects an (assign 'x <expr>) form", *assign_raw[2])
-        a_items = assign_raw[1]
-        if len(a_items) != 3 or a_items[1][0] != "quote" or a_items[1][1][0] != "name":
-            raise GpirSyntaxError("assign expects a quoted identifier and one expression",
-                                  *assign_raw[2])
-        name = a_items[1][1][1]
-        bound_expr = self.expr(a_items[2], scope)
-        inner = scope | {name}
-        if body_raw[0] == "quote":
-            body = self.expr(body_raw, inner)
-        else:
-            body = quote(self.expr(body_raw, inner))
-        assign = SExpr(Operation("assign"), (Quoted(Var(name)), bound_expr))
-        return SExpr(Operation("let"), (assign, body))
-
-    def label_form(self, args, pos, scope):
-        name = args[0][1]
-        body = self.expr(args[1], scope)
-        if _free_vars(body):
-            raise GpirSyntaxError(
-                f"label '{name}' body must not reference lambda variables", *pos
-            )
-        return Label(name, body)
-
-
-def _free_vars(e, bound=frozenset()):
-    if isinstance(e, Var):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, Quoted):
-        return _free_vars(e.inner, bound)
-    if isinstance(e, Label):
-        return _free_vars(e.body, bound)
-    if isinstance(e, SExpr):
-        if e.op.name == FORM_LAMBDA:
-            names = {f.inner.name for f in e.args[:-1]}
-            return _free_vars(e.args[-1], bound | names)
-        out = set()
-        for a in e.args:
-            out |= _free_vars(a, bound)
-        return out
-    return set()
-
-
-def label_bodies(e):
-    """{name: body} for every label defined anywhere in the tree."""
-    out = {}
-
-    def walk(e):
-        if isinstance(e, Label):
-            out[e.name] = e.body
-            walk(e.body)
+def _nodes(e):
+    """Every node of the tree, root first, left to right."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, SExpr):
+            stack.extend(reversed(e.args))
         elif isinstance(e, Quoted):
-            walk(e.inner)
-        elif isinstance(e, SExpr):
-            for a in e.args:
-                walk(a)
-
-    walk(e)
-    return out
+            stack.append(e.inner)
+        elif isinstance(e, Label):
+            stack.append(e.body)
 
 
-def _label_refs(e):
-    if isinstance(e, LabelRef):
-        return {e.name}
-    if isinstance(e, Quoted):
-        return _label_refs(e.inner)
-    if isinstance(e, Label):
-        return _label_refs(e.body)
-    if isinstance(e, SExpr):
-        out = set()
-        for a in e.args:
-            out |= _label_refs(a)
-        return out
-    return set()
+# ── Parser ───────────────────────────────────────────────────────────
+
+#: a word, a delimiter or a comment; whitespace separates and is dropped
+_TOKEN = re.compile(r"[^()'; \t\r\n]+|[()']|;[^\n]*")
+
+#: forms whose arguments are not all plain expressions
+_SPECIAL = frozenset((FORM_LAMBDA, FORM_LABEL, "let", "assign"))
+
+_ANY = float("inf")
+
+#: form -> (fewest arguments, most arguments, message)
+_ARITY = {
+    FORM_IF: (3, 3, "if expects condition and two branches"),
+    FORM_BETA: (1, _ANY, "beta expects an operator expression"),
+    FORM_LAMBDA: (1, _ANY, "lambda expects a quoted body"),
+    FORM_LABEL: (2, 2, "label expects a name and one expression"),
+    "let": (2, 2, "let expects one assign and one quoted body"),
+    "assign": (2, 2, "assign expects a quoted identifier and one expression"),
+    "return": (1, 1, "return expects one expression"),
+    "begin": (1, _ANY, "begin expects at least one expression"),
+}
 
 
-def _check_label_cycles(bodies):
-    graph = {name: _label_refs(body) & set(bodies) for name, body in bodies.items()}
-    state = {}
+def _is_int(word):
+    return word.isdecimal() or (word[0] == "-" and word[1:].isdecimal())
 
-    def visit(name):
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            raise GpirSyntaxError(f"label '{name}' is part of a reference cycle")
-        state[name] = 1
-        for dep in graph[name]:
-            visit(dep)
-        state[name] = 2
 
-    for name in graph:
-        visit(name)
+def _position(text, index):
+    """(line, col) of token `index`; only an error pays for finding it."""
+    at = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != ";"][index]
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def parse(text):
-    """Parse GPIR source into a validated AST.
+    """Parse GPIR source into a validated AST in one pass over the tokens.
 
     Raises GpirSyntaxError with line/column on malformed input, unbound
     variables, nested quotes and non-operation list heads.
     """
-    tokens = _lex(text)
+    tokens = _TOKEN.findall(text)
+    if ";" in text:
+        tokens = [t for t in tokens if t[0] != ";"]
     if not tokens:
         raise GpirSyntaxError("empty program")
-    raw, j = _read(tokens, 0)
-    if j != len(tokens):
-        raise GpirSyntaxError("one top-level expression per program", *tokens[j][2:])
-    if raw[0] == "quote":
-        raise GpirSyntaxError("quoted literal is not a program", *raw[2])
-    if raw[0] != "list":
-        raise GpirSyntaxError("program must be an operation-rooted S-expression", *raw[2])
-    labels = set()
-    _collect_labels(raw, labels)
-    root = _Resolver(labels).expr(raw, frozenset())
-    _check_label_cycles(label_bodies(root))
+    ops, labels, refs = {}, {}, []  # one Operation per name; name -> Label; (name, token)
+
+    def error(msg, i):
+        return GpirSyntaxError(msg, *_position(text, i))
+
+    def atom(i, scope):
+        word = tokens[i]
+        if _is_int(word):
+            value = int(word)
+            if not INT32_MIN <= value <= INT32_MAX:
+                raise error(f"integer literal out of 32-bit range: {word}", i)
+            return ConstInt(value)
+        name = _ALIASES.get(word, word)
+        if name in scope:
+            return Var(name)
+        refs.append((name, i))  # must name a label, which may be defined later
+        return LabelRef(name)
+
+    def formals(marks):
+        names = []
+        for q, i in marks:
+            if q != i - 1 or _is_int(tokens[i]):
+                raise error("lambda formal must be a quoted identifier", i if q is None else q)
+            name = _ALIASES.get(tokens[i], tokens[i])
+            if name in names:
+                raise error(f"duplicate lambda formal '{name}'", i)
+            names.append(name)
+        return names
+
+    def place(frame, word, i, q):
+        """Check an argument of a special form that starts at token i; return
+        the scope it is read in, or None if it was taken as a name here."""
+        op, scope, args = frame[0], frame[1], frame[2]
+        start = i if q is None else q
+        if op == FORM_LAMBDA:
+            if frame[5] is not None:
+                raise error("lambda formal must be a quoted identifier", frame[5])
+            if word != "(":
+                args.append((q, i))  # a formal, or the body if it is the last
+                return None
+            frame[5] = start
+            return scope | set(formals(args))
+        if args:
+            return scope | {args[0].args[0].inner.name} if op == "let" else scope
+        if op == "let":
+            if word != "(" or q is not None or tokens[i + 1:i + 2] != ["assign"]:
+                raise error("let expects an (assign 'x <expr>) form", start)
+            return scope
+        if word == "(" or _is_int(word) or q != (None if op == FORM_LABEL else i - 1):
+            if op == FORM_LABEL:
+                raise error("label name must be an identifier", start)
+            raise error(_ARITY["assign"][2], frame[3])
+        name = _ALIASES.get(word, word)
+        if op == FORM_LABEL:
+            if name in labels:
+                raise error(f"duplicate label '{name}'", i)
+            labels[name] = None
+        args.append(name)
+        return None
+
+    # an open list is [op, scope, args, index of its '(', quoted, start of
+    # lambda's list argument]; `top` holds the program's one expression
+    top = [None, frozenset(), [], 0, False, None]
+    stack = [top]
+    op, scope, args = None, top[1], top[2]
+    q = None  # index of the first quote in front of the next expression
+    n = len(tokens)
+    i = 0
+    while i < n:
+        word = tokens[i]
+        if word == "'":
+            if q is None:
+                q = i
+            i += 1
+            continue
+        if word == ")":
+            if q is not None or len(stack) == 1:
+                raise error("unexpected ')'", i)
+            frame = stack.pop()
+            rule = _ARITY.get(op)
+            if rule and not rule[0] <= len(args) <= rule[1]:
+                raise error(rule[2], frame[3])
+            head = ops.get(op) or ops.setdefault(op, Operation(op))
+            if op == FORM_LAMBDA:
+                names, body = formals(args[:-1]), args[-1]
+                if isinstance(body, tuple):  # an atom, read now that all formals are known
+                    body = atom(body[1], scope | set(names))
+                body = body if isinstance(body, Quoted) else Quoted(body)
+                node = SExpr(head, tuple(Quoted(Var(x)) for x in names) + (body,))
+            elif op == FORM_LABEL:
+                if _has_free_vars(args[1]):
+                    raise error(f"label '{args[0]}' body must not reference lambda variables",
+                                frame[3])
+                node = labels[args[0]] = Label(args[0], args[1])
+            elif op == "let":
+                body = args[1] if isinstance(args[1], Quoted) else Quoted(args[1])
+                node = SExpr(head, (args[0], body))
+            elif op == "assign":
+                node = SExpr(head, (Quoted(Var(args[0])), args[1]))
+            else:
+                node = SExpr(head, tuple(args))
+            if frame[4]:
+                node = Quoted(node)
+            frame = stack[-1]
+            op, scope, args = frame[0], frame[1], frame[2]
+            args.append(node)
+        else:
+            inner = scope
+            if op in _SPECIAL:
+                inner = place(stack[-1], word, i, q)
+                if inner is None:
+                    q = None
+                    i += 1
+                    continue
+            if word == "(":
+                if q is not None and q < i - 1:
+                    raise error("nested quote", q)
+                if i + 1 == n:
+                    raise error("unclosed '('", i)
+                head = tokens[i + 1]
+                if head == ")":
+                    raise error("empty list", i)
+                if head in ("(", "'") or _is_int(head):
+                    raise error("list head is not an operation", i + 1)
+                head = _ALIASES.get(head, head)
+                assignment = op == "let" and not args
+                if head in inner and not assignment:
+                    raise error(f"list head is not an operation: '{head}' is a lambda "
+                                "variable here", i + 1)
+                if head == "assign" and not assignment:
+                    raise error("assign outside let", i)
+                stack.append([head, inner, [], i, q is not None, None])
+                op, scope, args = head, inner, stack[-1][2]
+                q = None
+                i += 2
+                continue
+            node = atom(i, inner)
+            args.append(node if q is None else Quoted(node))
+            q = None
+        i += 1
+        if len(stack) == 1 and i < n:
+            raise error("one top-level expression per program", i)
+    if q is not None:
+        raise error("nothing to quote", n - 1)
+    if len(stack) > 1:
+        raise error("unclosed '('", stack[-1][3])
+    root = args[0]
+    if isinstance(root, Quoted):
+        raise error("quoted literal is not a program", 0)
+    if not isinstance(root, (SExpr, Label)):
+        raise error("program must be an operation-rooted S-expression", 0)
+    for name, i in refs:
+        if name not in labels:
+            raise error(f"unbound variable '{name}'", i)
+    if labels:
+        _check_label_cycles({name: label.body for name, label in labels.items()})
     return root
+
+
+def _has_free_vars(e):
+    """Whether e uses a lambda variable that no lambda inside e binds."""
+    stack = [(e, frozenset())]
+    while stack:
+        e, bound = stack.pop()
+        if isinstance(e, Var) and e.name not in bound:
+            return True
+        if isinstance(e, (Quoted, Label)):
+            stack.append((e.inner if isinstance(e, Quoted) else e.body, bound))
+        elif isinstance(e, SExpr):
+            if e.op.name == FORM_LAMBDA:
+                stack.append((e.args[-1], bound | {f.inner.name for f in e.args[:-1]}))
+            else:
+                stack.extend((a, bound) for a in e.args)
+    return False
+
+
+def label_bodies(e):
+    """{name: body} for every label defined anywhere in the tree."""
+    return {x.name: x.body for x in _nodes(e) if isinstance(x, Label)}
+
+
+def _check_label_cycles(bodies):
+    graph = {name: {x.name for x in _nodes(body) if isinstance(x, LabelRef)} & bodies.keys()
+             for name, body in bodies.items()}
+    state = {}  # name -> 1 while its references are being followed, 2 when done
+    for name in graph:
+        if name in state:
+            continue
+        state[name], path = 1, [(name, iter(graph[name]))]
+        while path:  # a depth-first walk; path holds the labels being followed
+            for dep in path[-1][1]:
+                if state.get(dep) == 1:
+                    raise GpirSyntaxError(f"label '{dep}' is part of a reference cycle")
+                if dep not in state:
+                    state[dep] = 1
+                    path.append((dep, iter(graph[dep])))
+                    break
+            else:
+                state[path.pop()[0]] = 2
 
 
 # ── Printer ──────────────────────────────────────────────────────────
@@ -415,49 +377,83 @@ def parse(text):
 
 def to_text(e):
     """Render an AST back to GPIR source (ASCII operation names)."""
-    if isinstance(e, ConstInt):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, LabelRef):
-        return e.name
-    if isinstance(e, Quoted):
-        return "'" + to_text(e.inner)
-    if isinstance(e, Label):
-        return f"(label {e.name} {to_text(e.body)})"
-    if isinstance(e, SExpr):
-        parts = [e.op.name] + [to_text(a) for a in e.args]
-        return "(" + " ".join(parts) + ")"
-    raise GpirError(f"cannot print {e!r}")
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, str):
+            out.append(e)
+        elif isinstance(e, (ConstInt, Var, LabelRef)):
+            out.append(str(e.value) if isinstance(e, ConstInt) else e.name)
+        elif isinstance(e, Quoted):
+            stack += [e.inner, "'"]
+        elif isinstance(e, Label):
+            stack += [")", e.body, f"(label {e.name} "]
+        elif isinstance(e, SExpr):
+            out.append("(" + e.op.name)
+            stack.append(")")
+            for a in reversed(e.args):
+                stack += [a, " "]
+        else:
+            raise GpirError(f"cannot print {e!r}")
+    return "".join(out)
 
 
 # ── Desugaring ───────────────────────────────────────────────────────
 
 
-def desugar(e):
-    """Rewrite return/begin/let into the minimal form set; idempotent."""
-    if isinstance(e, Quoted):
-        return quote(desugar(e.inner))
-    if isinstance(e, Label):
-        return Label(e.name, desugar(e.body))
-    if not isinstance(e, SExpr):
-        return e
+def _unsugar(e):
+    """One rewrite at the top of e: return becomes if, begin and let beta."""
     name = e.op.name
     if name == "return":
         (x,) = e.args
-        return desugar(SExpr(Operation(FORM_IF), (Quoted(ConstInt(1)), quote(x), Quoted(ConstInt(0)))))
+        return SExpr(Operation(FORM_IF), (Quoted(ConstInt(1)), quote(x), Quoted(ConstInt(0))))
     if name == "begin":
         n = len(e.args)
         formals = tuple(Quoted(Var(f"x{i + 1}")) for i in range(n))
         body = SExpr(Operation("return"), (Var(f"x{n}"),))
         lam = SExpr(Operation(FORM_LAMBDA), formals + (Quoted(body),))
-        return desugar(SExpr(Operation(FORM_BETA), (lam,) + e.args))
+        return SExpr(Operation(FORM_BETA), (lam,) + e.args)
     if name == "let":
         assign, body = e.args
-        var = assign.args[0]
-        bound = assign.args[1]
-        lam = SExpr(Operation(FORM_LAMBDA), (var, body))
-        return desugar(SExpr(Operation(FORM_BETA), (lam, bound)))
-    if name == "assign":
-        raise GpirError("assign outside let")
-    return SExpr(e.op, tuple(desugar(a) for a in e.args))
+        lam = SExpr(Operation(FORM_LAMBDA), (assign.args[0], body))
+        return SExpr(Operation(FORM_BETA), (lam, assign.args[1]))
+    raise GpirError("assign outside let")
+
+
+def desugar(e):
+    """Rewrite return/begin/let into the minimal form set; idempotent.
+
+    Sugar-free subtrees come back as the very same objects."""
+    order, stack, rewritten = [], [e], {}  # order: parents first; id(sugar) -> rewrite
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is SExpr:
+            if node.op.name in SUGAR_FORMS:
+                rewritten[id(node)] = _unsugar(node)
+            stack.extend(reversed(rewritten.get(id(node), node).args))
+        elif kind is Quoted:
+            stack.append(node.inner)
+        elif kind is Label:
+            stack.append(node.body)
+        else:
+            continue
+        order.append(node)
+    if not rewritten:
+        return e
+    done = {}  # id(node) -> its desugared replacement, for every node that changes
+    for node in reversed(order):
+        new = rewritten.get(id(node), node)
+        kids = new.args if isinstance(new, SExpr) else (
+            (new.inner,) if isinstance(new, Quoted) else (new.body,))
+        if any(id(k) in done for k in kids):
+            kids = [done.get(id(k), k) for k in kids]
+            if isinstance(new, SExpr):
+                new = SExpr(new.op, tuple(kids))
+            elif isinstance(new, Quoted):
+                new = Quoted(kids[0])
+            else:
+                new = Label(new.name, kids[0])
+        if new is not node:
+            done[id(node)] = new
+    return done[id(e)]

@@ -415,9 +415,12 @@ class Tile:
             na = mapping.get(a)
             if na is not None:
                 return na
+            try:
+                code = machine.code_words(a)
+            except KeyError:
+                raise VmError(f"closure references unknown code address {a}") from None
             na = self.alloc_code_addr()
             mapping[a] = na
-            code = machine.code_words(a)
             out = [code[0]]
             for w in code[1:]:
                 k = W.kind_of(w)

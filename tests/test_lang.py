@@ -88,13 +88,42 @@ def test_double_quote_collapses_on_atoms():
     assert parse("(if '1 ''1 ''0)") == parse("(if '1 '1 '0)")
 
 
-def test_syntax_error_carries_position():
-    try:
-        parse("(t1.m1\n  ''(f))")
-    except GpirSyntaxError as e:
-        assert e.line == 2
-    else:
-        pytest.fail("expected a syntax error")
+# (source, line, col, message), each as the multi-pass parser reported it
+SYNTAX_ERRORS = [
+    ("(+ '1 '2", 1, 1, "unclosed '('"),
+    ("(+ '1 '2))", 1, 10, "one top-level expression per program"),
+    (")", 1, 1, "unexpected ')'"),
+    ("(t1.m1\n  ''(f))", 2, 3, "nested quote"),
+    ("(+ x '1)", 1, 4, "unbound variable 'x'"),
+    ("(+ '2147483648 '0)", 1, 5, "integer literal out of 32-bit range: 2147483648"),
+    ("; header\n; second\n(+ '1\n   y)", 4, 4, "unbound variable 'y'"),
+    ("(β (λ 'x 'x '(+ x x)) '1)", 1, 11, "duplicate lambda formal 'x'"),
+    ("(λ 'f '(f '1))", 1, 9, "list head is not an operation: 'f' is a lambda variable here"),
+    ("(if '1 '2)", 1, 1, "if expects condition and two branches"),
+    ("(lambda (f) 'x)", 1, 9, "lambda formal must be a quoted identifier"),
+    ("(let (f) 'x)", 1, 6, "let expects an (assign 'x <expr>) form"),
+    ("\t(+ '1 ')", 1, 9, "unexpected ')'"),
+    ("(f '", 1, 4, "nothing to quote"),
+    ("(label L)", 1, 1, "label expects a name and one expression"),
+    ("(t1.m1 (label L (t2.m2 '1)) (label L (t2.m2 '2)))", 1, 36, "duplicate label 'L'"),
+    ("(+ '1 '2) '3", 1, 11, "one top-level expression per program"),
+    ("'(f)", 1, 1, "quoted literal is not a program"),
+    ("42", 1, 1, "program must be an operation-rooted S-expression"),
+    ("()", 1, 1, "empty list"),
+    ("(assign 'x '1)", 1, 1, "assign outside let"),
+    ("(42 '1)", 1, 2, "list head is not an operation"),
+    ("(label 'L (f))", 1, 8, "label name must be an identifier"),
+    ("(let (assign x '1) 'x)", 1, 6, "assign expects a quoted identifier and one expression"),
+    ("(+ '1\r\n\t(* ''(g) '2))", 2, 5, "nested quote"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", SYNTAX_ERRORS)
+def test_syntax_error_carries_position(text, line, col, message):
+    with pytest.raises(GpirSyntaxError) as ei:
+        parse(text)
+    e = ei.value
+    assert (e.line, e.col, str(e)) == (line, col, f"{message} (line {line}, col {col})")
 
 
 def test_comments_and_whitespace():
@@ -198,3 +227,64 @@ def test_roundtrip_generated_programs():
         assert parse(to_text(ast)) == ast
         des = desugar(ast)
         assert parse(to_text(des)) == des
+
+
+def test_desugar_returns_sugar_free_subtrees_unchanged():
+    clean = parse("(t1.m1 (+ '1 '2) '(t2.m2 (label L (* '3 '4)) L))")
+    assert desugar(clean) is clean
+    mixed = parse("(t1.m1 (+ '1 '2) (return (t2.m2 '3)))")
+    out = desugar(mixed)
+    assert out.args[0] is mixed.args[0]  # the sugar-free sibling is shared
+    assert out.args[1] == parse("(if '1 '(t2.m2 '3) '0)")
+
+
+def test_one_operation_per_name():
+    ast = parse("(+ (+ '1 '2) (+ '3 (* '4 '5)))")
+    assert ast.op is ast.args[0].op is ast.args[1].op
+    assert Var("x") != LabelRef("x") and Var("x") == Var("x")
+    assert repr(Quoted(ConstInt(7))) == "Quoted(inner=ConstInt(value=7))"
+
+
+def test_deep_nesting_has_no_limit():
+    depth = 5000
+    text = "(+ '1 " * depth + "'2" + ")" * depth
+    ast = parse(text)
+    assert to_text(ast) == text
+    assert desugar(ast) is ast
+
+
+def _mutate(rng, text):
+    alphabet = "()' ;\n\tx1-λβ&\\" + text
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(("insert", "delete", "swap"))
+        if edit == "insert":
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        elif i + 1 < len(text):
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
+    return text
+
+
+def test_mutated_programs_parse_or_raise_gpir_error():
+    """Random small edits of valid programs: every result either compiles to a
+    flat program or raises a GpirError, never a raw Python exception."""
+    from gprm import compiler
+
+    rng = random.Random(5150)
+    gen = ProgramGen(rng)
+    extra = [
+        "(t1.m1 (label L (+ '1 '2)) L (beta (lambda 'x 'y '(+ x y)) L '3))",
+        "(begin (let (assign 'x (+ '1 '2)) '(return (* x x))) (return '5))",
+    ]
+    outcomes = {"ok": 0, "error": 0}
+    for k in range(500):
+        text = _mutate(rng, extra[k % 2] if k % 10 == 0 else gen.program(depth=4))
+        try:
+            compiler.assign_tiles(compiler.flatten(desugar(parse(text))), 2)
+        except lang.GpirError:
+            outcomes["error"] += 1
+        else:
+            outcomes["ok"] += 1
+    assert outcomes["ok"] > 0 and outcomes["error"] > 0

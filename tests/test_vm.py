@@ -773,3 +773,15 @@ def test_non_operation_first_word_names_itself_in_the_frame():
         with pytest.raises(TaskError, match="does not start with an operation") as ei:
             m.run_value()
     assert ei.value.frames == ("5",)
+
+
+def test_closure_reference_to_unknown_code_is_a_task_error():
+    reg = fresh_registry()
+    img = compile_for("(beta (lambda 'x '(+ x '1)) '2)", 1, reg)
+    lam = next(a for a, ws in img.code.items() if W.kind_of(ws[0]) == W.KIND_BUILTIN
+               and W.builtin_form(ws[0]) == W.FORM_CODE_LAMBDA)
+    img.code[lam] = img.code[lam][:-1] + (W.mk_ref(999, 0, quoted=True),)
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(TaskError, match="unknown code address 999") as ei:
+            m.run_value()
+    assert ei.value.frames == ("beta",)
