@@ -118,8 +118,17 @@ SYNTAX_ERRORS = [
 ]
 
 
+def test_syntax_error_carries_position():
+    try:
+        parse("(t1.m1\n  ''(f))")
+    except GpirSyntaxError as e:
+        assert (e.line, e.col) == (2, 3)
+    else:
+        pytest.fail("expected a syntax error")
+
+
 @pytest.mark.parametrize("text,line,col,message", SYNTAX_ERRORS)
-def test_syntax_error_carries_position(text, line, col, message):
+def test_syntax_error_position_table(text, line, col, message):
     with pytest.raises(GpirSyntaxError) as ei:
         parse(text)
     e = ei.value
