@@ -1,7 +1,7 @@
 """Command-line driver: compile, run, oracle-check and benchmark programs.
 
 Exit codes: 0 ok, 1 usage, 2 compile error, 3 runtime error, 4 verification
-failure.  Environment knobs: GPRM_THREADS (default thread/tile count) and
+failure.  Environment knobs: GPRM_THREADS (default kernel thread/tile count) and
 GPRM_TRACE (default trace file for `run`).
 
 Unknown `service.method` operations are auto-registered as stub kernels that
@@ -177,7 +177,9 @@ def build_parser():
 
     r = sub.add_parser("run", help="run a bytecode image")
     r.add_argument("image")
-    r.add_argument("--threads", type=int, default=0)
+    r.add_argument("--threads", type=int, default=0,
+                   help="kernel threads for task kernels; tile t's run on thread "
+                        "t %% threads (default: $GPRM_THREADS, else the tile count)")
     r.add_argument("--trace", default="")
     r.add_argument("--arg", type=int, action="append", default=[])
     r.set_defaults(func=cmd_run)

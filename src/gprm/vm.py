@@ -1,46 +1,47 @@
 """The parallel reduction machine.
 
-A machine is a pool of tiles, one event loop each, exchanging packets through
-FIFO queues.  A reference packet asks a tile to evaluate one flat S-expression:
-the tile allocates a subtask record, stores present arguments, requests
-referenced arguments from their tiles, and invokes the kernel once every slot
-is filled.  Results travel back to the requesting record's slot.  Beta
-reduction is string reduction: the lambda body's entries are copied into a
-per-tile runtime code region with argument words substituted for variable
-words, and the fresh root is dispatched.
+A machine is a set of tiles served by one reduction loop, which handles
+every tile-bound packet from one FIFO queue.  A reference packet asks a tile
+to evaluate one flat S-expression: the tile allocates a subtask record,
+stores present arguments, requests referenced arguments from their tiles,
+and invokes the kernel once every slot is filled.  Results travel back to
+the requesting record's slot.  Beta reduction is string reduction: the
+lambda body's entries are copied into a per-tile runtime code region with
+argument words substituted for variable words, and the fresh root is
+dispatched.
 
 Kernel dispatch follows the paper's split between communication code and
 task code.  The engine's own services (`builtin` and `ctrl`) and control
-methods are O(1) bookkeeping and run inline on the tile's loop.  Every other
-(task) kernel call is handed, with its arguments already unwrapped, to a
-kernel thread owned by the tile's worker, started on the worker's first task
-kernel.  The kernel thread runs the kernel and posts one completion packet
-(kind DONE, never traced) back to its worker's queue; the tile's loop then
-replies and frees the record.  So a long kernel does not hold up the packets
-queued behind it on its tile.
+methods are O(1) bookkeeping and run inline on the loop.  Every other
+(task) kernel call is handed, with its arguments already unwrapped, to one
+of the machine's `min(threads, tile_count)` kernel threads: tile t's go to
+kernel thread t % n, each started on its first task kernel.  The kernel
+thread runs the kernel and posts one completion packet (kind DONE, never
+traced) to the loop's FIFO; the loop then replies and frees the record.  So
+a long kernel does not hold up the packets queued behind it.
+
+The reduction is pure Python, so under the GIL a second loop could never
+reduce at the same time as the first; only task kernels that release the
+GIL run in parallel, and they do on the kernel threads.
 
 Ownership rules (the whole concurrency argument):
-  - a tile's subtask records and its runtime code arena are touched only by
-    the thread hosting that tile, never by a kernel thread;
+  - subtask records and runtime code arenas are touched only by the loop
+    thread, never by a kernel thread;
   - the compile-time code region is immutable after boot;
-  - runtime code entries are written before the packet referencing them is
-    queued, and queue hand-off orders the write before any remote read;
-  - the only inter-tile channel is the packet queues, and only a tile's
-    handlers send packets: a kernel thread only posts completions to its
-    own worker, and `KernelContext.restart` is refused off the loop.
+  - only the loop's handlers send packets: a kernel thread only posts
+    completions to the FIFO, and `KernelContext.restart` is refused off the
+    loop.
 
 Quiescence is exact: every tile-bound packet is counted in flight when it is
-queued and counted out once its worker is done with it, and a task kernel
+queued and counted out once the loop is done with it, and a task kernel
 counts as in flight from its hand-off until its completion packet has been
-handled.  The worker that brings the count to zero tells the host.
-
-Tiles may outnumber worker threads, in which case tiles map onto workers
-round-robin and each worker serves its tiles' packets from one merged FIFO.
-The host gateway behaves as one extra pseudo-tile (id == tile_count).
+handled.  When the count reaches zero the loop tells the host, which is a
+pseudo-tile of its own (id == tile_count).
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import queue
 import random
@@ -58,10 +59,10 @@ MAX_TILES = ((1 << 32) - RUNTIME_BASE) // RUNTIME_STRIDE
 
 REQ = 0
 RES = 1
-DONE = 2  # a task kernel's completion, from its worker's kernel thread; never traced
+DONE = 2  # a task kernel's completion, from its kernel thread; never traced
 _KIND_NAMES = {REQ: "REQ", RES: "RES"}
 
-# services whose non-control methods run inline on the tile loop
+# services whose non-control methods run inline on the loop
 _ENGINE_SERVICES = frozenset((BUILTIN_SERVICE, "ctrl"))
 
 REQUESTED = 0
@@ -177,16 +178,16 @@ class KernelContext:
 
     def local(self, name):
         """Per-tile instance state for the named service.  Task kernels need
-        no lock for it: a tile's task kernels run one at a time on its
-        worker's kernel thread.  A control method runs on the tile loop,
-        alongside them, so state it shares with them needs a lock."""
+        no lock for it: a tile's task kernels run one at a time on its one
+        kernel thread.  A control method runs on the loop, alongside them,
+        so state it shares with them needs a lock."""
         return self._tile.local_state.setdefault(name, {})
 
     def restart(self, ref_word, tile_id):
         """Rewrite the reference's tile field, drop the quote, re-dispatch.
 
         The restarted computation answers this record's caller directly.
-        Only a control method may restart: it runs on the tile loop, the one
+        Only a control method may restart: it runs on the loop, the one
         place that may send packets."""
         if self._rec is None:
             raise KernelError("restart is only allowed in a control method")
@@ -207,6 +208,7 @@ class Tile:
         self.rng = random.Random(None if seed is None else seed + 7919 * tile_id)
         self.ctx = KernelContext(self)
         self.task_ctx = KernelContext(self)
+        self.kernel_thread = machine.kernel_threads[tile_id % len(machine.kernel_threads)]
         self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
 
     # ── record allocation ────────────────────────────────────
@@ -407,26 +409,29 @@ class Tile:
 
     def copy_closure(self, root_addr, subst):
         """String reduction: copy the body's transitive entries into this
-        tile's runtime arena, substituting argument words for variable words."""
+        tile's runtime arena, substituting argument words for variable words.
+        A source entry gets its arena address when first reached, so a shared
+        entry is copied once; the stack leaves nesting depth unbounded."""
         machine = self.machine
-        mapping = {}
-
-        def copy(a):
-            na = mapping.get(a)
-            if na is not None:
-                return na
+        root = self.alloc_code_addr()
+        mapping = {root_addr: root}
+        stack = [root_addr]
+        while stack:
+            a = stack.pop()
             try:
                 code = machine.code_words(a)
             except KeyError:
                 raise VmError(f"closure references unknown code address {a}") from None
-            na = self.alloc_code_addr()
-            mapping[a] = na
             out = [code[0]]
             for w in code[1:]:
                 k = W.kind_of(w)
                 if k == W.KIND_REF:
-                    out.append(W.mk_ref(copy(W.ref_addr(w)), W.ref_tile(w),
-                                        W.is_quoted(w)))
+                    src = W.ref_addr(w)
+                    na = mapping.get(src)
+                    if na is None:
+                        na = mapping[src] = self.alloc_code_addr()
+                        stack.append(src)
+                    out.append(W.mk_ref(na, W.ref_tile(w), W.is_quoted(w)))
                 elif k == W.KIND_VAR:
                     s = subst.get(W.var_slot(w))
                     if s is None:
@@ -437,10 +442,8 @@ class Tile:
                         out.append(s)
                 else:
                     out.append(w)
-            self.arena[na] = tuple(out)
-            return na
-
-        return copy(root_addr)
+            self.arena[mapping[a]] = tuple(out)
+        return root
 
     def alloc_code_addr(self):
         if self.arena_next >= RUNTIME_STRIDE:
@@ -469,7 +472,7 @@ class Tile:
                 args = [self.unwrap(w, spec) for w in rec.slots]
                 if sid and service.name not in _ENGINE_SERVICES:  # sid 0 is builtin
                     self.kernel_jobs += 1
-                    machine._worker_of[self.tile_id].submit((self, addr, service, mid, args))
+                    self.kernel_thread.submit((self, addr, service, mid, args))
                     return  # on_done concludes it
                 value = machine.registry.invoke(service, mid, self.ctx, args)
         except Exception as e:
@@ -510,76 +513,54 @@ def kernel_failure(e):
     return str(e) if isinstance(e, KernelError) else f"{type(e).__name__}: {e}"
 
 
-class _Worker(threading.Thread):
-    """One event loop serving one or more tiles (round-robin multiplexing),
-    plus a kernel thread for its tiles' task kernels, started on first use."""
+class _KernelThread:
+    """Runs the task kernels of the tiles mapped to it, one at a time, and
+    posts each completion to the loop.  Its thread starts on first use."""
 
     def __init__(self, machine, index):
-        super().__init__(name=f"gprm-worker-{index}", daemon=True)
         self.machine = machine
-        self.queue = queue.SimpleQueue()
+        self.name = f"gprm-kernels-{index}"
         self.jobs = queue.SimpleQueue()
-        self.kernel_thread = None
-        self.fuzz = machine.fuzz_seed is not None
-        self.rng = random.Random(None if machine.fuzz_seed is None
-                                 else machine.fuzz_seed + 104729 * index)
-
-    def run(self):
-        machine = self.machine
-        inflight_lock = machine._inflight_lock
-        while True:
-            pkt = self.queue.get()
-            if pkt is _STOP:
-                return
-            try:
-                if machine._fatal is None:
-                    if self.fuzz and self.rng.random() < 0.25:
-                        time.sleep(self.rng.random() * 1e-4)
-                    machine.tiles[pkt.dst].handle(pkt)
-            except Exception as e:  # engine invariant broken: poison the machine
-                machine.set_fatal(e)
-            with inflight_lock:
-                machine._inflight -= 1
-                quiet = machine._inflight == 0
-            if quiet:
-                machine._gateway.put(_QUIET)
+        self.thread = None
 
     def submit(self, job):
-        """Hand a task kernel call to the kernel thread; it stays in flight
-        until its completion packet has been handled."""
+        """Hand a task kernel call over; it stays in flight until its
+        completion packet has been handled."""
         machine = self.machine
         with machine._inflight_lock:
             machine._inflight += 1
-        if self.kernel_thread is None:
-            self.kernel_thread = threading.Thread(
-                target=self.run_kernels, name=f"{self.name}-kernels", daemon=True)
-            self.kernel_thread.start()
+        if self.thread is None:
+            self.thread = threading.Thread(target=self.run, name=self.name, daemon=True)
+            self.thread.start()
         self.jobs.put(job)
 
-    def run_kernels(self):
+    def run(self):
         while (job := self.jobs.get()) is not _STOP:
             self.run_job(job)
 
     def run_job(self, job):
-        """Run one task kernel and post its completion to this worker."""
+        """Run one task kernel and post its completion to the loop."""
         tile, addr, service, mid, args = job
         try:
             outcome = self.machine.registry.invoke(service, mid, tile.task_ctx, args), None
         except Exception as e:
             outcome = None, kernel_failure(e)
         t = tile.tile_id
-        self.queue.put(Packet(DONE, t, t, t, addr, 0, outcome))
+        self.machine.queue.put(Packet(DONE, t, t, t, addr, 0, outcome))
 
 
 class Machine:
-    """A booted reduction machine; reusable across run() calls."""
+    """A booted reduction machine; reusable across run() calls.
+
+    `threads` is the number of kernel threads (at most one per tile); one
+    reduction loop serves every tile whatever its value."""
 
     def __init__(self, image, registry, threads=None, *, trace=False,
                  fuzz_seed=None):
         if threads is None:
             threads = image.tile_count
         if threads < 1:
-            raise VmError("thread count must be >= 1 (no tile to host the root)")
+            raise VmError("thread count must be >= 1 (no kernel thread for task kernels)")
         if not 1 <= image.tile_count <= MAX_TILES:
             raise VmError(f"tile count must be in 1..{MAX_TILES}")
         for (sid, mid), name in image.symbols.items():
@@ -591,6 +572,14 @@ class Machine:
                 raise VmError(
                     f"image/registry symbol mismatch: '{name}' is "
                     f"{rsid}.{rmid} in the registry, {sid}.{mid} in the image")
+        # once here, not per packet: no reference (kind 0) may name a missing
+        # tile; the tile field is bits 32-47, compared in place
+        past = image.tile_count << 32
+        for w in itertools.chain((image.root,), itertools.chain.from_iterable(
+                image.code.values())):
+            if w < 1 << 60 and (w & 0xFFFF << 32) >= past:
+                raise VmError(f"reference {W.word_str(w)} names a tile past the "
+                              f"image's {image.tile_count}")
         self.image = image
         self.registry = registry
         self.fuzz_seed = fuzz_seed
@@ -611,13 +600,13 @@ class Machine:
         self._gateway = queue.SimpleQueue()
         self._trace = [] if trace else None
         self._trace_lock = threading.Lock()
+        self.queue = queue.SimpleQueue()  # every tile-bound packet, for the loop
+        self.kernel_threads = [_KernelThread(self, i)
+                               for i in range(min(threads, self.tile_count))]
         self.tiles = [Tile(self, t) for t in range(self.tile_count)]
-        nworkers = min(threads, self.tile_count)
-        self.workers = [_Worker(self, i) for i in range(nworkers)]
-        self._worker_of = [self.workers[t % nworkers] for t in range(self.tile_count)]
+        self._loop = threading.Thread(target=self._serve, name="gprm-loop", daemon=True)
         self._closed = False
-        for w in self.workers:
-            w.start()
+        self._loop.start()
 
     # ── host-side data and handles ───────────────────────────
 
@@ -684,7 +673,7 @@ class Machine:
             return
         with self._inflight_lock:
             self._inflight += 1
-        self._worker_of[dst].queue.put(pkt)
+        self.queue.put(pkt)
 
     def restart_evaluation(self, ref_word, tile_id, caller, src=0):
         if W.kind_of(ref_word) != W.KIND_REF or not W.is_quoted(ref_word):
@@ -698,6 +687,26 @@ class Machine:
             self._fatal = exc
 
     # ── running ──────────────────────────────────────────────
+
+    def _serve(self):
+        """The reduction loop: handles every tile-bound packet in FIFO order."""
+        tiles = self.tiles
+        inflight_lock = self._inflight_lock
+        fuzz = self.fuzz_seed is not None
+        rng = random.Random(self.fuzz_seed)
+        while (pkt := self.queue.get()) is not _STOP:
+            try:
+                if self._fatal is None:
+                    if fuzz and rng.random() < 0.25:
+                        time.sleep(rng.random() * 1e-4)
+                    tiles[pkt.dst].handle(pkt)
+            except Exception as e:  # engine invariant broken: poison the machine
+                self.set_fatal(e)
+            with inflight_lock:
+                self._inflight -= 1
+                quiet = self._inflight == 0
+            if quiet:
+                self._gateway.put(_QUIET)
 
     def run(self, host_args=(), timeout=60.0):
         """Evaluate the program root; blocks until its result reaches the host.
@@ -770,8 +779,8 @@ class Machine:
                 raise ResourceLeakError(
                     f"tile {t.tile_id} leaked "
                     f"{len(t.subtask_list) - len(t.subtask_stack)} subtask records")
-        if any(not w.queue.empty() for w in self.workers):
-            raise ResourceLeakError("packets left in FIFOs after the run")
+        if not self.queue.empty():
+            raise ResourceLeakError("packets left in the FIFO after the run")
 
     # ── introspection ────────────────────────────────────────
 
@@ -806,13 +815,12 @@ class Machine:
         if self._closed:
             return
         self._closed = True
-        for w in self.workers:
-            w.queue.put(_STOP)
-        for w in self.workers:
-            w.join(timeout=5.0)
-            if w.kernel_thread is not None:
-                w.jobs.put(_STOP)
-                w.kernel_thread.join(timeout=5.0)
+        self.queue.put(_STOP)
+        self._loop.join(timeout=5.0)
+        for k in self.kernel_threads:
+            if k.thread is not None:
+                k.jobs.put(_STOP)
+                k.thread.join(timeout=5.0)
 
     def __enter__(self):
         return self

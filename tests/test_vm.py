@@ -48,7 +48,7 @@ def test_arithmetic_forced():
 def test_boot_zero_threads_rejected():
     reg = fresh_registry()
     img = compile_for("(+ '1 '2)", 2, reg)
-    with pytest.raises(VmError, match="no tile to host the root"):
+    with pytest.raises(VmError, match="no kernel thread for task kernels"):
         Machine(img, reg, 0)
 
 
@@ -427,18 +427,20 @@ def test_second_root_result_is_fatal():
 
 
 def test_inflight_count_exact_under_contention():
-    # more workers than cores and a short switch interval: a lost update on
-    # the in-flight count would end a run early (no result, or a leak) or
-    # never (timeout), or leave the count off zero between runs
+    # more kernel threads than cores and a short switch interval: every leaf
+    # is a stub task kernel placed on tile n % 8, so 8 kernel threads post
+    # completions while the loop counts.  A lost update on the in-flight
+    # count would end a run early (no result, or a leak) or never (timeout),
+    # or leave the count off zero between runs
     def tree(depth, n):
         if depth == 0:
-            return f"'{n}", n + 1
+            return f"(ctrl.run '(k.leaf '{n}) '{n % 8})", n + 1
         a, n = tree(depth - 1, n)
         b, n = tree(depth - 1, n)
         return f"(+ {a} {b})", n
 
     text, n = tree(6, 0)
-    reg = fresh_registry()
+    reg = fresh_registry(stubs=[("k", ["leaf"])])
     img = compile_for(text, 8, reg)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -447,8 +449,36 @@ def test_inflight_count_exact_under_contention():
             for _ in range(50):
                 assert m.run_value(timeout=10.0) == n * (n - 1) // 2
                 assert m._inflight == 0
+            assert all(k.thread is not None for k in m.kernel_threads)
     finally:
         sys.setswitchinterval(old)
+
+
+def test_one_loop_and_kernel_threads_by_tile():
+    # tile t's task kernels run on kernel thread t % threads; one loop
+    # serves every tile, and a kernel thread starts only on first use
+    reg = fresh_registry()
+    ran_on = {}
+
+    def where(ctx):
+        ran_on[ctx.tile_id] = threading.current_thread().name
+        return 1
+
+    reg.register("k", [("where", 0, where)])
+    on = [f"(ctrl.run '(k.where) '{t})" for t in range(4)]
+    img = compile_for(f"(+ (+ {on[0]} {on[1]}) (+ {on[2]} {on[3]}))", 4, reg)
+    before = set(threading.enumerate())
+    with Machine(img, reg, 2) as m:
+        assert len(m.kernel_threads) == 2
+        assert [t.name for t in set(threading.enumerate()) - before] == ["gprm-loop"]
+        assert m.run_value() == 4
+        assert ran_on == {t: f"gprm-kernels-{t % 2}" for t in range(4)}
+        assert len(set(threading.enumerate()) - before) == 3
+    img = compile_for("(+ '1 (* '2 '3))", 4, reg)
+    with Machine(img, reg, 4) as m:  # no task kernel: no kernel thread
+        assert m.run_value() == 7
+        assert len(m.kernel_threads) == 4
+        assert all(k.thread is None for k in m.kernel_threads)
 
 
 def test_run_latency_floor():
@@ -514,16 +544,16 @@ def test_unknown_special_form_code_is_a_task_error():
 
 
 class Manual:
-    """Workers stopped; packets and task kernel jobs are handled by hand in a
+    """The loop stopped; packets and task kernel jobs are handled by hand in a
     chosen order."""
 
     def __init__(self, text, registry, tiles=2):
         img = compiler.compile_text(text, tiles, registry)
         self.machine = Machine(img, registry, tiles)
         self.machine.shutdown()
-        for w in self.machine.workers:
-            # never started: handed-off kernel jobs wait in w.jobs for run_jobs
-            w.kernel_thread = threading.Thread()
+        for k in self.machine.kernel_threads:
+            # never started: handed-off kernel jobs wait in k.jobs for run_jobs
+            k.thread = threading.Thread()
 
     def send_root(self):
         root = self.machine.image.root
@@ -544,18 +574,18 @@ class Manual:
                 return out
 
     def pending(self):
-        return [p for w in self.machine.workers for p in self.drain(w.queue)]
+        return self.drain(self.machine.queue)
 
     def jobs(self):
-        """Take every queued kernel job, as (worker, job) pairs."""
-        return [(w, job) for w in self.machine.workers for job in self.drain(w.jobs)]
+        """Take every queued kernel job, as (kernel thread, job) pairs."""
+        return [(k, job) for k in self.machine.kernel_threads for job in self.drain(k.jobs)]
 
     def run_jobs(self):
         """Run the queued kernel jobs, each posting its completion packet;
         returns how many ran."""
         jobs = self.jobs()
-        for w, job in jobs:
-            w.run_job(job)
+        for k, job in jobs:
+            k.run_job(job)
         return len(jobs)
 
     def serve(self, pkt):
@@ -567,8 +597,8 @@ class Manual:
         for p in self.pending():
             if p.kind == vm.DONE:
                 done.append(p)
-            else:  # back in its FIFO, in order, ahead of what the DONEs send
-                self.machine._worker_of[p.dst].queue.put(p)
+            else:  # back in the FIFO, in order, ahead of what the DONEs send
+                self.machine.queue.put(p)
         for p in done:
             self.machine.tiles[p.dst].handle(p)
 
@@ -672,10 +702,10 @@ def test_conservation_check_detects_kernel_jobs():
     h.machine.tiles[0].handle(rootpkt)
     with pytest.raises(ResourceLeakError, match="kernel jobs queued or running"):
         h.machine.check_conservation()  # queued
-    ((w, job),) = h.jobs()
+    ((k, job),) = h.jobs()
     with pytest.raises(ResourceLeakError, match="kernel jobs queued or running"):
         h.machine.check_conservation()  # taken by the kernel thread, running
-    w.run_job(job)
+    k.run_job(job)
     with pytest.raises(ResourceLeakError, match="kernel jobs queued or running"):
         h.machine.check_conservation()  # done, completion not yet handled
     h.step_all()
@@ -785,3 +815,28 @@ def test_closure_reference_to_unknown_code_is_a_task_error():
         with pytest.raises(TaskError, match="unknown code address 999") as ei:
             m.run_value()
     assert ei.value.frames == ("beta",)
+
+
+@pytest.mark.parametrize("root", [False, True])
+def test_reference_to_missing_tile_fails_at_boot(root):
+    # a child reference (or the root) naming tile 7 of 2 used to leave a
+    # packet counted in flight forever: a 60 s hang, then a raw IndexError
+    reg = fresh_registry()
+    img = compile_for("(+ '1 (+ '2 '3))", 2, reg)
+    if root:
+        img.root = W.ref_with_tile(img.root, 7)
+    else:
+        code = img.code[W.ref_addr(img.root)]
+        i = next(i for i, w in enumerate(code) if W.kind_of(w) == W.KIND_REF)
+        img.code[W.ref_addr(img.root)] = code[:i] + (W.ref_with_tile(code[i], 7),) + code[i + 1:]
+    start = time.perf_counter()
+    with pytest.raises(VmError, match="names a tile past the image's 2"):
+        Machine(img, reg, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_deep_lambda_body_is_copied_without_recursion(threads):
+    depth = 3000
+    body = "(+ x " * depth + "'2" + ")" * depth
+    assert execute(f"(beta (lambda 'x '{body}) '1)", threads=threads) == depth + 2
