@@ -1,14 +1,17 @@
 """The parallel reduction machine.
 
 A machine is a set of tiles served by one reduction loop, which handles
-every tile-bound packet from one FIFO queue.  A reference packet asks a tile
-to evaluate one flat S-expression: the tile allocates a subtask record,
-stores present arguments, requests referenced arguments from their tiles,
-and invokes the kernel once every slot is filled.  Results travel back to
-the requesting record's slot.  Beta reduction is string reduction: the
-lambda body's entries are copied into a per-tile runtime code region with
-argument words substituted for variable words, and the fresh root is
-dispatched.
+every tile-bound packet in FIFO order.  A reference packet asks a tile to
+evaluate one flat S-expression: the tile allocates a subtask record, stores
+present arguments, requests referenced arguments from their tiles, and
+invokes the kernel once every slot is filled.  Results travel back to the
+requesting record's slot.  Beta reduction is string reduction: the lambda
+body's entries are copied into a per-tile runtime code region with argument
+words substituted for variable words, and the fresh root is dispatched.
+The copy instantiates a closure template: the body's entries in copy order,
+their internal references stored as offsets into the block and their
+variable positions marked, so a beta fills one block of consecutive arena
+addresses in one flat loop.
 
 Kernel dispatch follows the paper's split between communication code and
 task code.  The engine's own services (`builtin` and `ctrl`) and control
@@ -17,7 +20,7 @@ methods are O(1) bookkeeping and run inline on the loop.  Every other
 of the machine's `min(threads, tile_count)` kernel threads: tile t's go to
 kernel thread t % n, each started on its first task kernel.  The kernel
 thread runs the kernel and posts one completion packet (kind DONE, never
-traced) to the loop's FIFO; the loop then replies and frees the record.  So
+traced) to the loop's inbox; the loop then replies and frees the record.  So
 a long kernel does not hold up the packets queued behind it.
 
 The reduction is pure Python, so under the GIL a second loop could never
@@ -25,18 +28,31 @@ reduce at the same time as the first; only task kernels that release the
 GIL run in parallel, and they do on the kernel threads.
 
 Ownership rules (the whole concurrency argument):
-  - subtask records and runtime code arenas are touched only by the loop
-    thread, never by a kernel thread;
-  - the compile-time code region is immutable after boot;
-  - only the loop's handlers send packets: a kernel thread only posts
-    completions to the FIFO, and `KernelContext.restart` is refused off the
-    loop.
+  - subtask records, runtime code arenas and the closure-template cache are
+    touched only by the loop thread, never by a kernel thread;
+  - the compile-time code region is immutable after boot, so a template
+    built from it is memoised; a template that reads a runtime entry is
+    built afresh for each beta, because arena addresses are reused by the
+    next run;
+  - only the loop's handlers send packets, and they append them to the
+    work list (`Machine.work`), a deque that only the loop touches.  The
+    inbox (`Machine.queue`) carries what the loop did not send: the host's
+    root packet, kernel threads' completions and the stop token.  The loop
+    moves waiting inbox packets onto the tail of the work list and blocks
+    on the inbox only when the work list is empty;
+  - `KernelContext.restart` is refused off the loop;
+  - only the loop appends to the packet trace during a run.  The host
+    appends the root packet before putting it in the inbox, while the loop
+    is idle, so no lock is needed.
 
-Quiescence is exact: every tile-bound packet is counted in flight when it is
-queued and counted out once the loop is done with it, and a task kernel
-counts as in flight from its hand-off until its completion packet has been
-handled.  When the count reaches zero the loop tells the host, which is a
-pseudo-tile of its own (id == tile_count).
+Quiescence is exact and needs no lock: the machine is quiet once the loop
+has finished handling a packet, the work list is empty and no task kernel is
+outstanding.  The count of outstanding kernel jobs is owned by the loop: a
+job is counted at its hand-off and counted out when its completion packet is
+handled, both on the loop.  An inbox packet cannot be missed: a completion
+waits on a counted job, and the host sends the root only while the machine
+is quiet.  When quiet, the loop tells the host, which is a pseudo-tile of its
+own (id == tile_count).
 """
 
 from __future__ import annotations
@@ -47,6 +63,7 @@ import queue
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -209,7 +226,6 @@ class Tile:
         self.ctx = KernelContext(self)
         self.task_ctx = KernelContext(self)
         self.kernel_thread = machine.kernel_threads[tile_id % len(machine.kernel_threads)]
-        self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
 
     # ── record allocation ────────────────────────────────────
 
@@ -292,17 +308,21 @@ class Tile:
 
     def on_done(self, pkt):
         """A task kernel's completion packet: reply and free on the loop."""
-        self.kernel_jobs -= 1
+        self.machine.kernel_jobs -= 1
         addr = pkt.caller_addr
         self.conclude(addr, self.subtask_list[addr], *pkt.payload)
 
     # ── reduction ────────────────────────────────────────────
 
     def op_name(self, op_word):
-        if W.kind_of(op_word) != W.KIND_OPER:
-            return W.word_str(op_word)
-        sid, mid = W.oper_ids(op_word)
-        return self.machine.registry.op_name(sid, mid)
+        """The frame name of an entry: its operation's name, or the word
+        itself when that is no operation the registry knows."""
+        if W.kind_of(op_word) == W.KIND_OPER:
+            try:
+                return self.machine.registry.op_name(*W.oper_ids(op_word))
+            except KernelError:
+                pass
+        return W.word_str(op_word)
 
     def finish(self, addr, rec):
         if rec.err is not None:
@@ -388,7 +408,8 @@ class Tile:
         bk = W.kind_of(body_w)
         if bk == W.KIND_REF:
             try:
-                new_root = self.copy_closure(W.ref_addr(body_w), subst)
+                new_root = self.copy_closure(
+                    self.machine.template(W.ref_addr(body_w)), subst)
             except VmError as e:
                 self.reply_error(rec, str(e))
                 return
@@ -407,50 +428,33 @@ class Tile:
             # body position (a handle is not a reference: return it)
             self.reply(rec, W.clear_quote(body_w) if bk in W.QUOTABLE_KINDS else body_w)
 
-    def copy_closure(self, root_addr, subst):
-        """String reduction: copy the body's transitive entries into this
-        tile's runtime arena, substituting argument words for variable words.
-        A source entry gets its arena address when first reached, so a shared
-        entry is copied once; the stack leaves nesting depth unbounded."""
-        machine = self.machine
-        root = self.alloc_code_addr()
-        mapping = {root_addr: root}
-        stack = [root_addr]
-        while stack:
-            a = stack.pop()
-            try:
-                code = machine.code_words(a)
-            except KeyError:
-                raise VmError(f"closure references unknown code address {a}") from None
-            out = [code[0]]
-            for w in code[1:]:
-                k = W.kind_of(w)
-                if k == W.KIND_REF:
-                    src = W.ref_addr(w)
-                    na = mapping.get(src)
-                    if na is None:
-                        na = mapping[src] = self.alloc_code_addr()
-                        stack.append(src)
-                    out.append(W.mk_ref(na, W.ref_tile(w), W.is_quoted(w)))
-                elif k == W.KIND_VAR:
-                    s = subst.get(W.var_slot(w))
-                    if s is None:
-                        out.append(w)  # someone else's formal
-                    elif W.is_quoted(w) and W.kind_of(s) in W.QUOTABLE_KINDS:
-                        out.append(W.set_quote(s))  # deferred occurrence stays deferred
-                    else:
-                        out.append(s)
-                else:
-                    out.append(w)
-            self.arena[mapping[a]] = tuple(out)
-        return root
-
-    def alloc_code_addr(self):
-        if self.arena_next >= RUNTIME_STRIDE:
+    def copy_closure(self, template, subst):
+        """String reduction: instantiate a closure template in one block of
+        consecutive arena addresses, substituting argument words for variable
+        words; returns the block's first address, the body root."""
+        start = self.arena_next
+        if start + len(template) > RUNTIME_STRIDE:
             raise VmError("address space exhausted (runtime code region)")
-        addr = RUNTIME_BASE + self.tile_id * RUNTIME_STRIDE + self.arena_next
-        self.arena_next += 1
-        return addr
+        self.arena_next = start + len(template)
+        base = RUNTIME_BASE + self.tile_id * RUNTIME_STRIDE + start
+        arena = self.arena
+        addr = base
+        for words, refs, variables in template:
+            if refs or variables:
+                out = list(words)
+                for i in refs:
+                    out[i] += base  # the address field holds the offset
+                for i, slot, quoted in variables:
+                    s = subst.get(slot)
+                    if s is None:
+                        continue  # someone else's formal
+                    if quoted and W.kind_of(s) in W.QUOTABLE_KINDS:
+                        s = W.set_quote(s)  # deferred occurrence stays deferred
+                    out[i] = s
+                words = tuple(out)
+            arena[addr] = words
+            addr += 1
+        return base
 
     # ── kernel dispatch ──────────────────────────────────────
 
@@ -471,7 +475,6 @@ class Tile:
             else:
                 args = [self.unwrap(w, spec) for w in rec.slots]
                 if sid and service.name not in _ENGINE_SERVICES:  # sid 0 is builtin
-                    self.kernel_jobs += 1
                     self.kernel_thread.submit((self, addr, service, mid, args))
                     return  # on_done concludes it
                 value = machine.registry.invoke(service, mid, self.ctx, args)
@@ -524,11 +527,9 @@ class _KernelThread:
         self.thread = None
 
     def submit(self, job):
-        """Hand a task kernel call over; it stays in flight until its
-        completion packet has been handled."""
-        machine = self.machine
-        with machine._inflight_lock:
-            machine._inflight += 1
+        """Hand a task kernel call over, on the loop; it stays outstanding
+        until its completion packet has been handled."""
+        self.machine.kernel_jobs += 1
         if self.thread is None:
             self.thread = threading.Thread(target=self.run, name=self.name, daemon=True)
             self.thread.start()
@@ -590,17 +591,18 @@ class Machine:
         self._data = []
         self._handles = []
         self._handle_ids = {}
+        self._kept_handles = 0  # the registered prefix of the handle table
         self._handle_lock = threading.Lock()
         self._shared = {}
         self._shared_lock = threading.RLock()
         self._fatal = None
-        self._inflight = 0  # tile-bound packets queued and not yet handled
-        self._inflight_lock = threading.Lock()
         self._running = threading.Lock()
         self._gateway = queue.SimpleQueue()
         self._trace = [] if trace else None
-        self._trace_lock = threading.Lock()
-        self.queue = queue.SimpleQueue()  # every tile-bound packet, for the loop
+        self._templates = {}  # compile-time body root -> closure template
+        self.work = deque()  # packets the loop's handlers sent, served FIFO
+        self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
+        self.queue = queue.SimpleQueue()  # the loop's inbox
         self.kernel_threads = [_KernelThread(self, i)
                                for i in range(min(threads, self.tile_count))]
         self.tiles = [Tile(self, t) for t in range(self.tile_count)]
@@ -613,7 +615,8 @@ class Machine:
     def register_data(self, obj):
         """Pre-register a host object for ctrl.reg; returns its index."""
         self._data.append(obj)
-        self.wrap_handle(obj)  # stable handle index before the run starts
+        # a stable handle index, kept when a run drops the handles it made
+        self._kept_handles = max(self._kept_handles, self.wrap_handle(obj) + 1)
         return len(self._data) - 1
 
     def wrap_handle(self, obj):
@@ -661,19 +664,73 @@ class Machine:
             raise TaskError(info.message, info.frames)
         raise VmError(f"cannot decode word kind {k}")
 
+    def _drop_run_handles(self):
+        """Truncate the handle table to its registered prefix, between runs."""
+        kept = self._kept_handles
+        with self._handle_lock:
+            for obj in self._handles[kept:]:
+                del self._handle_ids[id(obj)]
+            del self._handles[kept:]
+
+    # ── closure templates ────────────────────────────────────
+
+    def template(self, root_addr):
+        """The closure template of the lambda body rooted at root_addr.  It
+        is memoised only when every entry it copies is compile-time code: a
+        runtime address holds other code in the next run."""
+        template = self._templates.get(root_addr)
+        if template is None:
+            template, sources = self.build_template(root_addr)
+            if max(sources) < RUNTIME_BASE:
+                self._templates[root_addr] = template
+        return template
+
+    def build_template(self, root_addr):
+        """The entries reachable from root_addr, in copy order, each as
+        (words, reference positions, variable positions).  A reference word
+        holds its target's offset in the block; a variable position is
+        (index, slot, quoted).  An entry gets its offset when first reached,
+        so a shared entry is copied once; the stack leaves nesting depth
+        unbounded.  Returns the template and the source addresses."""
+        offsets = {root_addr: 0}
+        template = [None]
+        stack = [root_addr]
+        while stack:
+            a = stack.pop()
+            try:
+                code = self.code_words(a)
+            except KeyError:
+                raise VmError(f"closure references unknown code address {a}") from None
+            words = list(code)
+            refs, variables = [], []
+            for i in range(1, len(code)):
+                w = code[i]
+                k = W.kind_of(w)
+                if k == W.KIND_REF:
+                    src = W.ref_addr(w)
+                    off = offsets.get(src)
+                    if off is None:
+                        off = offsets[src] = len(template)
+                        template.append(None)
+                        stack.append(src)
+                    words[i] = W.mk_ref(off, W.ref_tile(w), W.is_quoted(w))
+                    refs.append(i)
+                elif k == W.KIND_VAR:
+                    variables.append((i, W.var_slot(w), W.is_quoted(w)))
+            template[offsets[a]] = (tuple(words), tuple(refs), tuple(variables))
+        return template, offsets.keys()
+
     # ── packet plumbing ──────────────────────────────────────
 
     def send(self, kind, src, dst, caller, payload):
-        pkt = Packet(kind, src, dst, caller[0], caller[1], caller[2], tuple(payload))
+        """Send a packet from a handler on the loop."""
+        pkt = Packet(kind, src, dst, caller[0], caller[1], caller[2], payload)
         if self._trace is not None:
-            with self._trace_lock:
-                self._trace.append((len(self._trace), pkt))
+            self._trace.append((len(self._trace), pkt))
         if dst == self.gateway_tile:
             self._gateway.put(pkt)
-            return
-        with self._inflight_lock:
-            self._inflight += 1
-        self.queue.put(pkt)
+        else:
+            self.work.append(pkt)
 
     def restart_evaluation(self, ref_word, tile_id, caller, src=0):
         if W.kind_of(ref_word) != W.KIND_REF or not W.is_quoted(ref_word):
@@ -691,21 +748,29 @@ class Machine:
     def _serve(self):
         """The reduction loop: handles every tile-bound packet in FIFO order."""
         tiles = self.tiles
-        inflight_lock = self._inflight_lock
+        work = self.work
+        inbox = self.queue
         fuzz = self.fuzz_seed is not None
         rng = random.Random(self.fuzz_seed)
-        while (pkt := self.queue.get()) is not _STOP:
+        while True:
+            if work:
+                while not inbox.empty():
+                    work.append(inbox.get())
+                pkt = work.popleft()
+            else:
+                pkt = inbox.get()
+            if pkt is _STOP:
+                return
             try:
                 if self._fatal is None:
                     if fuzz and rng.random() < 0.25:
                         time.sleep(rng.random() * 1e-4)
                     tiles[pkt.dst].handle(pkt)
+                elif pkt.kind == DONE:
+                    self.kernel_jobs -= 1  # a poisoned machine still drains its jobs
             except Exception as e:  # engine invariant broken: poison the machine
                 self.set_fatal(e)
-            with inflight_lock:
-                self._inflight -= 1
-                quiet = self._inflight == 0
-            if quiet:
+            if not work and not self.kernel_jobs:
                 self._gateway.put(_QUIET)
 
     def run(self, host_args=(), timeout=60.0):
@@ -726,10 +791,14 @@ class Machine:
             for t in self.tiles:
                 t.arena.clear()
                 t.arena_next = 0
+            self._drop_run_handles()
             root = self.image.root
+            gw = self.gateway_tile
             deadline = time.monotonic() + timeout
-            self.send(REQ, self.gateway_tile, W.ref_tile(root),
-                      (self.gateway_tile, 0, 0), (root,))
+            pkt = Packet(REQ, gw, W.ref_tile(root), gw, 0, 0, (root,))
+            if self._trace is not None:
+                self._trace.append((len(self._trace), pkt))
+            self.queue.put(pkt)
             pkt = self._await_quiet(deadline)
             self.check_conservation()
         finally:
@@ -747,8 +816,8 @@ class Machine:
     def _await_quiet(self, deadline):
         """Block until no packet is in flight; returns the root result.
 
-        The result reaches the gateway before the token, because the packet
-        whose handler sends it is still counted until the handler returns."""
+        The result reaches the gateway before the token, because the loop
+        checks for quiet only once the handler that sends it has returned."""
         result = None
         while True:
             try:
@@ -770,17 +839,26 @@ class Machine:
 
     def check_conservation(self):
         """Quiescence hook: no kernel job left, no leaked records, no queued
-        packets."""
+        packets, and the arena and handle table within this run's bounds."""
+        if self.kernel_jobs:
+            raise ResourceLeakError(
+                f"{self.kernel_jobs} kernel jobs queued or running")
         for t in self.tiles:
-            if t.kernel_jobs:
-                raise ResourceLeakError(
-                    f"tile {t.tile_id} has {t.kernel_jobs} kernel jobs queued or running")
             if len(t.subtask_stack) != len(t.subtask_list):
                 raise ResourceLeakError(
                     f"tile {t.tile_id} leaked "
                     f"{len(t.subtask_list) - len(t.subtask_stack)} subtask records")
-        if not self.queue.empty():
-            raise ResourceLeakError("packets left in the FIFO after the run")
+            if len(t.arena) != t.arena_next or t.arena_next > RUNTIME_STRIDE:
+                raise ResourceLeakError(
+                    f"tile {t.tile_id} holds {len(t.arena)} arena entries, "
+                    f"{t.arena_next} allocated this run")
+        if len(self._handle_ids) != len(self._handles) \
+                or len(self._handles) < self._kept_handles:
+            raise ResourceLeakError(
+                f"handle table holds {len(self._handles)} handles and "
+                f"{len(self._handle_ids)} ids, {self._kept_handles} registered")
+        if self.work or not self.queue.empty():
+            raise ResourceLeakError("packets left in the work list or inbox after the run")
 
     # ── introspection ────────────────────────────────────────
 

@@ -429,9 +429,10 @@ def test_second_root_result_is_fatal():
 def test_inflight_count_exact_under_contention():
     # more kernel threads than cores and a short switch interval: every leaf
     # is a stub task kernel placed on tile n % 8, so 8 kernel threads post
-    # completions while the loop counts.  A lost update on the in-flight
-    # count would end a run early (no result, or a leak) or never (timeout),
-    # or leave the count off zero between runs
+    # completions to the inbox while the loop serves its work list.  A
+    # miscounted kernel job would end a run early (no result, or a leak) or
+    # never (timeout), or leave the work list or job count off empty between
+    # runs
     def tree(depth, n):
         if depth == 0:
             return f"(ctrl.run '(k.leaf '{n}) '{n % 8})", n + 1
@@ -448,7 +449,7 @@ def test_inflight_count_exact_under_contention():
         with Machine(img, reg, 8) as m:
             for _ in range(50):
                 assert m.run_value(timeout=10.0) == n * (n - 1) // 2
-                assert m._inflight == 0
+                assert not m.work and m.kernel_jobs == 0
             assert all(k.thread is not None for k in m.kernel_threads)
     finally:
         sys.setswitchinterval(old)
@@ -574,7 +575,12 @@ class Manual:
                 return out
 
     def pending(self):
-        return self.drain(self.machine.queue)
+        """Take every waiting packet: the work list, then the inbox, as the
+        loop would serve them."""
+        work = self.machine.work
+        out = list(work)
+        work.clear()
+        return out + self.drain(self.machine.queue)
 
     def jobs(self):
         """Take every queued kernel job, as (kernel thread, job) pairs."""
@@ -590,16 +596,11 @@ class Manual:
 
     def serve(self, pkt):
         """Handle one packet to the end, as a loop running its kernel inline
-        would: a kernel it hands off is run and its completion handled."""
+        would: a kernel it hands off is run and its completion handled.  The
+        work list is left as it is, ahead of what the completions send."""
         self.machine.tiles[pkt.dst].handle(pkt)
         self.run_jobs()
-        done = []
-        for p in self.pending():
-            if p.kind == vm.DONE:
-                done.append(p)
-            else:  # back in the FIFO, in order, ahead of what the DONEs send
-                self.machine.queue.put(p)
-        for p in done:
+        for p in self.drain(self.machine.queue):  # completions only
             self.machine.tiles[p.dst].handle(p)
 
     def step_all(self):
@@ -840,3 +841,97 @@ def test_deep_lambda_body_is_copied_without_recursion(threads):
     depth = 3000
     body = "(+ x " * depth + "'2" + ")" * depth
     assert execute(f"(beta (lambda 'x '{body}) '1)", threads=threads) == depth + 2
+
+
+# ── closure templates ────────────────────────────────────────────────
+
+
+def test_template_copies_a_shared_entry_once():
+    reg = fresh_registry()
+    img = compile_for("(beta (lambda 'x '(+ x (+ (label L (* '2 '3)) L))) '3)", 1, reg)
+    with Machine(img, reg, 1) as m:
+        assert m.run_value() == 15
+        # the body is a DAG of three entries: both references of the copied
+        # (+ L L) name the one copy of L
+        assert m.tiles[0].arena_next == 3
+        inner = m.code_words(W.ref_addr(m.code_words(vm.RUNTIME_BASE)[2]))
+        assert W.ref_addr(inner[1]) == W.ref_addr(inner[2])
+        assert vm.RUNTIME_BASE <= W.ref_addr(inner[1]) < vm.RUNTIME_BASE + 3
+        (template,) = m._templates.values()
+        assert len(template) == 3
+
+
+def test_template_keeps_a_quoted_variable_deferred():
+    # the unselected branch is a quoted occurrence of x; its deferred
+    # argument must be substituted still quoted, so it is never requested
+    calls = []
+    reg = fresh_registry()
+    reg.register("k", [("boom", 0, lambda c: calls.append(1) or 9)])
+    for text, value in (("(beta (lambda 'x '(if '0 'x '5)) '(k.boom))", 5),
+                        ("(beta (lambda 'x '(if '1 'x '5)) '(k.boom))", 9)):
+        calls.clear()
+        img = compile_for(text, 1, reg)
+        with Machine(img, reg, 1) as m:
+            assert m.run_value() == value
+            assert W.is_quoted(m.code_words(vm.RUNTIME_BASE)[2])
+        assert calls == [1] * (value == 9)
+
+
+def test_runtime_lambda_template_is_never_memoised():
+    # the curried application copies the inner lambda to the same runtime
+    # address in both runs, with a different x; a template cached under
+    # that address would answer the second run with the first run's x
+    reg = fresh_registry()
+    text = "(beta (beta (lambda 'x '(lambda 'y '(+ x y))) (ctrl.arg '0)) '1)"
+    img = compile_for(text, 1, reg)
+    with Machine(img, reg, 1) as m:
+        assert m.run_value((10,)) == 11
+        assert m.run_value((20,)) == 21
+        assert m._templates and all(a < vm.RUNTIME_BASE for a in m._templates)
+
+
+# ── handle table and error frames ────────────────────────────────────
+
+
+def test_handle_table_stays_flat_across_runs():
+    reg = fresh_registry()
+    img = compile_for("(cons '1 (cons '2 (emptylist)))", 1, reg)
+    with Machine(img, reg, 1) as m:
+        data = [4, 5]
+        assert m.register_data(data) == 0
+        assert m.run_value() == [1, 2]
+        held = len(m._handles)
+        for _ in range(999):
+            assert m.run_value() == [1, 2]
+        assert len(m._handles) == held
+        assert m.handle_object(0) is data  # the registered handle is kept
+
+
+def test_conservation_check_covers_arena_and_handles():
+    reg = fresh_registry()
+    img = compile_for("(beta (lambda 'x '(cons x (emptylist))) '1)", 1, reg)
+    with Machine(img, reg, 1) as m:
+        assert m.run_value() == [1]
+        m.check_conservation()
+        m.tiles[0].arena[vm.RUNTIME_BASE + 99] = (W.mk_const(0),)  # stray entry
+        with pytest.raises(ResourceLeakError, match="arena entries"):
+            m.check_conservation()
+        assert m.run_value() == [1]
+        m._handle_ids[-1] = 0  # an id left behind by a truncated handle
+        with pytest.raises(ResourceLeakError, match="handle table"):
+            m.check_conservation()
+
+
+def test_unknown_operation_id_in_an_error_chain_is_a_vm_error():
+    # the chain names every frame it crosses; an operation id the registry
+    # does not know names itself instead of raising a raw KernelError
+    reg = fresh_registry()
+    img = compile_for("(+ (head (emptylist)) '1)", 1, reg)
+    sid, mid, _ = reg.resolve("+")
+    addr = next(a for a, code in img.code.items() if code[0] == W.mk_oper(sid, mid))
+    img.code[addr] = (W.mk_oper(77, 0),) + img.code[addr][1:]
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(VmError) as ei:
+            m.run_value()
+    assert not isinstance(ei.value, KernelError)
+    assert isinstance(ei.value, TaskError) and ei.value.frames[-1] == "77.0"
