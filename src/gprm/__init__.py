@@ -33,7 +33,7 @@ from .vm import (
     TaskError,
     VmError,
 )
-from .oracle import Oracle, OracleError, evaluate, eval_flat
+from .oracle import Oracle, OracleError, evaluate
 from .gpc import GpcError, compile_gpc
 
 __version__ = "0.1.0"

@@ -1,15 +1,16 @@
-"""Sequential reference interpreters.
+"""Sequential reference interpreter.
 
-Two independent evaluation routes that must agree with the parallel machine:
+`evaluate` / `Oracle.eval_program` evaluate the desugared AST one step at a
+time, arguments left to right, and the parallel machine must give the same
+answer.  Beta reduction binds formals in an environment instead of
+substituting into the body: a lambda value is its expression plus the
+environment it was made in, and a quoted operand is bound unevaluated, as
+code plus environment, and evaluated afresh wherever an unquoted occurrence
+uses it.  Evaluation keeps its own stack of open S-expressions instead of
+recursing, so nesting depth has no limit.
 
-- `evaluate` / `Oracle.eval`: a recursive interpreter over the desugared AST,
-  beta reduction done by capture-free substitution (formals are made unique
-  first), arguments evaluated left to right.
-- `eval_flat`: a recursive interpreter over a FlatProgram, used to check that
-  flattening preserves semantics.
-
-Both share the kernel registry with the machine; what they do not share is
-any of the packet/record/scheduling machinery they exist to check.
+The oracle shares the kernel registry with the machine; what it does not
+share is any of the packet/record/scheduling machinery it exists to check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import threading
 from dataclasses import dataclass
 
 from . import lang
-from .compiler import WConst, WRef, WVar
 from .kernels import KernelError, NO_RESULT
 
 
@@ -27,23 +27,30 @@ class OracleError(lang.GpirError):
     pass
 
 
-@dataclass(frozen=True)
-class _Lit:
-    """Already-computed value spliced into an AST during substitution."""
-
-    value: object
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleLambda:
     expr: object
+    env: dict
 
     def __repr__(self):
         return "<lambda>"
 
 
+@dataclass(frozen=True, slots=True)
+class _Deferred:
+    """Quoted code and the environment to evaluate it in when it is used."""
+
+    expr: object
+    env: dict
+
+
+_CODE = (_Deferred, OracleLambda)  # values a non-control method may not take
+
+_OPEN = object()  # a frame was just opened and has no argument value yet
+
+
 class _SeqContext:
-    """Host-side context handed to kernels by the sequential routes."""
+    """Host-side context handed to kernels by the oracle."""
 
     def __init__(self, host_args=(), data=()):
         self.host_args = tuple(host_args)
@@ -75,40 +82,11 @@ class _SeqContext:
         raise KernelError("restart is not meaningful in sequential evaluation")
 
 
-def _uniquify(e, scope, counter):
-    if isinstance(e, lang.Var):
-        name = scope.get(e.name)
-        if name is None:
-            raise OracleError(f"unbound variable '{e.name}'")
-        return lang.Var(name)
-    if isinstance(e, lang.Quoted):
-        return lang.Quoted(_uniquify(e.inner, scope, counter))
-    if isinstance(e, lang.Label):
-        return lang.Label(e.name, _uniquify(e.body, scope, counter))
-    if isinstance(e, lang.SExpr):
-        if e.op.name == lang.FORM_LAMBDA:
-            *formals, body = e.args
-            inner = dict(scope)
-            fresh = []
-            for f in formals:
-                counter[0] += 1
-                new = f"{f.inner.name}%{counter[0]}"
-                inner[f.inner.name] = new
-                fresh.append(lang.Quoted(lang.Var(new)))
-            return lang.SExpr(e.op, tuple(fresh) + (_uniquify(body, inner, counter),))
-        return lang.SExpr(e.op, tuple(_uniquify(a, scope, counter) for a in e.args))
-    return e
-
-
-def _subst(e, env):
-    if isinstance(e, lang.Var):
-        return env.get(e.name, e)
-    if isinstance(e, lang.Quoted):
-        return lang.Quoted(_subst(e.inner, env))
-    if isinstance(e, lang.SExpr):
-        return lang.SExpr(e.op, tuple(_subst(a, env) for a in e.args))
-    # labels are closed; literals carry no variables
-    return e
+def _lookup(env, name):
+    try:
+        return env[name]
+    except KeyError:
+        raise OracleError(f"unbound variable '{name}'") from None
 
 
 class Oracle:
@@ -118,207 +96,131 @@ class Oracle:
         self.labels = {}
 
     def eval_program(self, e):
-        e = _uniquify(lang.desugar(e), {}, [0])
+        e = lang.desugar(e)
         self.labels = lang.label_bodies(e)
-        return self.eval(e)
+        return self.eval(e, {})
 
-    def eval(self, e):
-        if isinstance(e, lang.ConstInt):
-            return e.value
-        if isinstance(e, _Lit):
-            return e.value
-        if isinstance(e, lang.Var):
-            raise OracleError(f"unbound variable '{e.name}'")
-        if isinstance(e, lang.Label):
-            return self.eval(e.body)
-        if isinstance(e, lang.LabelRef):
-            return self.eval(self.labels[e.name])
-        if isinstance(e, lang.Quoted):
-            raise OracleError("cannot evaluate a bare quoted expression")
-        op = e.op.name
-        if op == lang.FORM_LAMBDA:
-            return OracleLambda(e)
-        if op == lang.FORM_BETA:
-            return self.eval_beta(e)
-        if op == lang.FORM_IF:
-            return self.eval_if(e)
-        return self.eval_kernel_op(e)
+    def code(self, e):
+        """The expression a label or label reference stands for."""
+        while type(e) is lang.Label or type(e) is lang.LabelRef:
+            e = e.body if type(e) is lang.Label else self.labels[e.name]
+        return e
 
-    def eval_beta(self, e):
-        op_expr = e.args[0]
-        if isinstance(op_expr, lang.Quoted):
-            lam_expr = op_expr.inner
-            if not (isinstance(lam_expr, lang.SExpr) and lam_expr.op.name == lang.FORM_LAMBDA):
-                raise OracleError("operator is not a lambda value")
-        else:
-            v = self.eval(op_expr)
-            if not isinstance(v, OracleLambda):
-                raise OracleError("operator is not a lambda value")
-            lam_expr = v.expr
-        *formals, body = lam_expr.args
-        operands = e.args[1:]
-        if len(operands) != len(formals):
-            raise OracleError(f"lambda arity mismatch: {len(formals)} formals, "
-                              f"{len(operands)} operands")
-        env = {}
-        for f, a in zip(formals, operands):
-            if isinstance(a, lang.Quoted):
-                env[f.inner.name] = a.inner  # quote removed: evaluated where used
+    def eval(self, e, env):
+        """Value of the unquoted expression `e` in `env`.
+
+        A frame is an S-expression whose arguments are being evaluated.  A
+        beta body, the chosen if branch and ctrl.run's reference replace the
+        frame that reached them, so only argument nesting deepens the stack."""
+        frames = []  # [S-expression, env, argument values so far, kernel]
+        while True:
+            # evaluate e in env until it is a value or has opened a frame
+            while True:
+                e = self.code(e)
+                kind = type(e)
+                if kind is lang.SExpr:
+                    name = e.op.name
+                    if name == lang.FORM_LAMBDA:
+                        value = OracleLambda(e, env)
+                    else:
+                        frames.append([e, env, [], self.kernel(name)])
+                        value = _OPEN
+                    break
+                if kind is lang.ConstInt:
+                    value = e.value
+                    break
+                if kind is not lang.Var:
+                    raise OracleError("cannot evaluate a bare quoted expression")
+                value = _lookup(env, e.name)
+                if type(value) is not _Deferred:
+                    break
+                e, env = value.expr, value.env  # an unquoted use forces it
+            # give the value to the innermost frame; apply each frame that fills
+            while frames:
+                frame_e, frame_env, values, kernel = frames[-1]
+                if value is not _OPEN:
+                    values.append(value)
+                args = frame_e.args
+                n = len(values)
+                while n < len(args) and type(args[n]) is lang.Quoted:
+                    values.append(self.quoted(args[n].inner, frame_env))
+                    n += 1
+                if n < len(args):
+                    e, env = args[n], frame_env
+                    break
+                frames.pop()
+                value = self.apply(frame_e, values, kernel)
+                if type(value) is _Deferred:
+                    e, env = value.expr, value.env
+                    break
             else:
-                env[f.inner.name] = _Lit(self.eval(a))
-        return self.eval(_subst(body.inner, env))
+                return value
 
-    def eval_if(self, e):
-        cond, t_branch, f_branch = e.args
-        # the machine parses all three slots up front: unquoted branch
-        # expressions get evaluated eagerly whatever the condition says
-        eager = {}
-        c = self.strict(cond, "if")
-        for i, b in enumerate((t_branch, f_branch)):
-            if not isinstance(b, lang.Quoted):
-                eager[i] = self.eval(b)
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise OracleError("if condition did not evaluate to an integer")
-        pick = 0 if c != 0 else 1
-        sel = t_branch if pick == 0 else f_branch
-        if pick in eager:
-            return eager[pick]
-        return self.eval(sel.inner)
+    def quoted(self, e, env):
+        """A quoted argument's value: a constant, a variable's binding as it
+        stands (forced only where used unquoted), or deferred code."""
+        if type(e) is lang.ConstInt:
+            return e.value
+        if type(e) is lang.Var:
+            return _lookup(env, e.name)
+        return _Deferred(self.code(e), env)
 
-    def eval_kernel_op(self, e):
-        sid, mid, spec = self.registry.resolve(e.op.name)
-        service, _ = self.registry.spec(sid, mid)
-        if spec.control:
-            if e.op.name != "ctrl.run":
-                raise OracleError(f"control method '{e.op.name}' is not supported "
-                                  "by the sequential oracle")
-            return self.eval_ctrl_run(e)
-        args = [self.strict(a, e.op.name) for a in e.args]
-        value = self.registry.invoke(service, mid, self.ctx, args)
+    def kernel(self, name):
+        """(service, method id, spec) of an operation; None for beta and if."""
+        if name == lang.FORM_BETA or name == lang.FORM_IF:
+            return None
+        sid, mid, spec = self.registry.resolve(name)
+        if spec.control and name != "ctrl.run":
+            raise OracleError(f"control method '{name}' is not supported "
+                              "by the sequential oracle")
+        return self.registry.spec(sid, mid)[0], mid, spec
+
+    def apply(self, e, values, kernel):
+        """Reduce an S-expression whose argument slots are all filled, the
+        way the machine does; a _Deferred result is evaluated in its place."""
+        name = e.op.name
+        if name == lang.FORM_BETA:
+            lam = values[0]
+            if type(lam) is _Deferred and type(lam.expr) is lang.SExpr \
+                    and lam.expr.op.name == lang.FORM_LAMBDA:
+                lam = OracleLambda(lam.expr, lam.env)
+            if type(lam) is not OracleLambda:
+                raise OracleError("operator is not a lambda value")
+            *formals, body = lam.expr.args
+            operands = values[1:]
+            if len(operands) != len(formals):
+                raise OracleError(f"lambda arity mismatch: {len(formals)} formals, "
+                                  f"{len(operands)} operands")
+            env = dict(lam.env)
+            env.update(zip((f.inner.name for f in formals), operands))
+            return _Deferred(body.inner if type(body) is lang.Quoted else body, env)
+        if name == lang.FORM_IF:
+            # the machine fills all three slots first: an unquoted branch has
+            # been evaluated whatever the condition says
+            c, t_branch, f_branch = values
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise OracleError("if condition did not evaluate to an integer")
+            return t_branch if c != 0 else f_branch
+        service, mid, spec = kernel
+        if spec.control:  # ctrl.run: placement is irrelevant sequentially
+            if len(values) != 2:
+                raise OracleError("ctrl.run expects a quoted reference and a thread id")
+            ref, t = values
+            if not isinstance(ref, _CODE):
+                raise OracleError("ctrl.run: first argument is not a quoted reference")
+            if isinstance(t, bool) or not isinstance(t, int):
+                raise OracleError("ctrl.run: thread id is not an integer")
+            return ref
+        for v in values:
+            if isinstance(v, _CODE):
+                raise OracleError(f"quoted reference passed to non-control method '{name}'")
+        value = self.registry.invoke(service, mid, self.ctx, values)
         if value is NO_RESULT:
-            raise OracleError(f"'{e.op.name}' produced no value")
+            raise OracleError(f"'{name}' produced no value")
         return value
-
-    def eval_ctrl_run(self, e):
-        if len(e.args) != 2:
-            raise OracleError("ctrl.run expects a quoted reference and a thread id")
-        q, t = e.args
-        if not isinstance(q, lang.Quoted) or not isinstance(q.inner, (lang.SExpr, lang.Label, lang.LabelRef)):
-            raise OracleError("ctrl.run: first argument is not a quoted reference")
-        tv = self.strict(t, "ctrl.run")
-        if not isinstance(tv, int):
-            raise OracleError("ctrl.run: thread id is not an integer")
-        return self.eval(q.inner)  # placement is irrelevant sequentially
-
-    def strict(self, a, opname):
-        """Evaluate an argument the way the engine fills a slot."""
-        if isinstance(a, lang.Quoted):
-            inner = a.inner
-            if isinstance(inner, (lang.ConstInt, _Lit)):
-                return self.eval(inner)
-            raise OracleError(f"quoted reference passed to non-control method '{opname}'")
-        return self.eval(a)
 
 
 def evaluate(text_or_ast, registry, host_args=(), data=()):
     """Evaluate GPIR source (or a parsed AST) sequentially."""
     ast = lang.parse(text_or_ast) if isinstance(text_or_ast, str) else text_or_ast
     return Oracle(registry, host_args, data).eval_program(ast)
-
-
-# ── Flat-program route ───────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class _FlatDeferred:
-    addr: int
-    env: dict
-
-
-@dataclass(frozen=True)
-class _FlatLambda:
-    addr: int
-    env: dict
-
-    def __repr__(self):
-        return "<lambda>"
-
-
-def eval_flat(fp, registry, host_args=(), data=()):
-    """Sequential interpreter over a FlatProgram (checks flatten/encode).
-
-    Quoted operands become deferred (address, environment) pairs; forcing one
-    on use matches the machine removing the quote during substitution."""
-    ctx = _SeqContext(host_args, data)
-
-    def slot(a, env):
-        if isinstance(a, WConst):
-            return a.value
-        if isinstance(a, WVar):
-            if a.slot not in env:
-                raise OracleError(f"unbound variable slot {a.slot}")
-            v = env[a.slot]
-            return v if a.quoted else force(v)
-        if a.quoted:
-            return _FlatDeferred(a.addr, env)
-        return entry(a.addr, env)
-
-    def force(v):
-        return entry(v.addr, v.env) if isinstance(v, _FlatDeferred) else v
-
-    def as_lambda(v):
-        if isinstance(v, _FlatDeferred):
-            if fp.entries[v.addr].op != lang.FORM_LAMBDA:
-                raise OracleError("operator is not a lambda value")
-            return _FlatLambda(v.addr, v.env)
-        if isinstance(v, _FlatLambda):
-            return v
-        raise OracleError("operator is not a lambda value")
-
-    def entry(addr, env):
-        e = fp.entries[addr]
-        if e.op == lang.FORM_LAMBDA:
-            return _FlatLambda(addr, env)
-        if e.op == lang.FORM_BETA:
-            opv = as_lambda(slot(e.args[0], env))
-            lam = fp.entries[opv.addr]
-            formals, body = lam.args[:-1], lam.args[-1]
-            operands = e.args[1:]
-            if len(operands) != len(formals):
-                raise OracleError("lambda arity mismatch")
-            inner = dict(opv.env)
-            for f, a in zip(formals, operands):
-                inner[f.slot] = slot(a, env)
-            return force(slot(body, inner))
-        if e.op == lang.FORM_IF:
-            cw, tw, fw = e.args
-            c = slot(cw, env)
-            eager = {}
-            for i, b in enumerate((tw, fw)):
-                if isinstance(b, WRef) and not b.quoted:
-                    eager[i] = entry(b.addr, env)
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise OracleError("if condition did not evaluate to an integer")
-            pick = 0 if c != 0 else 1
-            return eager[pick] if pick in eager else force(slot((tw, fw)[pick], env))
-        sid, mid, spec = registry.resolve(e.op)
-        service, _ = registry.spec(sid, mid)
-        if spec.control:
-            if e.op != "ctrl.run":
-                raise OracleError(f"control method '{e.op}' is not supported")
-            q = slot(e.args[0], env)
-            t = slot(e.args[1], env)
-            if not isinstance(q, _FlatDeferred):
-                raise OracleError("ctrl.run: first argument is not a quoted reference")
-            if not isinstance(t, int) or isinstance(t, bool):
-                raise OracleError("ctrl.run: thread id is not an integer")
-            return force(q)
-        args = []
-        for a in e.args:
-            v = slot(a, env)
-            if isinstance(v, (_FlatDeferred, _FlatLambda)):
-                raise OracleError(f"quoted reference passed to non-control method '{e.op}'")
-            args.append(v)
-        return registry.invoke(service, mid, ctx, args)
-
-    return entry(fp.root, {})

@@ -38,6 +38,13 @@ def test_run_equals_oracle(tmp_path, capsys):
     assert ran == orc == "42"
 
 
+def test_oracle_on_a_deep_program(tmp_path, capsys):
+    depth = 5000
+    src = tmp_path / "deep.gpir"
+    src.write_text("(+ '1 " * depth + "'2" + ")" * depth + "\n")
+    assert run_cli(capsys, "oracle", str(src)) == (EXIT_OK, str(depth + 2), "")
+
+
 def test_run_with_args_and_trace(tmp_path, capsys):
     src = tmp_path / "add.gpir"
     src.write_text("(+ (ctrl.arg '0) (ctrl.arg '1))\n")

@@ -25,6 +25,7 @@ from gprm.compiler import (
     used_operations,
     write_image,
 )
+from gprm.oracle import evaluate
 
 from conftest import ProgramGen, fresh_registry
 
@@ -247,7 +248,7 @@ def test_deep_chain_compiles_and_runs():
     img = compile_text(text, 2, reg)
     assert len(img.code) == depth
     with vm.Machine(img, reg, 2) as m:
-        assert m.run_value() == depth + 2
+        assert m.run_value() == evaluate(text, reg)
 
 
 # ── byte-identical images ────────────────────────────────────────────
