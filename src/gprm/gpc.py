@@ -16,9 +16,18 @@ Rules: every variable is assigned exactly once; no loops (recursion only);
 expressions becomes a lambda-bound name applied via beta (so its producer
 runs once); single-use variables are inlined.  Entry `int` parameters read
 from `ctrl.arg`, pointer parameters from `ctrl.reg`.  Recursive helpers
-compile to the self-application pattern `(beta F F args...)`.  `ctrl.run` is
-available as an intrinsic whose first argument is compiled quoted (it is a
+compile to the self-application pattern `(beta F F args...)`; the entry
+function may not call itself (move the recursion into a helper).  `ctrl.run`
+is available as an intrinsic whose first argument is compiled quoted (it is a
 control method, receiving code rather than a value).
+
+Code generation is one linear pass: each block counts its variable reads
+once, and a single-use variable's generated expression is substituted where
+it is read as that reader is generated.  Expressions are generated with an
+explicit stack, so an operator chain has no length limit; the parser and the
+block generator recurse only through parentheses, call-argument lists and
+`if` blocks, whose combined nesting MAX_NESTING (100) bounds.  Every refusal
+is a GpcError.
 """
 
 from __future__ import annotations
@@ -44,6 +53,9 @@ _TOKEN_RE = re.compile(
 
 _LOOP_WORDS = {"for", "while", "do"}
 
+#: deepest combined nesting of parentheses, call-argument lists and `if` blocks
+MAX_NESTING = 100
+
 
 def _lex(src):
     out, pos = [], 0
@@ -65,14 +77,22 @@ class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
+        self.depth = 0
+        self.calls = []  # bare-name calls in the function being parsed
 
     def peek(self, k=0):
         return self.toks[min(self.i + k, len(self.toks) - 1)]
 
     def next(self):
         t = self.toks[self.i]
-        self.i += 1
+        if t[0] != "eof":
+            self.i += 1
         return t
+
+    def nest(self, line):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise GpcError(f"nesting deeper than {MAX_NESTING} at line {line}")
 
     def expect(self, text):
         kind, val, line = self.next()
@@ -151,8 +171,10 @@ class _Parser:
             pname = self.next()[1]
             params.append((pname, is_ptr))
         self.expect(")")
+        self.calls = []
         body = self.block()
-        return {"name": name, "qualified": qualified, "params": params, "body": body}
+        return {"name": name, "qualified": qualified, "params": params, "body": body,
+                "calls": self.calls}
 
     def block(self):
         self.expect("{")
@@ -168,12 +190,14 @@ class _Parser:
             raise GpcError(f"'{val}' is not supported: use recursion (line {line})")
         if val == "if":
             self.next()
+            self.nest(line)
             self.expect("(")
             cond = self.expr()
             self.expect(")")
             then = self.block()
             self.expect("else")
             other = self.block()
+            self.depth -= 1
             return ("if", cond, then, other)
         if val == "return":
             self.next()
@@ -228,8 +252,10 @@ class _Parser:
     def primary(self):
         kind, val, line = self.next()
         if val == "(":
+            self.nest(line)
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if val == "-" and self.peek()[0] == "num":
             return ("int", -int(self.next()[1]))
@@ -243,11 +269,13 @@ class _Parser:
                 method = self.next()[1]
                 return ("call", f"{val}.{method}", self.call_args())
             if self.at("("):
+                self.calls.append(val)
                 return ("call", val, self.call_args())
             return ("var", val)
         raise GpcError(f"unexpected token '{val}' at line {line}")
 
     def call_args(self):
+        self.nest(self.peek()[2])
         self.expect("(")
         args = []
         while not self.at(")"):
@@ -255,63 +283,31 @@ class _Parser:
                 self.expect(",")
             args.append(self.expr())
         self.expect(")")
+        self.depth -= 1
         return args
 
 
-# ── AST helpers (shadow-aware, over lang nodes) ──────────────────────
-
-
-def _count_uses(e, name):
-    if isinstance(e, Var):
-        return int(e.name == name)
-    if isinstance(e, Quoted):
-        return _count_uses(e.inner, name)
-    if isinstance(e, SExpr):
-        if e.op.name == lang.FORM_LAMBDA:
-            if any(f.inner.name == name for f in e.args[:-1]):
-                return 0
-            return _count_uses(e.args[-1], name)
-        return sum(_count_uses(a, name) for a in e.args)
-    return 0
-
-
-def _subst_names(e, env):
-    if not env:
-        return e
-    if isinstance(e, Var):
-        return env.get(e.name, e)
-    if isinstance(e, Quoted):
-        return Quoted(_subst_names(e.inner, env))
-    if isinstance(e, SExpr):
-        if e.op.name == lang.FORM_LAMBDA:
-            shadowed = {f.inner.name for f in e.args[:-1]}
-            inner_env = {k: v for k, v in env.items() if k not in shadowed}
-            return SExpr(e.op, e.args[:-1] + (_subst_names(e.args[-1], inner_env),))
-        return SExpr(e.op, tuple(_subst_names(a, env) for a in e.args))
-    return e
-
-
-def _calls_in(stmts, out):
-    for s in stmts:
-        if s[0] == "if":
-            _expr_calls(s[1], out)
-            _calls_in(s[2], out)
-            _calls_in(s[3], out)
-        else:
-            _expr_calls(s[-1], out)
-
-
-def _expr_calls(e, out):
-    if e[0] == "call":
-        out.add(e[1])
-        for a in e[2]:
-            _expr_calls(a, out)
-    elif e[0] == "bin":
-        _expr_calls(e[2], out)
-        _expr_calls(e[3], out)
-
-
 # ── Code generation ──────────────────────────────────────────────────
+
+
+def _var_uses(stmts):
+    """{name: how often stmts read it}, nested blocks included."""
+    uses, stack = {}, list(stmts)
+    while stack:
+        node = stack.pop()
+        kind = node[0]
+        if kind == "var":
+            if node[1] != "NUM_THREADS":
+                uses[node[1]] = uses.get(node[1], 0) + 1
+        elif kind == "bin":
+            stack += node[2:]
+        elif kind == "call":
+            stack += node[2]
+        elif kind == "if":
+            stack += [node[1], *node[2], *node[3]]
+        elif kind != "int":  # def, return, expr: the expression comes last
+            stack.append(node[-1])
+    return uses
 
 
 class _Compiler:
@@ -319,35 +315,12 @@ class _Compiler:
         self.decls = decls
         self.funcs = {f["name"]: f for f in funcs}
         self.num_threads = num_threads
-        self.recursive = set()
-        self._mark_recursion(funcs)
-
-    def _mark_recursion(self, funcs):
-        graph = {}
-        for f in funcs:
-            called = set()
-            _calls_in(f["body"], called)
-            graph[f["name"]] = {c for c in called if c in self.funcs}
-        for name, callees in graph.items():
-            if name in callees:
-                self.recursive.add(name)
-        state = {}
-
-        def visit(n, stack):
-            if n in state:
-                return
-            if n in stack:
-                cycle = stack[stack.index(n):]
-                if len(cycle) > 1:
-                    raise GpcError(f"mutual recursion is not supported: {' -> '.join(cycle + [n])}")
-                return
-            for c in graph.get(n, ()):
-                if c != n:
-                    visit(c, stack + [n])
-            state[n] = True
-
-        for n in graph:
-            visit(n, [])
+        self.recursive = {n for n, f in self.funcs.items() if n in f["calls"]}
+        graph = {n: [c for c in f["calls"] if c in self.funcs and c != n]
+                 for n, f in self.funcs.items()}
+        cycle = lang.find_cycle(graph)
+        if cycle:
+            raise GpcError(f"mutual recursion is not supported: {' -> '.join(cycle)}")
 
     def entry_function(self):
         qualified = [f for f in self.funcs.values() if f["qualified"]]
@@ -359,6 +332,9 @@ class _Compiler:
 
     def compile(self):
         entry = self.entry_function()
+        if entry["name"] in self.recursive:
+            raise GpcError(f"entry function '{entry['name']}' calls itself: "
+                           "move the recursion into a helper")
         env = {}
         n_int = n_ptr = 0
         for pname, is_ptr in entry["params"]:
@@ -372,19 +348,31 @@ class _Compiler:
 
     # env: variable name -> lang AST to substitute for it
     def gen_block(self, stmts, env, fname):
-        defs = []       # (name, ast) in assignment order
-        bare = []       # effect statements whose values are discarded
-        tail = None
+        uses = _var_uses(stmts)
         local = dict(env)
+        bound = {}      # def -> the multi-use defs of this block its value reads
+        groups = []     # [(name, ast)] lists bound together (independent defs)
+        bare = []       # effect statements whose values are discarded
+        tail = unused = None
         for idx, s in enumerate(stmts):
             last = idx == len(stmts) - 1
             if s[0] == "def":
                 name = s[1]
                 if name in local:
                     raise GpcError(f"variable '{name}' reassigned (single assignment)")
-                ast = self.gen_expr(s[2], local, fname)
-                local[name] = Var(name)
-                defs.append((name, ast))
+                reads = set()
+                ast = self.gen_expr(s[2], local, fname, reads)
+                deps = {d for r in reads for d in bound.get(r, ())}
+                if uses.get(name) == 1:  # inline: the one reader gets the value
+                    local[name], bound[name] = ast, deps
+                    continue
+                if name not in uses and unused is None:
+                    unused = name
+                local[name], bound[name] = Var(name), {name}
+                if groups and deps.isdisjoint(n for n, _ in groups[-1]):
+                    groups[-1].append((name, ast))
+                else:  # the first def, or one that reads the current group: new layer
+                    groups.append([(name, ast)])
             elif s[0] == "return":
                 if not last:
                     raise GpcError("statements after return")
@@ -393,9 +381,12 @@ class _Compiler:
                 if not last:
                     raise GpcError("if must be the last statement in a block")
                 cond = self.gen_expr(s[1], local, fname)
-                then = self.gen_block(s[2], local, fname)
-                other = self.gen_block(s[3], local, fname)
-                tail = SExpr(Operation(lang.FORM_IF), (cond, lang.quote(then), lang.quote(other)))
+                # a branch that is just an enclosing variable keeps its own
+                # quote, so an inlined constant prints as ''c
+                branches = [self.gen_block(b, local, fname) for b in s[2:]]
+                then, other = (Quoted(b) if any(b is v for v in local.values()) else lang.quote(b)
+                               for b in branches)
+                tail = SExpr(Operation(lang.FORM_IF), (cond, then, other))
             else:  # bare expression statement
                 ast = self.gen_expr(s[1], local, fname)
                 if last:
@@ -404,105 +395,90 @@ class _Compiler:
                     bare.append(ast)
         if tail is None:
             raise GpcError(f"function '{fname}' has no result statement")
-        return self._wrap_defs(defs, bare, tail)
-
-    def _wrap_defs(self, defs, bare, tail):
-        # usage counts over everything downstream of each definition
-        later = {}
-        for i, (name, _) in enumerate(defs):
-            n = sum(_count_uses(a, name) for _, a in defs[i + 1:])
-            n += sum(_count_uses(b, name) for b in bare)
-            n += _count_uses(tail, name)
-            later[name] = n
-        inline = {}
-        groups = []  # list of [(name, ast)] bound together (independent defs)
-        for name, ast in defs:
-            ast = _subst_names(ast, inline)
-            if later[name] == 0:
-                raise GpcError(f"unused variable '{name}'")
-            if later[name] == 1:
-                inline[name] = ast
-                continue
-            if groups and any(_count_uses(ast, gname) for gname, _ in groups[-1]):
-                groups.append([(name, ast)])  # depends on current group: new layer
-            elif groups:
-                groups[-1].append((name, ast))
-            else:
-                groups.append([(name, ast)])
-        core = _subst_names(tail, inline)
-        bare = [_subst_names(b, inline) for b in bare]
-        if bare:
-            core = SExpr(Operation("begin"), tuple(bare) + (core,))
+        if unused is not None:
+            raise GpcError(f"unused variable '{unused}'")
+        core = SExpr(Operation("begin"), (*bare, tail)) if bare else tail
         for group in reversed(groups):
             formals = tuple(Quoted(Var(n)) for n, _ in group)
             lam = SExpr(Operation(lang.FORM_LAMBDA), formals + (lang.quote(core),))
             core = SExpr(Operation(lang.FORM_BETA), (lam,) + tuple(a for _, a in group))
         return core
 
-    def gen_expr(self, e, env, fname):
-        kind = e[0]
-        if kind == "int":
-            return Quoted(ConstInt(e[1]))
-        if kind == "var":
-            name = e[1]
-            if name == "NUM_THREADS":
+    def gen_expr(self, e, env, fname, reads=None):
+        """Generate e with an explicit stack; add each variable read to `reads`.
+
+        A call is checked when it is pushed, before its arguments."""
+        out, stack = [], [e]  # stack: source nodes, and (None, node) to build node
+        while stack:
+            e = stack.pop()
+            kind = e[0]
+            if kind == "int":
+                out.append(Quoted(ConstInt(e[1])))
+            elif kind == "var" and e[1] == "NUM_THREADS":
                 if self.num_threads is None:
                     raise GpcError("NUM_THREADS used but no thread count was given")
-                return Quoted(ConstInt(self.num_threads))
-            if name not in env:
-                raise GpcError(f"use of unassigned variable '{name}'")
-            return env[name]
-        if kind == "bin":
-            return SExpr(Operation(e[1]),
-                         (self.gen_expr(e[2], env, fname), self.gen_expr(e[3], env, fname)))
-        op, args = e[1], e[2]
+                out.append(Quoted(ConstInt(self.num_threads)))
+            elif kind == "var":
+                if e[1] not in env:
+                    raise GpcError(f"use of unassigned variable '{e[1]}'")
+                if reads is not None:
+                    reads.add(e[1])
+                out.append(env[e[1]])
+            elif kind == "bin":
+                stack += [(None, e), e[3], e[2]]
+            elif kind == "call":
+                self.check_call(e[1], e[2])
+                stack.append((None, e))
+                stack += reversed(e[2])
+            else:  # (None, node): node's arguments are the last values on out
+                e = e[1]
+                n = 2 if e[0] == "bin" else len(e[2])
+                args = out[len(out) - n:]
+                del out[len(out) - n:]
+                out.append(self.build(e, args, env, fname))
+        return out[0]
+
+    def check_call(self, op, args):
         if "." in op:
             svc = op.split(".", 1)[0]
             if svc != "ctrl" and svc not in self.decls:
                 raise GpcError(f"undeclared kernel instance '{svc}'")
-            gen_args = [self.gen_expr(a, env, fname) for a in args]
-            if op == "ctrl.run":
-                if len(args) != 2 or args[0][0] != "call":
-                    raise GpcError("ctrl.run expects a call and a thread id")
-                gen_args[0] = lang.quote(gen_args[0])  # control method: defer the code
-            return SExpr(Operation(op), tuple(gen_args))
-        if op in self.funcs:
-            return self.gen_helper_call(op, args, env, fname)
-        raise GpcError(f"call to undefined function '{op}'")
-
-    def gen_helper_call(self, name, args, env, fname):
-        func = self.funcs[name]
+            if op == "ctrl.run" and (len(args) != 2 or args[0][0] != "call"):
+                raise GpcError("ctrl.run expects a call and a thread id")
+            return
+        func = self.funcs.get(op)
+        if func is None:
+            raise GpcError(f"call to undefined function '{op}'")
         if len(args) != len(func["params"]):
-            raise GpcError(f"'{name}' expects {len(func['params'])} arguments, got {len(args)}")
-        gen_args = tuple(self.gen_expr(a, env, fname) for a in args)
+            raise GpcError(f"'{op}' expects {len(func['params'])} arguments, got {len(args)}")
+
+    def build(self, e, args, env, fname):
+        """The AST of a binary operation or call whose arguments are generated."""
+        if e[0] == "bin":
+            return SExpr(Operation(e[1]), tuple(args))
+        name = e[1]
+        if "." in name:
+            if name == "ctrl.run":
+                args[0] = lang.quote(args[0])  # control method: defer the code
+            return SExpr(Operation(name), tuple(args))
         if name == fname:
             # recursive call inside the helper's own body: apply the bound
             # self-reference to itself
             f = env[name]
-            return SExpr(Operation(lang.FORM_BETA), (f, f) + gen_args)
-        lam = self.helper_lambda(name)
-        if name in self.recursive:
+            return SExpr(Operation(lang.FORM_BETA), (f, f, *args))
+        params = [p for p, _ in self.funcs[name]["params"]]
+        me = [name] if name in self.recursive else []
+        if me and name in params:
+            raise GpcError(f"'{name}' shadows one of its parameters")
+        body = self.gen_block(self.funcs[name]["body"], {n: Var(n) for n in params + me}, name)
+        formals = tuple(Quoted(Var(n)) for n in me + params)
+        lam = SExpr(Operation(lang.FORM_LAMBDA), formals + (lang.quote(body),))
+        if me:
             # (beta (lambda 'f 'params '(beta f f params)) F args...)
-            params = [p for p, _ in func["params"]]
-            formals = tuple(Quoted(Var(n)) for n in [name] + params)
-            seed = SExpr(Operation(lang.FORM_BETA),
-                         (Var(name), Var(name)) + tuple(Var(p) for p in params))
+            seed = SExpr(Operation(lang.FORM_BETA), tuple(Var(n) for n in me + me + params))
             wrapper = SExpr(Operation(lang.FORM_LAMBDA), formals + (Quoted(seed),))
-            return SExpr(Operation(lang.FORM_BETA), (wrapper, lam) + gen_args)
-        return SExpr(Operation(lang.FORM_BETA), (lam,) + gen_args)
-
-    def helper_lambda(self, name):
-        func = self.funcs[name]
-        params = [p for p, _ in func["params"]]
-        recursive = name in self.recursive
-        env = {p: Var(p) for p in params}
-        if recursive:
-            if name in params:
-                raise GpcError(f"'{name}' shadows one of its parameters")
-            env[name] = Var(name)
-        body = self.gen_block(func["body"], env, name)
-        formals = ([Quoted(Var(name))] if recursive else []) + [Quoted(Var(p)) for p in params]
-        return SExpr(Operation(lang.FORM_LAMBDA), tuple(formals) + (lang.quote(body),))
+            return SExpr(Operation(lang.FORM_BETA), (wrapper, lam, *args))
+        return SExpr(Operation(lang.FORM_BETA), (lam, *args))
 
 
 def compile_gpc(source, num_threads=None):

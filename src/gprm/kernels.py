@@ -37,7 +37,6 @@ class DuplicateServiceError(KernelError):
 NO_RESULT = object()
 
 BUILTIN_SERVICE = "builtin"
-BUILTIN_SERVICE_ID = 0
 
 
 @dataclass(frozen=True)

@@ -325,8 +325,10 @@ def parse(text):
     for name, i in refs:
         if name not in labels:
             raise error(f"unbound variable '{name}'", i)
-    if labels:
-        _check_label_cycles({name: label.body for name, label in labels.items()})
+    cycle = find_cycle({name: {x.name for x in _nodes(label.body) if isinstance(x, LabelRef)}
+                        & labels.keys() for name, label in labels.items()})
+    if cycle:
+        raise GpirSyntaxError(f"label '{cycle[0]}' is part of a reference cycle")
     return root
 
 
@@ -352,24 +354,26 @@ def label_bodies(e):
     return {x.name: x.body for x in _nodes(e) if isinstance(x, Label)}
 
 
-def _check_label_cycles(bodies):
-    graph = {name: {x.name for x in _nodes(body) if isinstance(x, LabelRef)} & bodies.keys()
-             for name, body in bodies.items()}
-    state = {}  # name -> 1 while its references are being followed, 2 when done
-    for name in graph:
-        if name in state:
+def find_cycle(graph):
+    """A cycle of `graph` ({node: the nodes it refers to}) as the path
+    [a, b, ..., a], or None; one depth-first walk with its own stack."""
+    state = {}  # node -> 1 while its references are being followed, 2 when done
+    for node in graph:
+        if node in state:
             continue
-        state[name], path = 1, [(name, iter(graph[name]))]
-        while path:  # a depth-first walk; path holds the labels being followed
+        state[node], path = 1, [(node, iter(graph[node]))]
+        while path:  # path holds the nodes being followed
             for dep in path[-1][1]:
                 if state.get(dep) == 1:
-                    raise GpirSyntaxError(f"label '{dep}' is part of a reference cycle")
+                    names = [n for n, _ in path]
+                    return names[names.index(dep):] + [dep]
                 if dep not in state:
                     state[dep] = 1
                     path.append((dep, iter(graph[dep])))
                     break
             else:
                 state[path.pop()[0]] = 2
+    return None
 
 
 # ── Printer ──────────────────────────────────────────────────────────

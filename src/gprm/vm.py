@@ -275,17 +275,12 @@ class Tile:
             if W.kind_of(w) == W.KIND_REF and not W.is_quoted(w):
                 rec.status[i] = REQUESTED
                 pending += 1
+                self.machine.send(REQ, self.tile_id, W.ref_tile(w),
+                                  (self.tile_id, addr, i), (w,))
             else:
                 rec.slots[i] = w
         rec.pending = pending
-        if pending:
-            # request after the record is consistent; replies may race in
-            for i in range(nargs):
-                if rec.status[i] == REQUESTED:
-                    w = code[i + 1]
-                    self.machine.send(REQ, self.tile_id, W.ref_tile(w),
-                                      (self.tile_id, addr, i), (w,))
-        else:
+        if not pending:
             self.finish(addr, rec)
 
     def on_result(self, pkt):
@@ -316,13 +311,8 @@ class Tile:
 
     def op_name(self, op_word):
         """The frame name of an entry: its operation's name, or the word
-        itself when that is no operation the registry knows."""
-        if W.kind_of(op_word) == W.KIND_OPER:
-            try:
-                return self.machine.registry.op_name(*W.oper_ids(op_word))
-            except KernelError:
-                pass
-        return W.word_str(op_word)
+        itself when that is no operation of the image."""
+        return W.word_str(op_word, self.machine.image.symbols)
 
     def finish(self, addr, rec):
         if rec.err is not None:
@@ -726,7 +716,7 @@ class Machine:
         """Send a packet from a handler on the loop."""
         pkt = Packet(kind, src, dst, caller[0], caller[1], caller[2], payload)
         if self._trace is not None:
-            self._trace.append((len(self._trace), pkt))
+            self._trace.append(pkt)
         if dst == self.gateway_tile:
             self._gateway.put(pkt)
         else:
@@ -797,7 +787,7 @@ class Machine:
             deadline = time.monotonic() + timeout
             pkt = Packet(REQ, gw, W.ref_tile(root), gw, 0, 0, (root,))
             if self._trace is not None:
-                self._trace.append((len(self._trace), pkt))
+                self._trace.append(pkt)
             self.queue.put(pkt)
             pkt = self._await_quiet(deadline)
             self.check_conservation()
@@ -874,11 +864,11 @@ class Machine:
     def trace_packets(self):
         if self._trace is None:
             raise VmError("machine was booted without trace=True")
-        return [pkt for _, pkt in self._trace]
+        return list(self._trace)
 
     def write_trace(self, path):
         with open(path, "w") as f:
-            for seq, pkt in self._trace or []:
+            for seq, pkt in enumerate(self._trace or []):
                 payload = ",".join(f"{w:016x}" for w in pkt.payload)
                 f.write(f"{seq} {_KIND_NAMES[pkt.kind]} {pkt.src} {pkt.dst} "
                         f"{pkt.caller_addr} {pkt.caller_arg} {payload}\n")

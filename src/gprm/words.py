@@ -66,10 +66,6 @@ def set_quote(w):
     return w | _QUOTE_BIT
 
 
-def with_quote(w, quoted):
-    return set_quote(w) if quoted else clear_quote(w)
-
-
 def mk_ref(addr, tile=0, quoted=False):
     if not 0 <= addr < 1 << 32:
         raise ValueError(f"code address out of range: {addr}")

@@ -1,16 +1,21 @@
 """The single-assignment front-end."""
 
+import hashlib
+import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gprm import compiler, kernels, lang, vm
 from gprm.bench import MERGESORT_GPC
-from gprm.gpc import GpcError, compile_gpc
+from gprm.gpc import MAX_NESTING, GpcError, compile_gpc
+from gprm.lang import GpirError
 from gprm.oracle import evaluate
 
 from conftest import execute, fresh_registry
+from test_compiler import FIB_GPC
 
 COMPUTE_GPC = """
 GPRM::Kernel::Task1 t1;
@@ -246,3 +251,144 @@ def test_generated_straight_line_semantics():
         reg2 = fresh_registry()
         reg2.register("t1", [("m1", 1, lambda c, v: (v * 7 + 1) & 0xFFFF)])
         assert evaluate(gpir, reg2, host_args=(arg0,)) == kernels.int32(want)
+
+
+# ── robustness: only GpcError/GpirError, whatever the source ─────────
+
+SAMPLES = [(Path(__file__).resolve().parent.parent / "programs" / "compute.gpc").read_text(),
+           MERGESORT_GPC, FIB_GPC]
+
+
+def _compiles_or_refuses(src):
+    try:
+        compile_gpc(src, num_threads=4)
+    except (GpcError, GpirError):
+        pass
+
+
+def test_every_prefix_of_the_samples_compiles_or_refuses():
+    for src in SAMPLES:
+        for i in range(len(src) + 1):
+            _compiles_or_refuses(src[:i])
+
+
+def test_seeded_edits_of_the_samples_compile_or_refuse():
+    rng = random.Random(5)
+    for _ in range(500):
+        src = rng.choice(SAMPLES)
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(src))
+            ch = rng.choice("(){};,=+-*<>.:x1 ")
+            src = rng.choice([src[:i] + src[i + 1:], src[:i] + ch + src[i:],
+                              src[:i] + ch + src[i + 1:]])
+        _compiles_or_refuses(src)
+
+
+def test_long_plus_chain_compiles_and_agrees_with_the_oracle():
+    terms = " + ".join(["a"] * 2 + [str(i % 7) for i in range(4998)])
+    gpir = compile_gpc(f"int GPRM::f(int x) {{ int a = x * 2; return {terms}; }}")
+    want = evaluate(gpir, fresh_registry(), host_args=(5,))
+    assert want == 20 + sum(i % 7 for i in range(4998))
+    for threads in (1, 2):
+        assert execute(gpir, threads=threads, args=(5,)) == want
+
+
+def test_recursion_errors():
+    with pytest.raises(GpcError, match="entry function 'f' calls itself: move the recursion"):
+        compile_gpc("int f(int n) { return f(n); }")
+    with pytest.raises(GpcError, match="entry function 'main' calls itself"):
+        compile_gpc("int fib(int n) { return n; }\nint GPRM::main() { return main(); }")
+    with pytest.raises(GpcError, match="mutual recursion is not supported: f -> g -> f"):
+        compile_gpc("int f(int x) { return g(x); }\nint g(int x) { return f(x); }\n"
+                    "int GPRM::h() { return f(1); }")
+
+
+def _nested(parens=0, calls=0, ifs=0):
+    e = "(" * parens + "t.m(" * calls + "1" + ")" * (calls + parens)
+    body = f"return {e};"
+    for _ in range(ifs):
+        body = f"if (1) {{ {body} }} else {{ return 0; }}"
+    return f"T t;\nint GPRM::f() {{\n{body}\n}}"
+
+
+@pytest.mark.parametrize("shape", [dict(parens=1), dict(calls=1), dict(ifs=1),
+                                   dict(parens=40, calls=30, ifs=30)])
+def test_nesting_bound(shape):
+    scale = {k: v * MAX_NESTING // sum(shape.values()) for k, v in shape.items()}
+    compile_gpc(_nested(**scale))
+    scale[next(iter(scale))] += 1
+    with pytest.raises(GpcError, match=f"nesting deeper than {MAX_NESTING} at line 3"):
+        compile_gpc(_nested(**scale))
+    scale[next(iter(scale))] += 10 * MAX_NESTING
+    with pytest.raises(GpcError, match="nesting deeper"):
+        compile_gpc(_nested(**scale))
+
+
+# ── the generated GPIR, byte for byte ────────────────────────────────
+
+
+def _random_program(rng):
+    """A .gpc program that compiles: helpers (some self-recursive), an entry,
+    definitions read once or more, bare statements and nested `if`."""
+    count = itertools.count()
+
+    def expr(names, helpers, read, depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            if names and r < 0.2:
+                name = rng.choice(names)
+                read.add(name)
+                return name
+            return "NUM_THREADS" if r > 0.29 else str(rng.randrange(9))
+        if r < 0.6:
+            return (f"({expr(names, helpers, read, depth - 1)} {rng.choice('+-*')} "
+                    f"{expr(names, helpers, read, depth - 1)})")
+        if r < 0.7 and helpers:
+            name, arity = rng.choice(helpers)
+        else:
+            name, arity = f"t.m{rng.randrange(3)}", rng.randrange(1, 3)
+        return f"{name}({', '.join(expr(names, helpers, read, depth - 1) for _ in range(arity))})"
+
+    def block(names, helpers, depth):
+        lines, read, fresh = [], set(), []
+        for _ in range(rng.randrange(4)):
+            name = f"v{next(count)}"
+            lines.append(f"int {name} = {expr(names + fresh, helpers, read, 2)};")
+            fresh.append(name)
+        for _ in range(rng.randrange(2)):
+            lines.append(f"t.m0({expr(names + fresh, helpers, read, 2)});")
+        unread = " + ".join(n for n in fresh if n not in read) or "0"
+        if depth > 0 and rng.random() < 0.4:
+            then = block(names + fresh, helpers, depth - 1)
+            if rng.random() < 0.2:  # a constant read once, as a whole branch
+                const = f"v{next(count)}"
+                lines.append(f"int {const} = {rng.randrange(9)};")
+                then = f"return {const};"
+            other = block(names + fresh, helpers, depth - 1)
+            lines.append(f"if ({unread} < {expr(names + fresh, helpers, read, 1)}) "
+                         f"{{ {then} }} else {{ {other} }}")
+        elif unread == "0" and names + fresh and rng.random() < 0.5:
+            lines.append(f"return {rng.choice(names + fresh)};")
+        else:
+            lines.append(f"return {unread} + {expr(names + fresh, helpers, read, 2)};")
+        return " ".join(lines)
+
+    helpers, funcs = [], ["T t;"]
+    for i in range(rng.randrange(3)):
+        name, params = f"h{i}", [f"a{i}", f"b{i}"][:rng.randrange(1, 3)]
+        own = helpers + [(name, len(params))] * (rng.random() < 0.5)
+        body = block(params, own, 2)
+        funcs.append(f"int {name}({', '.join('int ' + p for p in params)}) {{ {body} }}")
+        helpers.append((name, len(params)))
+    funcs.append(f"int GPRM::main(int x, int* p) {{ {block(['x', 'p'], helpers, 3)} }}")
+    return "\n".join(funcs)
+
+
+def test_generated_programs_match_the_recorded_gpir():
+    # SHA-256 of the GPIR texts, recorded with the quadratic, recursive
+    # generator this one replaced
+    rng = random.Random(9)
+    texts = [compile_gpc(_random_program(rng), num_threads=4) for _ in range(300)]
+    assert sum("''" in t for t in texts) > 0  # inlined constants as whole branches
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "26e16a94cbdad78ac09451fb1f83194a1646e5a913786ab99f161336315a0dda"
