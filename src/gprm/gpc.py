@@ -313,7 +313,11 @@ def _var_uses(stmts):
 class _Compiler:
     def __init__(self, decls, funcs, num_threads):
         self.decls = decls
-        self.funcs = {f["name"]: f for f in funcs}
+        self.funcs = {}
+        for f in funcs:
+            if f["name"] in self.funcs:
+                raise GpcError(f"duplicate definition of function '{f['name']}'")
+            self.funcs[f["name"]] = f
         self.num_threads = num_threads
         self.recursive = {n for n, f in self.funcs.items() if n in f["calls"]}
         graph = {n: [c for c in f["calls"] if c in self.funcs and c != n]

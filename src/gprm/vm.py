@@ -14,7 +14,8 @@ variable positions marked, so a beta fills one block of consecutive arena
 addresses in one flat loop.
 
 Kernel dispatch follows the paper's split between communication code and
-task code.  The engine's own services (`builtin` and `ctrl`) and control
+task code.  A machine resolves each operation word to its kernel once, on
+the operation's first call.  The engine's own services (`builtin` and `ctrl`) and control
 methods are O(1) bookkeeping and run inline on the loop.  Every other
 (task) kernel call is handed, with its arguments already unwrapped, to one
 of the machine's `min(threads, tile_count)` kernel threads: tile t's go to
@@ -69,6 +70,9 @@ from typing import NamedTuple
 
 from . import words as W
 from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, is_list, materialize
+from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, KIND_BUILTIN, KIND_CONST, KIND_ERROR,
+                    KIND_OPER, KIND_SHIFT, PAYLOAD_MASK, QUOTE_SHIFT, SIGN_BIT_48,
+                    TILE_MASK, TILE_SHIFT)
 
 RUNTIME_BASE = 1 << 31
 RUNTIME_STRIDE = 1 << 20
@@ -81,6 +85,8 @@ _KIND_NAMES = {REQ: "REQ", RES: "RES"}
 
 # services whose non-control methods run inline on the loop
 _ENGINE_SERVICES = frozenset((BUILTIN_SERVICE, "ctrl"))
+_CONST_WORD = KIND_CONST << KIND_SHIFT
+_new_packet = tuple.__new__  # a Packet without the NamedTuple's Python-level __new__
 
 REQUESTED = 0
 PRESENT = 1
@@ -216,6 +222,8 @@ class Tile:
     def __init__(self, machine, tile_id):
         self.machine = machine
         self.tile_id = tile_id
+        self.code = machine.code
+        self.send = machine.send
         self.subtask_list = []
         self.subtask_stack = []  # free addresses, reused LIFO
         self.arena = {}
@@ -244,59 +252,50 @@ class Tile:
     # ── packet handlers ──────────────────────────────────────
 
     def handle(self, pkt):
-        if pkt.kind == REQ:
-            self.on_request(pkt)
-        elif pkt.kind == RES:
-            self.on_result(pkt)
-        else:
-            self.on_done(pkt)
+        """Handle one packet; the loop indexes the same table by pkt.kind."""
+        (self.on_request, self.on_result, self.on_done)[pkt.kind](pkt)
 
     def on_request(self, pkt):
         ref = pkt.payload[0]
+        a = ref & ADDR_MASK
         try:
-            code = self.machine.code_words(W.ref_addr(ref))
+            code = self.code[a] if a < RUNTIME_BASE else self.machine.code_words(a)
         except KeyError:
-            self.machine.set_fatal(ProtocolError(
-                f"reference to unknown code address {W.ref_addr(ref)}"))
+            self.machine.set_fatal(ProtocolError(f"reference to unknown code address {a}"))
             return
         addr = self.alloc_record()
         rec = self.subtask_list[addr]
         rec.live = True
         rec.err = None
         rec.self_ref = ref
-        rec.caller = (pkt.caller_tile, pkt.caller_addr, pkt.caller_arg)
+        rec.caller = pkt[3:6]  # (caller_tile, caller_addr, caller_arg)
         rec.op_word = code[0]
-        nargs = len(code) - 1
-        rec.slots = [0] * nargs
-        rec.status = [PRESENT] * nargs
+        rec.slots = slots = list(code[1:])  # a requested slot is overwritten by its result
+        rec.status = status = [PRESENT] * len(slots)
         pending = 0
-        for i in range(nargs):
-            w = code[i + 1]
-            if W.kind_of(w) == W.KIND_REF and not W.is_quoted(w):
-                rec.status[i] = REQUESTED
+        tid = self.tile_id
+        for i, w in enumerate(slots):
+            if w >> QUOTE_SHIFT == 0:  # an unquoted reference
+                status[i] = REQUESTED
                 pending += 1
-                self.machine.send(REQ, self.tile_id, W.ref_tile(w),
-                                  (self.tile_id, addr, i), (w,))
-            else:
-                rec.slots[i] = w
+                self.send(REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, (tid, addr, i), (w,))
         rec.pending = pending
         if not pending:
             self.finish(addr, rec)
 
     def on_result(self, pkt):
-        addr = pkt.caller_addr
+        addr, arg = pkt.caller_addr, pkt.caller_arg
         rec = self.subtask_list[addr] if addr < len(self.subtask_list) else None
-        if rec is None or not rec.live or pkt.caller_arg >= len(rec.status) \
-                or rec.status[pkt.caller_arg] != REQUESTED:
+        if rec is None or not rec.live or arg >= len(rec.status) \
+                or rec.status[arg] != REQUESTED:
             self.machine.set_fatal(ProtocolError(
-                f"result for freed or unexpected record t{self.tile_id}/{addr} "
-                f"arg {pkt.caller_arg}"))
+                f"result for freed or unexpected record t{self.tile_id}/{addr} arg {arg}"))
             return
         w = pkt.payload[0]
-        rec.slots[pkt.caller_arg] = w
-        rec.status[pkt.caller_arg] = PRESENT
+        rec.slots[arg] = w
+        rec.status[arg] = PRESENT
         rec.pending -= 1
-        if W.kind_of(w) == W.KIND_ERROR and rec.err is None:
+        if w >> KIND_SHIFT == KIND_ERROR and rec.err is None:
             rec.err = w
         if rec.pending == 0:
             self.finish(addr, rec)
@@ -320,9 +319,12 @@ class Tile:
             self.reply_error_word(rec, rec.err)
             self.free_record(addr, rec)
             return
-        k = W.kind_of(rec.op_word)
-        if k == W.KIND_BUILTIN:
-            form = W.builtin_form(rec.op_word)
+        k = rec.op_word >> KIND_SHIFT
+        if k == KIND_OPER:
+            self.invoke_kernel(addr, rec)
+            return  # invoke_kernel frees
+        if k == KIND_BUILTIN:
+            form = rec.op_word & PAYLOAD_MASK
             if form == W.FORM_CODE_LAMBDA:
                 self.reply(rec, W.set_quote(W.clear_quote(rec.self_ref)))
             elif form == W.FORM_CODE_IF:
@@ -331,23 +333,19 @@ class Tile:
                 self.beta_reduce(rec)
             else:
                 self.reply_error(rec, f"unknown special form code {form}")
-        elif k == W.KIND_OPER:
-            self.invoke_kernel(addr, rec)
-            return  # invoke_kernel frees
         else:
             self.reply_error(rec, "entry does not start with an operation")
         self.free_record(addr, rec)
 
     def reply(self, rec, word):
-        self.machine.send(RES, self.tile_id, rec.caller[0],
-                          rec.caller, (word,))
+        self.send(RES, self.tile_id, rec.caller[0], rec.caller, (word,))
 
     def reply_error(self, rec, message):
         info = ErrorInfo(message, (self.op_name(rec.op_word),))
         self.reply(rec, W.mk_error(self.machine.wrap_handle(info)))
 
     def reply_error_word(self, rec, err_word):
-        info = self.machine.handle_object(W.handle_index(err_word))
+        info = self.machine.error_info(err_word)
         chained = ErrorInfo(info.message, info.frames + (self.op_name(rec.op_word),))
         self.reply(rec, W.mk_error(self.machine.wrap_handle(chained)))
 
@@ -449,35 +447,50 @@ class Tile:
     # ── kernel dispatch ──────────────────────────────────────
 
     def invoke_kernel(self, addr, rec):
+        """The one dispatch path: a task kernel goes, its arguments unwrapped,
+        to the kernel thread; any other method is called here, with the
+        arity check of `KernelRegistry.invoke`."""
         machine = self.machine
-        sid, mid = W.oper_ids(rec.op_word)
-        try:
-            service, spec = machine.registry.spec(sid, mid)
-        except KernelError:
-            machine.set_fatal(ProtocolError(f"undispatchable operation id {sid}.{mid}"))
-            self.free_record(addr, rec)
-            return
+        op = machine.ops.get(rec.op_word)
+        if op is None:  # the first call on this machine resolves it, once
+            sid, mid = W.oper_ids(rec.op_word)
+            try:
+                service, spec = machine.registry.spec(sid, mid)
+            except KernelError:
+                machine.set_fatal(ProtocolError(f"undispatchable operation id {sid}.{mid}"))
+                self.free_record(addr, rec)
+                return
+            task = not spec.control and service.name not in _ENGINE_SERVICES
+            op = machine.ops[rec.op_word] = service, spec, task
+        service, spec, task = op
+        ctx = self.ctx
         error = None
         try:
             if spec.control:
-                self.ctx._rec = rec
-                value = machine.registry.invoke(service, mid, self.ctx, rec.slots)
+                ctx._rec = rec
+                args = list(rec.slots)
             else:
-                args = [self.unwrap(w, spec) for w in rec.slots]
-                if sid and service.name not in _ENGINE_SERVICES:  # sid 0 is builtin
-                    self.kernel_thread.submit((self, addr, service, mid, args))
+                args = [((w & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48
+                        if w >> KIND_SHIFT == KIND_CONST else self.unwrap(w, spec)
+                        for w in rec.slots]
+                if task:
+                    self.kernel_thread.submit((self, addr, service, spec.method_id, args))
                     return  # on_done concludes it
-                value = machine.registry.invoke(service, mid, self.ctx, args)
+            if spec.arity is not None and len(args) != spec.arity:
+                raise machine.registry.arity_error(service, spec, len(args))
+            value = spec.fn(ctx, args) if spec.control else spec.fn(ctx, *args)
         except Exception as e:
             value, error = None, kernel_failure(e)
         finally:
-            self.ctx._rec = None
+            ctx._rec = None
         self.conclude(addr, rec, value, error)
 
     def conclude(self, addr, rec, value, error):
         """Reply with a kernel's value or error, then free its record."""
         if error is not None:
             self.reply_error(rec, error)
+        elif type(value) is int and CONST_MIN <= value <= CONST_MAX:
+            self.reply(rec, _CONST_WORD | (value & PAYLOAD_MASK))
         elif value is not NO_RESULT:
             try:
                 self.reply(rec, self.machine.wrap_value(value))
@@ -486,10 +499,9 @@ class Tile:
         self.free_record(addr, rec)
 
     def unwrap(self, w, spec):
-        """Evaluated word -> kernel value; only control methods may see code."""
+        """Evaluated non-constant word -> kernel value; only control methods
+        may see code."""
         k = W.kind_of(w)
-        if k == W.KIND_CONST:
-            return W.const_value(w)
         if k == W.KIND_HANDLE:
             return self.machine.handle_object(W.handle_index(w))
         if k == W.KIND_REF:
@@ -573,6 +585,9 @@ class Machine:
                               f"image's {image.tile_count}")
         self.image = image
         self.registry = registry
+        # operation word -> (service, spec, task), resolved on first use;
+        # task is true for a kernel that runs on a kernel thread
+        self.ops = {}
         self.fuzz_seed = fuzz_seed
         self.tile_count = image.tile_count
         self.gateway_tile = image.tile_count
@@ -621,6 +636,14 @@ class Machine:
     def handle_object(self, idx):
         return self._handles[idx]
 
+    def error_info(self, w):
+        """The ErrorInfo an error word names; ProtocolError if it names none."""
+        i = W.handle_index(w)
+        info = self._handles[i] if i < len(self._handles) else None
+        if not isinstance(info, ErrorInfo):
+            raise ProtocolError(f"error word {W.word_str(w)} names no error record")
+        return info
+
     def shared_state(self, name):
         with self._shared_lock:
             return self._shared.setdefault(name, {})
@@ -650,7 +673,7 @@ class Machine:
         if k == W.KIND_REF:
             return LAMBDA_VALUE
         if k == W.KIND_ERROR:
-            info = self.handle_object(W.handle_index(w))
+            info = self.error_info(w)
             raise TaskError(info.message, info.frames)
         raise VmError(f"cannot decode word kind {k}")
 
@@ -714,7 +737,7 @@ class Machine:
 
     def send(self, kind, src, dst, caller, payload):
         """Send a packet from a handler on the loop."""
-        pkt = Packet(kind, src, dst, caller[0], caller[1], caller[2], payload)
+        pkt = _new_packet(Packet, (kind, src, dst, *caller, payload))
         if self._trace is not None:
             self._trace.append(pkt)
         if dst == self.gateway_tile:
@@ -737,7 +760,7 @@ class Machine:
 
     def _serve(self):
         """The reduction loop: handles every tile-bound packet in FIFO order."""
-        tiles = self.tiles
+        handlers = [(t.on_request, t.on_result, t.on_done) for t in self.tiles]
         work = self.work
         inbox = self.queue
         fuzz = self.fuzz_seed is not None
@@ -755,7 +778,7 @@ class Machine:
                 if self._fatal is None:
                     if fuzz and rng.random() < 0.25:
                         time.sleep(rng.random() * 1e-4)
-                    tiles[pkt.dst].handle(pkt)
+                    handlers[pkt.dst][pkt.kind](pkt)
                 elif pkt.kind == DONE:
                     self.kernel_jobs -= 1  # a poisoned machine still drains its jobs
             except Exception as e:  # engine invariant broken: poison the machine
@@ -795,7 +818,7 @@ class Machine:
             self._running.release()
         words = pkt.payload
         if words and W.kind_of(words[0]) == W.KIND_ERROR:
-            info = self.handle_object(W.handle_index(words[0]))
+            info = self.error_info(words[0])
             raise TaskError(info.message, info.frames)
         return words
 

@@ -18,6 +18,11 @@ payloads:
     Error      handle-table index of the error record
 
 The quoted bit is meaningful on Reference, ConstInt and Var words only.
+
+The constants below name the field positions, for code that decodes words
+inline with shifts and masks instead of a call per word: `w >> KIND_SHIFT`
+is the kind, `w >> QUOTE_SHIFT == 0` holds for an unquoted reference, and
+`(w >> TILE_SHIFT) & TILE_MASK` is a reference's tile.
 """
 
 KIND_REF = 0
@@ -32,70 +37,76 @@ FORM_CODE_LAMBDA = 1
 FORM_CODE_BETA = 2
 FORM_CODE_IF = 3
 
-_QUOTE_BIT = 1 << 59
-_PAYLOAD_MASK = (1 << 48) - 1
-_SIGN_BIT_48 = 1 << 47
+KIND_SHIFT = 60
+QUOTE_SHIFT = 59
+QUOTE_BIT = 1 << QUOTE_SHIFT
+PAYLOAD_MASK = (1 << 48) - 1
+SIGN_BIT_48 = 1 << 47  # a 48-bit payload p sign-extends as (p ^ SIGN_BIT_48) - SIGN_BIT_48
+TILE_SHIFT = 32
+TILE_MASK = 0xFFFF
+ADDR_MASK = 0xFFFFFFFF
+CONST_MIN = -(1 << 31)
+CONST_MAX = (1 << 31) - 1
 
 QUOTABLE_KINDS = (KIND_REF, KIND_CONST, KIND_VAR)
 
 
 def _pack(kind, payload, quoted=False):
-    word = (kind << 60) | (payload & _PAYLOAD_MASK)
+    word = (kind << KIND_SHIFT) | (payload & PAYLOAD_MASK)
     if quoted:
         if kind not in QUOTABLE_KINDS:
             raise ValueError(f"kind {kind} cannot carry a quote")
-        word |= _QUOTE_BIT
+        word |= QUOTE_BIT
     return word
 
 
 def kind_of(w):
-    return (w >> 60) & 0xF
+    return (w >> KIND_SHIFT) & 0xF
 
 
 def is_quoted(w):
-    return bool(w & _QUOTE_BIT)
+    return bool(w & QUOTE_BIT)
 
 
 def clear_quote(w):
-    return w & ~_QUOTE_BIT
+    return w & ~QUOTE_BIT
 
 
 def set_quote(w):
     if kind_of(w) not in QUOTABLE_KINDS:
         raise ValueError("word kind cannot carry a quote")
-    return w | _QUOTE_BIT
+    return w | QUOTE_BIT
 
 
 def mk_ref(addr, tile=0, quoted=False):
-    if not 0 <= addr < 1 << 32:
+    if not 0 <= addr <= ADDR_MASK:
         raise ValueError(f"code address out of range: {addr}")
-    if not 0 <= tile < 1 << 16:
+    if not 0 <= tile <= TILE_MASK:
         raise ValueError(f"tile id out of range: {tile}")
-    return _pack(KIND_REF, (tile << 32) | addr, quoted)
+    return _pack(KIND_REF, (tile << TILE_SHIFT) | addr, quoted)
 
 
 def ref_addr(w):
-    return w & 0xFFFFFFFF
+    return w & ADDR_MASK
 
 
 def ref_tile(w):
-    return (w >> 32) & 0xFFFF
+    return (w >> TILE_SHIFT) & TILE_MASK
 
 
 def ref_with_tile(w, tile):
     """Overwrite the tile field; used by the run-time scheduler restart."""
-    return (w & ~(0xFFFF << 32)) | ((tile & 0xFFFF) << 32)
+    return (w & ~(TILE_MASK << TILE_SHIFT)) | ((tile & TILE_MASK) << TILE_SHIFT)
 
 
 def mk_const(value, quoted=False):
-    if not -(1 << 31) <= value < 1 << 31:
+    if not CONST_MIN <= value <= CONST_MAX:
         raise ValueError(f"constant out of 32-bit range: {value}")
-    return _pack(KIND_CONST, value & _PAYLOAD_MASK, quoted)
+    return _pack(KIND_CONST, value & PAYLOAD_MASK, quoted)
 
 
 def const_value(w):
-    payload = w & _PAYLOAD_MASK
-    return payload - (1 << 48) if payload & _SIGN_BIT_48 else payload
+    return ((w & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48
 
 
 def mk_oper(service_id, method_id):
@@ -111,7 +122,7 @@ def mk_var(slot, quoted=False):
 
 
 def var_slot(w):
-    return w & _PAYLOAD_MASK
+    return w & PAYLOAD_MASK
 
 
 def mk_builtin(form_code):
@@ -119,7 +130,7 @@ def mk_builtin(form_code):
 
 
 def builtin_form(w):
-    return w & _PAYLOAD_MASK
+    return w & PAYLOAD_MASK
 
 
 def mk_handle(index):
@@ -127,7 +138,7 @@ def mk_handle(index):
 
 
 def handle_index(w):
-    return w & _PAYLOAD_MASK
+    return w & PAYLOAD_MASK
 
 
 def mk_error(index):

@@ -303,6 +303,15 @@ def test_recursion_errors():
                     "int GPRM::h() { return f(1); }")
 
 
+def test_duplicate_function_is_refused():
+    # a second definition used to replace the first without a word
+    with pytest.raises(GpcError, match="duplicate definition of function 'f'"):
+        compile_gpc("T t;\nint f(int x) { return t.a(x); }\nint f(int x) { return t.b(x); }\n"
+                    "int GPRM::main() { return f(1); }")
+    with pytest.raises(GpcError, match="duplicate definition of function 'main'"):
+        compile_gpc("int main() { return 1; }\nint GPRM::main() { return 2; }")
+
+
 def _nested(parens=0, calls=0, ifs=0):
     e = "(" * parens + "t.m(" * calls + "1" + ")" * (calls + parens)
     body = f"return {e};"

@@ -23,6 +23,7 @@ from gprm.vm import (
 )
 
 from conftest import execute, fresh_registry
+from test_compiler import FIB_GPC as FIB15_GPC
 
 
 def compile_for(text, tiles, registry):
@@ -935,3 +936,87 @@ def test_unknown_operation_id_in_an_error_chain_is_a_vm_error():
             m.run_value()
     assert not isinstance(ei.value, KernelError)
     assert isinstance(ei.value, TaskError) and ei.value.frames[-1] == "77.0"
+
+
+def _error_word_image(text, reg):
+    """The image of text with its constant 5 replaced by an error word whose
+    index names no error record."""
+    img = compile_for(text, 1, reg)
+    for a, ws in img.code.items():
+        img.code[a] = tuple(W.mk_error(7) if W.kind_of(w) == W.KIND_CONST
+                            and W.const_value(w) == 5 else w for w in ws)
+    return img
+
+
+@pytest.mark.parametrize("text", ["(beta (lambda 'x '5) '1)",
+                                  "(+ '1 (beta (lambda 'x '5) '1))"])
+def test_error_word_naming_no_error_record_is_a_protocol_error(text):
+    # the root's result (run), or an argument's (the error chain on the loop)
+    reg = fresh_registry()
+    with Machine(_error_word_image(text, reg), reg, 1) as m:
+        with pytest.raises(ProtocolError, match="err7 names no error record"):
+            m.run_value()
+    with Machine(compile_for("(+ '1 '2)", 1, reg), reg, 1) as m:
+        m.register_data([1])  # handle 0 is no error record either
+        for w in (W.mk_error(0), W.mk_error(7)):
+            with pytest.raises(ProtocolError, match="names no error record"):
+                m.decode_word(w)
+
+
+# ── the packet path ──────────────────────────────────────────────────
+
+
+def _plus_tree(depth, leaves):
+    if depth == 0:
+        return f"'{next(leaves)}"
+    return f"(+ {_plus_tree(depth - 1, leaves)} {_plus_tree(depth - 1, leaves)})"
+
+
+@pytest.mark.parametrize("name, packets, reqs", [("fib15", 22692, 12826),
+                                                 ("tree10", 2046, 1023)])
+def test_traced_packet_counts(name, packets, reqs):
+    # every packet the loop sends is traced: the per-packet path may get
+    # cheaper, but it sends the same packets
+    reg = fresh_registry()
+    text = compile_gpc(FIB15_GPC) if name == "fib15" else _plus_tree(10, iter(range(1024)))
+    with Machine(compile_for(text, 2, reg), reg, 2, trace=True) as m:
+        assert m.run_value() == (610 if name == "fib15" else 1023 * 1024 // 2)
+        trace = m.trace_packets()
+        m.check_conservation()
+    assert (len(trace), sum(p.kind == REQ for p in trace)) == (packets, reqs)
+
+
+def _with_root(text, op, nargs, reg):
+    """The image of text with its root entry replaced by op applied to nargs
+    constants: arity mismatches the compiler would refuse."""
+    img = compile_for(text, 1, reg)
+    sid, mid, _ = reg.resolve(op)
+    img.code[W.ref_addr(img.root)] = (W.mk_oper(sid, mid),) + (W.mk_const(1),) * nargs
+    return img
+
+
+def test_builtin_errors_keep_their_messages_and_frames():
+    reg = fresh_registry()
+    reg.register("k", [("two", 2, lambda c, a, b: a + b), ("big", 0, lambda c: 1 << 40)])
+    cases = [
+        ("(+ '1 (emptylist))", "+ expects integers, got EmptyList", ("+",)),
+        ("(+ '1 '(+ '2 '3))", "quoted reference passed to non-control method '+'", ("+",)),
+        ("(k.two '1 '(+ '2 '3))", "quoted reference passed to non-control method 'two'",
+         ("k.two",)),
+        ("(k.big)", "kernel returned out-of-range integer 1099511627776", ("k.big",)),
+        (_with_root("(+ '1 '2)", "+", 1, reg), "+ expects 2 arguments, got 1", ("+",)),
+        # operations the image has no symbol for name themselves by id
+        (_with_root("(+ '1 '2)", "k.two", 3, reg), "k.two expects 2 arguments, got 3",
+         ("3.0",)),
+        (_with_root("(+ '1 '2)", "ctrl.run", 3, reg), "ctrl.run expects 2 arguments, got 3",
+         ("1.2",)),
+        (_with_root("(+ '1 '2)", "ctrl.arg", 0, reg), "ctrl.arg expects 1 arguments, got 0",
+         ("1.0",)),
+    ]
+    for program, message, frames in cases:
+        img = compile_for(program, 1, reg) if isinstance(program, str) else program
+        with Machine(img, reg, 1) as m:
+            with pytest.raises(TaskError) as ei:
+                m.run_value()
+            m.check_conservation()
+        assert (ei.value.message, ei.value.frames) == (message, frames), program
