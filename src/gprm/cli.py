@@ -21,7 +21,7 @@ from . import lang
 from .bench import BenchConfig, CSV_COLUMNS, VerificationError, run_benchmark
 from .compiler import (
     CompileError,
-    compile_text,
+    compile_flat,
     flatten,
     read_image,
     used_operations,
@@ -74,9 +74,12 @@ def _stub_registry(op_names):
     return registry
 
 
-def _registry_for_text(text):
-    fp = flatten(lang.desugar(lang.parse(text)))
+def _registry_for_flat(fp):
     return _stub_registry(used_operations(fp))
+
+
+def _registry_for_text(text):
+    return _registry_for_flat(flatten(lang.desugar(lang.parse(text))))
 
 
 def _registry_for_image(image):
@@ -101,8 +104,8 @@ def cmd_compile(args):
         source = compile_gpc(source, num_threads=args.tiles)
         if args.dump:
             print(source)
-    registry = _registry_for_text(source)
-    image = compile_text(source, args.tiles, registry)
+    fp = flatten(lang.desugar(lang.parse(source)))
+    image = compile_flat(fp, args.tiles, _registry_for_flat(fp))
     if args.dump:
         from .compiler import decode, flat_lines
         for line in flat_lines(decode(image)):
@@ -135,8 +138,9 @@ def cmd_oracle(args):
         source = f.read()
     if args.input.endswith(".gpc"):
         source = compile_gpc(source, num_threads=_env_int("GPRM_THREADS", 4))
-    registry = _registry_for_text(source)
-    print(_fmt(oracle_evaluate(source, registry, host_args=tuple(args.arg))))
+    ast = lang.parse(source)
+    registry = _registry_for_flat(flatten(lang.desugar(ast)))
+    print(_fmt(oracle_evaluate(ast, registry, host_args=tuple(args.arg))))
     return EXIT_OK
 
 

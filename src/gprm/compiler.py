@@ -10,12 +10,15 @@ address space is reserved for code generated at run time by beta reduction.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
 from . import lang
 from . import words as W
 from .kernels import KernelRegistry
+from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, PAYLOAD_MASK, QUOTE_BIT,
+                    TILE_MASK, TILE_SHIFT, VAR_WORD)
 
 COMPILE_ADDR_LIMIT = 1 << 31
 
@@ -29,26 +32,26 @@ class CompileError(lang.GpirError):
 # ── Flat program ─────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True, slots=True)
+@lang.node_class
 class WConst:
     value: int
     quoted: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@lang.node_class
 class WVar:
     slot: int
     quoted: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@lang.node_class
 class WRef:
     addr: int
     tile: int = 0
     quoted: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@lang.node_class
 class FlatEntry:
     op: str
     args: tuple
@@ -93,68 +96,74 @@ def flatten(e):
     An entry gets its address when the walk reaches it and its FlatEntry
     once its last argument is done; the open entries are an explicit stack.
     """
+    SExpr, Quoted, ConstInt, Var = lang.SExpr, lang.Quoted, lang.ConstInt, lang.Var
     entries, labels, stack = {}, {}, []  # labels: name -> address
     bodies = None  # name -> label body, collected on the first label reached
     next_addr = next_slot = 0
-
-    def open_entry(e, scope):
-        nonlocal next_addr, next_slot
-        if next_addr >= COMPILE_ADDR_LIMIT:
-            raise CompileError("address space exhausted")
-        op = e.op.name
-        if op in lang.SUGAR_FORMS:
-            raise CompileError(f"flatten requires a desugared tree, found '{op}'")
-        out, items = [], e.args
-        if op == lang.FORM_LAMBDA:
-            scope = dict(scope)
-            for f in items[:-1]:
-                scope[f.inner.name] = next_slot
-                out.append(WVar(next_slot, quoted=True))
-                next_slot += 1
-            items = items[-1:]
-        stack.append([next_addr, op, out, scope, items, 0])
-        next_addr += 1
-        return next_addr - 1
-
-    def label_entry(name):
-        nonlocal bodies
-        addr = labels.get(name)
-        if addr is None:
-            if bodies is None:
-                bodies = lang.label_bodies(e)
-            body = bodies.get(name)
-            if type(body) is not lang.SExpr:
-                raise CompileError(f"label '{name}' body must be an S-expression")
-            addr = labels[name] = open_entry(body, {})
-        return addr
-
-    if isinstance(e, lang.Label):
-        root = label_entry(e.name)
-    elif isinstance(e, lang.SExpr):
-        root = open_entry(e, {})
-    else:
+    node, scope = e, {}  # the S-expression to open an entry for next, and its scope
+    if isinstance(e, lang.Label):  # the root is the label's entry
+        bodies = lang.label_bodies(e)
+        node = bodies[e.name]
+        if type(node) is not SExpr:
+            raise CompileError(f"label '{e.name}' body must be an S-expression")
+        labels[e.name] = 0
+    elif not isinstance(e, SExpr):
         raise CompileError("program must be an operation-rooted S-expression")
-    while stack:
-        frame = stack[-1]
+    while True:
+        if node is not None:  # open it: its entry takes the next address
+            if next_addr >= COMPILE_ADDR_LIMIT:
+                raise CompileError("address space exhausted")
+            op = node.op.name
+            if op in lang.SUGAR_FORMS:
+                raise CompileError(f"flatten requires a desugared tree, found '{op}'")
+            out, items = [], node.args
+            if op == lang.FORM_LAMBDA:
+                scope = dict(scope)
+                for f in items[:-1]:
+                    scope[f.inner.name] = next_slot
+                    out.append(WVar(next_slot, quoted=True))
+                    next_slot += 1
+                items = items[-1:]
+            frame = [next_addr, op, out, scope, items, 0]
+            stack.append(frame)
+            next_addr += 1
+            node = None
+        elif stack:
+            frame = stack[-1]
+        else:
+            break
         addr, op, out, scope, items, i = frame
-        while i < len(items):
+        n = len(items)
+        while i < n:
             a = items[i]
             i += 1
             quoted = False
-            while type(a) is lang.Quoted:
+            while type(a) is Quoted:
                 a, quoted = a.inner, True
             kind = type(a)
-            if kind is lang.ConstInt:
+            if kind is ConstInt:
                 out.append(WConst(a.value, quoted))
-            elif kind is lang.Var:
+            elif kind is SExpr:
+                out.append(WRef(next_addr, 0, quoted))
+                node = a
+                frame[5] = i  # descend; come back for argument i
+                break
+            elif kind is Var:
                 slot = scope.get(a.name)
                 if slot is None:
                     raise CompileError(f"unbound variable '{a.name}'")
                 out.append(WVar(slot, quoted))
-            elif kind is lang.SExpr or kind is lang.Label or kind is lang.LabelRef:
-                ref = open_entry(a, scope) if kind is lang.SExpr else label_entry(a.name)
+            elif kind is lang.Label or kind is lang.LabelRef:
+                ref = labels.get(a.name)
+                if ref is None:
+                    if bodies is None:
+                        bodies = lang.label_bodies(e)
+                    node, scope = bodies.get(a.name), {}
+                    if type(node) is not SExpr:
+                        raise CompileError(f"label '{a.name}' body must be an S-expression")
+                    ref = labels[a.name] = next_addr
                 out.append(WRef(ref, 0, quoted))
-                if stack[-1] is not frame:  # descend; come back for argument i
+                if node is not None:
                     frame[5] = i
                     break
             else:
@@ -162,7 +171,7 @@ def flatten(e):
         else:
             entries[addr] = FlatEntry(op, tuple(out))
             stack.pop()
-    return FlatProgram(entries, root)
+    return FlatProgram(entries, 0)
 
 
 # ── Tile assignment ──────────────────────────────────────────────────
@@ -176,28 +185,45 @@ def assign_tiles(fp, tile_count):
     Entries whose references do not move are kept as they are."""
     if tile_count < 1:
         raise CompileError("tile count must be >= 1")
+    entries = dict(fp.entries)
     tile_of = {fp.root: 0}
     stack = [fp.root]
-    while stack:
+    while stack:  # depth first; an entry is rewritten once its children are placed
         addr = stack.pop()
+        e = entries[addr]
+        args = e.args
+        refs = 0
+        for a in args:
+            if type(a) is WRef:
+                refs += 1
+        if not refs:
+            continue
         parent = tile_of[addr]
-        children = [a.addr for a in fp.entries[addr].args if type(a) is WRef]
-        fresh = []
-        for i, child in enumerate(children):
-            if child not in tile_of:
-                tile_of[child] = parent if len(children) == 1 else (parent + 1 + i) % tile_count
-                fresh.append(child)
-        stack.extend(reversed(fresh))  # the first child's subtree is placed first
-    entries = {}
-    for addr, e in fp.entries.items():
-        for a in e.args:
-            if type(a) is WRef and a.tile != tile_of.get(a.addr, 0):
-                e = FlatEntry(e.op, tuple(
-                    WRef(a.addr, tile_of.get(a.addr, 0), a.quoted)
-                    if type(a) is WRef and a.tile != tile_of.get(a.addr, 0) else a
-                    for a in e.args))
-                break
-        entries[addr] = e
+        base, i, j, out = len(stack), 0, 0, None  # i counts references, j arguments
+        for a in args:
+            if type(a) is WRef:
+                tile = tile_of.get(a.addr)
+                if tile is None:
+                    tile = parent if refs == 1 else (parent + 1 + i) % tile_count
+                    tile_of[a.addr] = tile
+                    stack.append(a.addr)
+                if tile != a.tile:
+                    if out is None:
+                        out = list(args)
+                    out[j] = WRef(a.addr, tile, a.quoted)
+                i += 1
+            j += 1
+        if len(stack) - base > 1:
+            stack[base:] = stack[base:][::-1]  # the first child's subtree is placed first
+        if out is not None:
+            entries[addr] = FlatEntry(e.op, tuple(out))
+    if len(tile_of) < len(entries):  # entries the root does not reach: unplaced targets on 0
+        for addr, e in entries.items():
+            if addr not in tile_of and any(type(a) is WRef and a.tile != tile_of.get(a.addr, 0)
+                                           for a in e.args):
+                entries[addr] = FlatEntry(e.op, tuple([
+                    WRef(a.addr, tile_of.get(a.addr, 0), a.quoted) if type(a) is WRef else a
+                    for a in e.args]))
     return FlatProgram(entries, fp.root)
 
 
@@ -215,13 +241,16 @@ class BytecodeImage:
 
 
 def encode(fp, tile_count, registry):
-    """FlatProgram -> BytecodeImage; names resolved against the registry snapshot."""
+    """FlatProgram -> BytecodeImage; names resolved against the registry snapshot.
+
+    Words are packed inline, with the layout constants of `words`."""
     if not fp.entries:
         raise CompileError("a program must have a root")
     symbols, code, op_words = {}, {}, {}
     arg_arity = 0
-    for addr in sorted(fp.entries):
-        e = fp.entries[addr]
+    entries = fp.entries
+    for addr in sorted(entries):
+        e = entries[addr]
         op_word = op_words.get(e.op)
         if op_word is None:
             if e.op in _FORM_CODES:
@@ -234,17 +263,32 @@ def encode(fp, tile_count, registry):
         ws = [op_word]
         for a in e.args:
             kind = type(a)
-            if kind is WConst:
-                ws.append(W.mk_const(a.value, a.quoted))
-            elif kind is WVar:
-                ws.append(W.mk_var(a.slot, a.quoted))
+            if kind is WRef:
+                tile, ref = a.tile, a.addr
+                if tile >= tile_count:
+                    raise CompileError(f"tile id {tile} out of range for {tile_count} tiles")
+                if not 0 <= ref <= ADDR_MASK:
+                    raise ValueError(f"code address out of range: {ref}")
+                if not 0 <= tile <= TILE_MASK:
+                    raise ValueError(f"tile id out of range: {tile}")
+                w = tile << TILE_SHIFT | ref
+            elif kind is WConst:
+                value = a.value
+                if not CONST_MIN <= value <= CONST_MAX:
+                    raise ValueError(f"constant out of 32-bit range: {value}")
+                w = CONST_WORD | value & PAYLOAD_MASK
             else:
-                if a.tile >= tile_count:
-                    raise CompileError(f"tile id {a.tile} out of range for {tile_count} tiles")
-                ws.append(W.mk_ref(a.addr, a.tile, a.quoted))
+                w = VAR_WORD | a.slot & PAYLOAD_MASK
+            ws.append(w | QUOTE_BIT if a.quoted else w)
+        if len(ws) > MAX_IMAGE_COUNT:
+            raise CompileError(f"entry r{addr} has {len(ws)} words; "
+                               f"an image entry holds at most {MAX_IMAGE_COUNT}")
         if e.op == "ctrl.arg" and e.args and isinstance(e.args[0], WConst):
             arg_arity = max(arg_arity, e.args[0].value + 1)
         code[addr] = tuple(ws)
+    for what, count in (("tiles", tile_count), ("host arguments", arg_arity)):
+        if count > MAX_IMAGE_COUNT:
+            raise CompileError(f"{count} {what}; an image holds at most {MAX_IMAGE_COUNT}")
     return BytecodeImage(VERSION, tile_count, symbols, code, W.mk_ref(fp.root, 0), arg_arity)
 
 
@@ -285,24 +329,40 @@ def decode(image):
 
 MAGIC = b"GPRM"
 VERSION = 1
+MAX_IMAGE_COUNT = 0xFFFF  # a u16: an entry's word count, the tile and host argument counts
+
+
+_HEADER = struct.Struct("<4sHHH")  # magic, version, tile count, symbol count
+_SYMBOL = struct.Struct("<HHH")  # service id, method id, name length; the name follows
+_COUNT = struct.Struct("<I")  # entry count
+_ENTRY = struct.Struct("<IH")  # address, word count; the words follow
+_TRAILER = struct.Struct("<QH")  # root word, host argument count
+
+
+@functools.lru_cache(maxsize=256)
+def _pack_entry(n):
+    """struct.pack for an entry of n words: address, word count, words."""
+    return struct.Struct(f"<IH{n}Q").pack
+
+
+@functools.lru_cache(maxsize=256)
+def _unpack_words(n):
+    """struct.unpack_from for n words."""
+    return struct.Struct(f"<{n}Q").unpack_from
 
 
 def image_to_bytes(image):
-    fmt = ["<4sHHH"]
-    vals = [MAGIC, image.version, image.tile_count, len(image.symbols)]
+    out = [_HEADER.pack(MAGIC, image.version, image.tile_count, len(image.symbols))]
     for (sid, mid), name in sorted(image.symbols.items()):
         raw = name.encode("utf-8")
-        fmt.append(f"HHH{len(raw)}s")
-        vals += (sid, mid, len(raw), raw)
-    fmt.append("I")
-    vals.append(len(image.code))
-    for addr in sorted(image.code):
-        ws = image.code[addr]
-        fmt.append(f"IH{len(ws)}Q")
-        vals += (addr, len(ws), *ws)
-    fmt.append("QH")
-    vals += (image.root, image.arg_arity)
-    return struct.Struct("".join(fmt)).pack(*vals)
+        out += (_SYMBOL.pack(sid, mid, len(raw)), raw)
+    out.append(_COUNT.pack(len(image.code)))
+    code = image.code
+    for addr in sorted(code):
+        ws = code[addr]
+        out.append(_pack_entry(len(ws))(addr, len(ws), *ws))
+    out.append(_TRAILER.pack(image.root, image.arg_arity))
+    return b"".join(out)
 
 
 def image_from_bytes(data):
@@ -310,42 +370,40 @@ def image_from_bytes(data):
         raise CompileError("not a bytecode image (bad magic)")
     try:
         return _parse_image(data)
-    except (struct.error, IndexError):
+    except struct.error:
         raise CompileError("truncated bytecode image") from None
 
 
 def _parse_image(data):
-    version, tile_count, nsyms = struct.unpack_from("<HHH", data, 4)
+    version, tile_count, nsyms = _HEADER.unpack_from(data)[1:]
     if version != VERSION:
         raise CompileError(f"unsupported image version {version}")
-    off, symbols = 10, {}
+    off, symbols = _HEADER.size, {}
     for _ in range(nsyms):
-        sid, mid, ln = struct.unpack_from("<HHH", data, off)
+        sid, mid, ln = _SYMBOL.unpack_from(data, off)
         try:
             symbols[(sid, mid)] = data[off + 6:off + 6 + ln].decode("utf-8")
         except UnicodeDecodeError:
             raise CompileError(f"symbol name of {sid}.{mid} is not UTF-8") from None
         off += 6 + ln
-    (nentries,) = struct.unpack_from("<I", data, off)
-    start = off = off + 4
-    sizes = []  # words per entry, read ahead so one struct call unpacks them all
+    (nentries,) = _COUNT.unpack_from(data, off)
+    off += 4
+    code = {}
     for _ in range(nentries):
-        sizes.append(data[off + 4] | data[off + 5] << 8)
-        off += 6 + 8 * sizes[-1]
-    if len(data) > off + 10:
-        raise CompileError(f"{len(data) - off - 10} trailing bytes after the bytecode image")
-    fmt = "<" + "".join([f"IH{n}Q" for n in sizes]) + "QH"
-    words = struct.Struct(fmt).unpack_from(data, start)  # struct's cache would keep fmt alive
-    code, i = {}, 0
-    for n in sizes:
-        code[words[i]] = words[i + 2:i + 2 + n]
-        i += 2 + n
-    return BytecodeImage(version, tile_count, symbols, code, words[-2], words[-1])
+        addr, n = _ENTRY.unpack_from(data, off)
+        code[addr] = _unpack_words(n)(data, off + 6)
+        off += 6 + 8 * n
+    extra = len(data) - off - _TRAILER.size
+    if extra > 0:
+        raise CompileError(f"{extra} trailing bytes after the bytecode image")
+    root, arg_arity = _TRAILER.unpack_from(data, off)
+    return BytecodeImage(version, tile_count, symbols, code, root, arg_arity)
 
 
 def write_image(image, path):
+    data = image_to_bytes(image)  # before the file exists, so a failure leaves none
     with open(path, "wb") as f:
-        f.write(image_to_bytes(image))
+        f.write(data)
 
 
 def read_image(path):
@@ -361,8 +419,11 @@ def compile_text(text, tile_count, registry=None):
 
     Deterministic: identical inputs give byte-identical images.
     """
+    return compile_flat(flatten(lang.desugar(lang.parse(text))), tile_count, registry)
+
+
+def compile_flat(fp, tile_count, registry=None):
+    """assign_tiles -> encode, the stages of compile_text after flatten."""
     if registry is None:
         registry = KernelRegistry()
-    ast = lang.parse(text)
-    fp = assign_tiles(flatten(lang.desugar(ast)), tile_count)
-    return encode(fp, tile_count, registry)
+    return encode(assign_tiles(fp, tile_count), tile_count, registry)

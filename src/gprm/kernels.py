@@ -299,23 +299,11 @@ def _ms_leaf(ctx, n, a):
 
 
 def _ms_stem(ctx, nl, nr, a):
-    import numpy as np
-
     node = _want_int(nl, "ms.stem") // 2
     lo, hi = tree_segment(node, len(a))
-    mid = (lo + hi) // 2
-    state, lock = ctx.shared("ms")
-    with lock:
-        scratch = state.get(id(a))
-        if scratch is None or len(scratch) != len(a):
-            scratch = np.empty_like(a)
-            state[id(a)] = scratch
-    # both runs are sorted; a stable sort of the concatenation is the merge
-    buf = scratch[lo:hi]
-    buf[: mid - lo] = a[lo:mid]
-    buf[mid - lo :] = a[mid:hi]
-    buf.sort(kind="stable")
-    a[lo:hi] = buf
+    # the two sorted runs sit side by side in a[lo:hi]: a stable sort there,
+    # which finds the two runs, is the merge
+    a[lo:hi].sort(kind="stable")
     return node
 
 

@@ -22,7 +22,7 @@ limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 INT32_MIN = -(2**31)
@@ -41,7 +41,7 @@ _ALIASES = {
     "&": FORM_BETA,
 }
 
-SUGAR_FORMS = ("return", "begin", "let", "assign")
+SUGAR_FORMS = frozenset(("return", "begin", "let", "assign"))
 
 
 class GpirError(Exception):
@@ -60,43 +60,68 @@ class GpirSyntaxError(GpirError):
 # ── AST ──────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True, slots=True)
+def node_class(cls):
+    """`@dataclass(frozen=True, slots=True)` with a cheaper `__init__`.
+
+    The frozen dataclass's `__init__` calls `object.__setattr__` once per
+    field; this one sets each field through its slot descriptor, at about
+    half the cost of building a node.  Assignment still raises
+    `FrozenInstanceError`, and `==`, `hash` and `repr` are the dataclass's.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env, params, body = {}, [], []
+    for i, f in enumerate(fields(cls)):
+        env[f"_set{i}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default{i}"] = f.default
+            params.append(f"{f.name}=_default{i}")
+        body.append(f"    _set{i}(self, {f.name})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@node_class
 class ConstInt:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Operation:
     """Head of an S-expression: a service.method literal or a special form."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Var:
     """Lambda-bound identifier occurrence."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Quoted:
     inner: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class SExpr:
     op: Operation
     args: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Label:
     name: str
     body: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class LabelRef:
     name: str
 
@@ -154,6 +179,20 @@ def _is_int(word):
     return word.isdecimal() or (word[0] == "-" and word[1:].isdecimal())
 
 
+#: ASCII whitespace that str.split() separates on and _TOKEN does not
+_SPLIT_ONLY_SPACE = re.compile("[\v\f\x1c-\x1f]")
+
+
+def _tokens(text):
+    """The tokens of text, comments dropped: _TOKEN's words and delimiters.
+    Where str.split() finds the same words, it is four times faster."""
+    if ";" in text:
+        return [t for t in _TOKEN.findall(text) if t[0] != ";"]
+    if not text.isascii() or _SPLIT_ONLY_SPACE.search(text):
+        return _TOKEN.findall(text)
+    return text.replace("(", " ( ").replace(")", " ) ").replace("'", " ' ").split()
+
+
 def _position(text, index):
     """(line, col) of token `index`; only an error pays for finding it."""
     at = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != ";"][index]
@@ -166,9 +205,7 @@ def parse(text):
     Raises GpirSyntaxError with line/column on malformed input, unbound
     variables, nested quotes and non-operation list heads.
     """
-    tokens = _TOKEN.findall(text)
-    if ";" in text:
-        tokens = [t for t in tokens if t[0] != ";"]
+    tokens = _tokens(text)
     if not tokens:
         raise GpirSyntaxError("empty program")
     ops, labels, refs = {}, {}, []  # one Operation per name; name -> Label; (name, token)
@@ -254,7 +291,9 @@ def parse(text):
             if rule and not rule[0] <= len(args) <= rule[1]:
                 raise error(rule[2], frame[3])
             head = ops.get(op) or ops.setdefault(op, Operation(op))
-            if op == FORM_LAMBDA:
+            if op not in _SPECIAL:
+                node = SExpr(head, tuple(args))
+            elif op == FORM_LAMBDA:
                 names, body = formals(args[:-1]), args[-1]
                 if isinstance(body, tuple):  # an atom, read now that all formals are known
                     body = atom(body[1], scope | set(names))
@@ -268,10 +307,8 @@ def parse(text):
             elif op == "let":
                 body = args[1] if isinstance(args[1], Quoted) else Quoted(args[1])
                 node = SExpr(head, (args[0], body))
-            elif op == "assign":
+            else:  # assign
                 node = SExpr(head, (Quoted(Var(args[0])), args[1]))
-            else:
-                node = SExpr(head, tuple(args))
             if frame[4]:
                 node = Quoted(node)
             frame = stack[-1]
@@ -307,7 +344,13 @@ def parse(text):
                 q = None
                 i += 2
                 continue
-            node = atom(i, inner)
+            if word.isdecimal() or word[0] == "-" and word[1:].isdecimal():
+                value = int(word)  # an integer literal, the commonest atom
+                if not INT32_MIN <= value <= INT32_MAX:
+                    raise error(f"integer literal out of 32-bit range: {word}", i)
+                node = ConstInt(value)
+            else:
+                node = atom(i, inner)
             args.append(node if q is None else Quoted(node))
             q = None
         i += 1
@@ -427,7 +470,25 @@ def _unsugar(e):
 def desugar(e):
     """Rewrite return/begin/let into the minimal form set; idempotent.
 
-    Sugar-free subtrees come back as the very same objects."""
+    Sugar-free subtrees come back as the very same objects, and a tree with
+    no sugar at all costs one walk."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is SExpr:
+            if node.op.name in SUGAR_FORMS:
+                return _desugar(e)
+            stack += node.args
+        elif kind is Quoted:
+            stack.append(node.inner)
+        elif kind is Label:
+            stack.append(node.body)
+    return e
+
+
+def _desugar(e):
+    """desugar's rewrite, for a tree known to hold sugar."""
     order, stack, rewritten = [], [e], {}  # order: parents first; id(sugar) -> rewrite
     while stack:
         node = stack.pop()
@@ -443,8 +504,6 @@ def desugar(e):
         else:
             continue
         order.append(node)
-    if not rewritten:
-        return e
     done = {}  # id(node) -> its desugared replacement, for every node that changes
     for node in reversed(order):
         new = rewritten.get(id(node), node)

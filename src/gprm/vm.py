@@ -70,8 +70,8 @@ from typing import NamedTuple
 
 from . import words as W
 from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, is_list, materialize
-from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, KIND_BUILTIN, KIND_CONST, KIND_ERROR,
-                    KIND_OPER, KIND_SHIFT, PAYLOAD_MASK, QUOTE_SHIFT, SIGN_BIT_48,
+from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_BUILTIN, KIND_CONST,
+                    KIND_ERROR, KIND_OPER, KIND_SHIFT, PAYLOAD_MASK, QUOTE_SHIFT, SIGN_BIT_48,
                     TILE_MASK, TILE_SHIFT)
 
 RUNTIME_BASE = 1 << 31
@@ -85,7 +85,6 @@ _KIND_NAMES = {REQ: "REQ", RES: "RES"}
 
 # services whose non-control methods run inline on the loop
 _ENGINE_SERVICES = frozenset((BUILTIN_SERVICE, "ctrl"))
-_CONST_WORD = KIND_CONST << KIND_SHIFT
 _new_packet = tuple.__new__  # a Packet without the NamedTuple's Python-level __new__
 
 REQUESTED = 0
@@ -479,6 +478,8 @@ class Tile:
             if spec.arity is not None and len(args) != spec.arity:
                 raise machine.registry.arity_error(service, spec, len(args))
             value = spec.fn(ctx, args) if spec.control else spec.fn(ctx, *args)
+        except ProtocolError:
+            raise  # a malformed word, not a kernel failure: the machine is poisoned
         except Exception as e:
             value, error = None, kernel_failure(e)
         finally:
@@ -490,7 +491,7 @@ class Tile:
         if error is not None:
             self.reply_error(rec, error)
         elif type(value) is int and CONST_MIN <= value <= CONST_MAX:
-            self.reply(rec, _CONST_WORD | (value & PAYLOAD_MASK))
+            self.reply(rec, CONST_WORD | (value & PAYLOAD_MASK))
         elif value is not NO_RESULT:
             try:
                 self.reply(rec, self.machine.wrap_value(value))
@@ -634,7 +635,10 @@ class Machine:
             return idx
 
     def handle_object(self, idx):
-        return self._handles[idx]
+        """The object a handle word's index names; ProtocolError if it names none."""
+        if idx < len(self._handles):
+            return self._handles[idx]
+        raise ProtocolError(f"handle word h{idx} names no handle")
 
     def error_info(self, w):
         """The ErrorInfo an error word names; ProtocolError if it names none."""

@@ -19,8 +19,8 @@ payloads:
 
 The quoted bit is meaningful on Reference, ConstInt and Var words only.
 
-The constants below name the field positions, for code that decodes words
-inline with shifts and masks instead of a call per word: `w >> KIND_SHIFT`
+The constants below name the field positions, for code that decodes or packs
+words inline with shifts and masks instead of a call per word: `w >> KIND_SHIFT`
 is the kind, `w >> QUOTE_SHIFT == 0` holds for an unquoted reference, and
 `(w >> TILE_SHIFT) & TILE_MASK` is a reference's tile.
 """
@@ -47,6 +47,8 @@ TILE_MASK = 0xFFFF
 ADDR_MASK = 0xFFFFFFFF
 CONST_MIN = -(1 << 31)
 CONST_MAX = (1 << 31) - 1
+CONST_WORD = KIND_CONST << KIND_SHIFT  # CONST_WORD | (v & PAYLOAD_MASK) is the constant v
+VAR_WORD = KIND_VAR << KIND_SHIFT  # VAR_WORD | slot is the variable word of slot
 
 QUOTABLE_KINDS = (KIND_REF, KIND_CONST, KIND_VAR)
 

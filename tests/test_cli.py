@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from gprm import lang
 from gprm.cli import EXIT_COMPILE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -144,3 +145,26 @@ def test_bench_mergesort_cli(tmp_path, capsys):
     with open(out) as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 3  # one row per thread count
+
+
+def test_compile_of_an_oversized_entry_exits_2_and_writes_nothing(tmp_path, capsys):
+    # an entry's word count is a u16 in the image
+    src = tmp_path / "wide.gpir"
+    src.write_text("(t1.m1" + " '1" * 70000 + ")\n")
+    img = tmp_path / "wide.gprm"
+    code, _, err = run_cli(capsys, "compile", str(src), "-o", str(img))
+    assert code == EXIT_COMPILE
+    assert "at most 65535" in err
+    assert not img.exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "oracle"])
+def test_cli_parses_each_source_once(tmp_path, capsys, monkeypatch, command):
+    src = tmp_path / "p.gpir"
+    src.write_text("(t1.m2 (t2.m3 '42) (+ '1 '2))\n")
+    calls = []
+    parse = lang.parse
+    monkeypatch.setattr(lang, "parse", lambda text: calls.append(text) or parse(text))
+    argv = [command, str(src)] + (["-o", str(tmp_path / "p.gprm")] if command == "compile" else [])
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert len(calls) == 1

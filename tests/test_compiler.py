@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,57 @@ def test_image_bytes_roundtrip(tmp_path):
     write_image(img, path)
     img2 = read_image(path)
     assert image_to_bytes(img2) == blob
+
+
+def test_encode_bounds_the_words_of_an_entry():
+    # an entry's word count is a u16 in the image: 65535 words fit
+    reg = stub_reg(t1=["m1"])
+    fp = flat_of("(t1.m1" + " '1" * 65534 + ")", tiles=1)
+    blob = image_to_bytes(encode(fp, 1, reg))
+    assert len(image_from_bytes(blob).code[0]) == 65535
+    fp = flat_of("(t1.m1" + " '1" * 65535 + ")", tiles=1)
+    with pytest.raises(CompileError,
+                       match="r0 has 65536 words; an image entry holds at most 65535"):
+        encode(fp, 1, reg)
+
+
+@pytest.mark.parametrize("text, tiles, message", [
+    ("(ctrl.arg '65535)", 1, "65536 host arguments; an image holds at most 65535"),
+    ("(+ '1 '2)", 65536, "65536 tiles; an image holds at most 65535"),
+])
+def test_encode_bounds_the_counts_of_an_image(text, tiles, message):
+    with pytest.raises(CompileError, match=message):
+        compile_text(text, tiles, fresh_registry())
+    assert compile_text(text.replace("65535", "65534"), min(tiles, 65535), fresh_registry())
+
+
+def test_write_image_that_cannot_be_serialized_leaves_no_file(tmp_path):
+    img = compile_text("(t3.m4)", 1, stub_reg(t3=["m4"]))
+    img.code[0] = img.code[0] + (1 << 64,)  # no u64
+    path = tmp_path / "x.gprm"
+    with pytest.raises(struct.error):
+        write_image(img, path)
+    assert not path.exists()
+
+
+def test_assign_tiles_rewrites_only_the_entries_whose_references_move():
+    e = {
+        0: FlatEntry("f", (WRef(1), WRef(2), WRef(1, 0, True))),
+        1: FlatEntry("f", (WRef(3), WConst(1))),
+        2: FlatEntry("f", ()),
+        3: FlatEntry("f", ()),
+        4: FlatEntry("f", (WRef(2), WRef(5, 3))),  # unreachable from the root
+        5: FlatEntry("f", ()),
+        6: FlatEntry("f", (WRef(5),)),  # unreachable, and nothing moves
+    }
+    out = assign_tiles(compiler.FlatProgram(dict(e), 0), 3).entries
+    assert out == {
+        **e,
+        0: FlatEntry("f", (WRef(1, 1), WRef(2, 2), WRef(1, 1, True))),
+        1: FlatEntry("f", (WRef(3, 1), WConst(1))),  # an only child shares its tile
+        4: FlatEntry("f", (WRef(2, 2), WRef(5, 0))),  # a target never placed: tile 0
+    }
+    assert all(out[a] is e[a] for a in (2, 3, 5, 6))
 
 
 def test_image_bad_bytes_rejected():

@@ -1,10 +1,11 @@
 """Parser, printer and desugarer."""
 
+import dataclasses
 import random
 
 import pytest
 
-from gprm import lang
+from gprm import compiler, lang
 from gprm.lang import (
     ConstInt,
     GpirSyntaxError,
@@ -297,3 +298,53 @@ def test_mutated_programs_parse_or_raise_gpir_error():
         else:
             outcomes["ok"] += 1
     assert outcomes["ok"] > 0 and outcomes["error"] > 0
+
+
+@pytest.mark.parametrize("text", [
+    "(t1.m2 (t2.m3 '42) (t3.m4))",
+    "(+ '1\t'-2)\r\n",
+    "(+ '1 '2) ; a comment\n",
+    "(t1.m1\f'1)",  # a form feed is part of a word, as _TOKEN reads it
+    "(t1.m1\x1c'1\x0b)",
+    "(t1.m1\xa0'1)",
+    "(λ 'x 'x)",
+])
+def test_tokens_are_the_token_pattern_words(text):
+    assert lang._tokens(text) == [t for t in lang._TOKEN.findall(text) if t[0] != ";"]
+
+
+def test_tokens_of_generated_programs():
+    gen = ProgramGen(random.Random(11))
+    for _ in range(50):
+        text = gen.program(depth=5)
+        assert lang._tokens(text) == lang._TOKEN.findall(text)
+
+
+_PLUS = Operation("+")
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: ConstInt(7), "ConstInt(value=7)"),
+    (lambda: Operation("+"), "Operation(name='+')"),
+    (lambda: Var("x"), "Var(name='x')"),
+    (lambda: Quoted(ConstInt(7)), "Quoted(inner=ConstInt(value=7))"),
+    (lambda: SExpr(_PLUS, (ConstInt(1),)),
+     "SExpr(op=Operation(name='+'), args=(ConstInt(value=1),))"),
+    (lambda: Label("F", LabelRef("G")), "Label(name='F', body=LabelRef(name='G'))"),
+    (lambda: LabelRef("F"), "LabelRef(name='F')"),
+    (lambda: compiler.WConst(7), "WConst(value=7, quoted=False)"),
+    (lambda: compiler.WVar(slot=3, quoted=True), "WVar(slot=3, quoted=True)"),
+    (lambda: compiler.WRef(4, 1, True), "WRef(addr=4, tile=1, quoted=True)"),
+    (lambda: compiler.FlatEntry("+", (compiler.WRef(2),)),
+     "FlatEntry(op='+', args=(WRef(addr=2, tile=0, quoted=False),))"),
+])
+def test_node_contract(make, text):
+    # immutable, compared and hashed by value, printed in dataclass form
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == text
+    for f in dataclasses.fields(a):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, f.name, getattr(b, f.name))
+    assert not hasattr(a, "__dict__")
+    assert a != compiler.WConst(-1) and a != (text,)

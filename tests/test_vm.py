@@ -1020,3 +1020,22 @@ def test_builtin_errors_keep_their_messages_and_frames():
                 m.run_value()
             m.check_conservation()
         assert (ei.value.message, ei.value.frames) == (message, frames), program
+
+
+def _handle_word_image(text, reg):
+    """The image of text with its constant 5 replaced by a handle word whose
+    index names no handle."""
+    img = compile_for(text, 1, reg)
+    for a, ws in img.code.items():
+        img.code[a] = tuple(W.mk_handle(99) if W.kind_of(w) == W.KIND_CONST
+                            and W.const_value(w) == 5 else w for w in ws)
+    return img
+
+
+@pytest.mark.parametrize("text", ["(if '1 '5 '0)", "(+ '5 '1)"])
+def test_handle_word_naming_no_handle_is_a_protocol_error(text):
+    # the root's result (decode_word), or a kernel's argument (unwrap)
+    reg = fresh_registry()
+    with Machine(_handle_word_image(text, reg), reg, 1) as m:
+        with pytest.raises(ProtocolError, match="h99 names no handle"):
+            m.run_value()
