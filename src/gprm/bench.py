@@ -112,71 +112,64 @@ def _verify_sorted(a, want_checksum):
         raise VerificationError("output is not a permutation of the input")
 
 
+def _timed_rows(cfg, gpir, reset, verify, model=None):
+    """One CSV row per thread count, with the median time of cfg.reps runs.
+
+    For each thread count the program `gpir(p)` is compiled once; each rep
+    then resets the data (`reset()` returns it), boots a machine, times one
+    run and verifies it with `verify(data, p, value)`.  `model(medians, p0)`
+    returns a {threads: model seconds} map, or None leaves the column empty."""
+    medians = {}
+    for p in cfg.threads:
+        registry = standard_registry()
+        image = compile_text(gpir(p), p, registry)
+        times = []
+        for _ in range(cfg.reps):
+            data = reset()
+            with Machine(image, registry, p) as m:
+                m.register_data(data)
+                t0 = time.perf_counter()
+                value = m.run_value(timeout=3600.0)
+                times.append(time.perf_counter() - t0)
+            verify(data, p, value)
+        medians[p] = statistics.median(times)
+    p0 = 1 if 1 in medians else min(medians)
+    modelled = model(medians, p0) if model else {}
+    return [{
+        "benchmark": cfg.benchmark,
+        "n": cfg.size,
+        "threads": p,
+        "rep": cfg.reps,
+        "seconds": medians[p],
+        "speedup": medians[p0] / medians[p],
+        "model_seconds": modelled.get(p, ""),
+    } for p in cfg.threads]
+
+
 def run_mergesort(cfg):
     """Returns CSV rows: one aggregated row per thread count (median time)."""
     rng = np.random.default_rng(cfg.seed)
     base = rng.integers(-(2**31), 2**31, size=cfg.size, dtype=np.int32)
     want = _checksum(np.sort(base))
-    medians = {}
-    rows = []
-    for p in cfg.threads:
-        registry = standard_registry()
-        image = compile_text(mergesort_gpir(p), p, registry)
-        times = []
-        for _ in range(cfg.reps):
-            arr = base.copy()
-            with Machine(image, registry, p) as m:
-                m.register_data(arr)
-                t0 = time.perf_counter()
-                m.run(timeout=3600.0)
-                times.append(time.perf_counter() - t0)
-            _verify_sorted(arr, want)
-        medians[p] = statistics.median(times)
-    p0 = 1 if 1 in medians else min(medians)
-    k = fit_k(medians[p0], cfg.size, p0)
-    for p in cfg.threads:
-        rows.append({
-            "benchmark": "mergesort",
-            "n": cfg.size,
-            "threads": p,
-            "rep": cfg.reps,
-            "seconds": medians[p],
-            "speedup": medians[p0] / medians[p],
-            "model_seconds": model_seconds(k, cfg.size, p),
-        })
-    return rows
+
+    def model(medians, p0):
+        k = fit_k(medians[p0], cfg.size, p0)
+        return {p: model_seconds(k, cfg.size, p) for p in cfg.threads}
+
+    return _timed_rows(cfg, mergesort_gpir, base.copy,
+                       lambda arr, p, value: _verify_sorted(arr, want), model)
 
 
 def run_listchase(cfg):
-    m_work, x_work = cfg.work
-    data = ChaseList(cfg.size, m_work, x_work)
-    medians = {}
-    rows = []
-    for p in cfg.threads:
-        registry = standard_registry()
-        image = compile_text(listchase_gpir(p, cfg.strategy), p, registry)
-        times = []
-        for _ in range(cfg.reps):
-            data.reset()
-            with Machine(image, registry, p) as m:
-                m.register_data(data)
-                t0 = time.perf_counter()
-                total = m.run_value(timeout=3600.0)
-                times.append(time.perf_counter() - t0)
-            verify_chase(data, p, total, strided=cfg.strategy == "strided")
-        medians[p] = statistics.median(times)
-    p0 = 1 if 1 in medians else min(medians)
-    for p in cfg.threads:
-        rows.append({
-            "benchmark": "listchase",
-            "n": cfg.size,
-            "threads": p,
-            "rep": cfg.reps,
-            "seconds": medians[p],
-            "speedup": medians[p0] / medians[p],
-            "model_seconds": "",
-        })
-    return rows
+    data = ChaseList(cfg.size, *cfg.work)
+
+    def reset():
+        data.reset()
+        return data
+
+    return _timed_rows(cfg, lambda p: listchase_gpir(p, cfg.strategy), reset,
+                       lambda d, p, total: verify_chase(d, p, total,
+                                                        strided=cfg.strategy == "strided"))
 
 
 def verify_chase(data, threads, total, strided=True):

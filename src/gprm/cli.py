@@ -35,7 +35,7 @@ from .kernels import (
     standard_registry,
 )
 from .oracle import OracleError, evaluate as oracle_evaluate
-from .vm import LambdaValue, Machine, TaskError, VmError
+from .vm import Machine, TaskError, VmError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,8 +87,6 @@ def _registry_for_image(image):
 
 
 def _fmt(v):
-    if isinstance(v, LambdaValue):
-        return "<lambda>"
     if isinstance(v, np.ndarray):
         return f"<int array[{len(v)}]>"
     return repr(v) if isinstance(v, list) else str(v)

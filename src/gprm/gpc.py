@@ -26,8 +26,10 @@ once, and a single-use variable's generated expression is substituted where
 it is read as that reader is generated.  Expressions are generated with an
 explicit stack, so an operator chain has no length limit; the parser and the
 block generator recurse only through parentheses, call-argument lists and
-`if` blocks, whose combined nesting MAX_NESTING (100) bounds.  Every refusal
-is a GpcError.
+`if` blocks, whose combined nesting MAX_NESTING (100) bounds.  A helper's
+body is generated inside its caller's, so a chain of a few hundred helpers,
+each calling the next, exhausts the stack and is refused.  Every refusal is
+a GpcError.
 """
 
 from __future__ import annotations
@@ -492,5 +494,11 @@ def compile_gpc(source, num_threads=None):
     last function defined); `num_threads` substitutes the NUM_THREADS
     constant when the source refers to it."""
     decls, funcs = _Parser(_lex(source)).program()
-    ast = _Compiler(decls, funcs, num_threads).compile()
+    try:
+        ast = _Compiler(decls, funcs, num_threads).compile()
+    except RecursionError:
+        # a helper's body is generated inside its caller's, so a long chain
+        # of helpers, each calling the next, recurses once per link
+        raise GpcError("helper calls nest too deeply: a chain of functions, "
+                       "each calling the next, is too long to generate") from None
     return lang.to_text(ast)

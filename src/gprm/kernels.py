@@ -129,17 +129,10 @@ class KernelRegistry:
                            f"{spec.arity} arguments, got {nargs}")
 
     def invoke(self, service, method_id, ctx, args):
-        """Wrapper dispatch: arity check, run, return the kernel's value."""
-        spec = service.methods.get(method_id)
-        if spec is None:
-            raise UnknownServiceError(
-                f"unknown method id {method_id} on service '{service.name}'"
-            )
+        """Call a non-control method with its arity checked; returns its value."""
+        spec = service.methods[method_id]
         if spec.arity is not None and len(args) != spec.arity:
             raise self.arity_error(service, spec, len(args))
-        if spec.control:
-            # control methods see the raw (possibly quoted) words as one sequence
-            return spec.fn(ctx, list(args))
         return spec.fn(ctx, *args)
 
 

@@ -15,32 +15,35 @@ addresses in one flat loop.
 
 Kernel dispatch follows the paper's split between communication code and
 task code.  A machine resolves each operation word to its kernel once, on
-the operation's first call.  The engine's own services (`builtin` and `ctrl`) and control
-methods are O(1) bookkeeping and run inline on the loop.  Every other
-(task) kernel call is handed, with its arguments already unwrapped, to one
-of the machine's `min(threads, tile_count)` kernel threads: tile t's go to
-kernel thread t % n, each started on its first task kernel.  The kernel
-thread runs the kernel and posts one completion packet (kind DONE, never
-traced) to the loop's inbox; the loop then replies and frees the record.  So
-a long kernel does not hold up the packets queued behind it.
+the operation's first call.  The engine's own services (`builtin` and
+`ctrl`) and control methods are O(1) bookkeeping and run inline on the
+loop.  Every other (task) kernel call is handed, its arity checked and its
+arguments unwrapped on the loop, to one of the machine's
+`min(threads, tile_count)` kernel threads: tile t's go to kernel thread
+t % n, each started on its first task kernel.  The kernel thread runs the
+kernel and posts one completion packet (kind DONE, never traced) to the
+loop's inbox; the loop then replies and frees the record.  So a long kernel
+does not hold up the packets queued behind it.
 
 The reduction is pure Python, so under the GIL a second loop could never
 reduce at the same time as the first; only task kernels that release the
 GIL run in parallel, and they do on the kernel threads.
 
 Ownership rules (the whole concurrency argument):
-  - subtask records, runtime code arenas and the closure-template cache are
-    touched only by the loop thread, never by a kernel thread;
+  - subtask records, runtime code arenas, the closure-template cache and
+    the kept root result are touched only by the loop thread, never by a
+    kernel thread;
   - the compile-time code region is immutable after boot, so a template
     built from it is memoised; a template that reads a runtime entry is
     built afresh for each beta, because arena addresses are reused by the
     next run;
-  - only the loop's handlers send packets, and they append them to the
-    work list (`Machine.work`), a deque that only the loop touches.  The
-    inbox (`Machine.queue`) carries what the loop did not send: the host's
-    root packet, kernel threads' completions and the stop token.  The loop
-    moves waiting inbox packets onto the tail of the work list and blocks
-    on the inbox only when the work list is empty;
+  - only the loop's handlers send packets, and they append every packet,
+    the host's result too, to the work list (`Machine.work`), a deque that
+    only the loop touches.  The inbox (`Machine.queue`) carries what the
+    loop did not send: the host's root packet, kernel threads' completions
+    and the stop token.  The loop moves waiting inbox packets onto the tail
+    of the work list and blocks on the inbox only when the work list is
+    empty;
   - `KernelContext.restart` is refused off the loop;
   - only the loop appends to the packet trace during a run.  The host
     appends the root packet before putting it in the inbox, while the loop
@@ -52,8 +55,10 @@ outstanding.  The count of outstanding kernel jobs is owned by the loop: a
 job is counted at its hand-off and counted out when its completion packet is
 handled, both on the loop.  An inbox packet cannot be missed: a completion
 waits on a counted job, and the host sends the root only while the machine
-is quiet.  When quiet, the loop tells the host, which is a pseudo-tile of its
-own (id == tile_count).
+is quiet.  The host is one more row of the loop's handler table (id ==
+tile_count): `Machine.on_root_result` keeps the root's result, and a second
+one poisons the machine.  When quiet, the loop puts exactly one message on
+the gateway queue: the kept result, or None.
 """
 
 from __future__ import annotations
@@ -87,11 +92,7 @@ _KIND_NAMES = {REQ: "REQ", RES: "RES"}
 _ENGINE_SERVICES = frozenset((BUILTIN_SERVICE, "ctrl"))
 _new_packet = tuple.__new__  # a Packet without the NamedTuple's Python-level __new__
 
-REQUESTED = 0
-PRESENT = 1
-
 _STOP = object()
-_QUIET = object()  # gateway token: no packet left in flight
 
 
 class VmError(Exception):
@@ -149,16 +150,16 @@ LAMBDA_VALUE = LambdaValue()
 
 
 class SubtaskRecord:
-    __slots__ = ("live", "op_word", "self_ref", "caller", "slots", "status",
-                 "pending", "err")
+    """A requested slot holds None until its result arrives; a free record
+    has no slots."""
+
+    __slots__ = ("op_word", "self_ref", "caller", "slots", "pending", "err")
 
     def __init__(self):
-        self.live = False
         self.op_word = 0
         self.self_ref = 0
         self.caller = (0, 0, 0)
-        self.slots = []
-        self.status = []
+        self.slots = ()
         self.pending = 0
         self.err = None
 
@@ -243,9 +244,7 @@ class Tile:
         return len(self.subtask_list) - 1
 
     def free_record(self, addr, rec):
-        rec.live = False
-        rec.slots = []
-        rec.status = []
+        rec.slots = ()
         self.subtask_stack.append(addr)
 
     # ── packet handlers ──────────────────────────────────────
@@ -264,18 +263,16 @@ class Tile:
             return
         addr = self.alloc_record()
         rec = self.subtask_list[addr]
-        rec.live = True
         rec.err = None
         rec.self_ref = ref
         rec.caller = pkt[3:6]  # (caller_tile, caller_addr, caller_arg)
         rec.op_word = code[0]
-        rec.slots = slots = list(code[1:])  # a requested slot is overwritten by its result
-        rec.status = status = [PRESENT] * len(slots)
+        rec.slots = slots = list(code[1:])
         pending = 0
         tid = self.tile_id
         for i, w in enumerate(slots):
             if w >> QUOTE_SHIFT == 0:  # an unquoted reference
-                status[i] = REQUESTED
+                slots[i] = None
                 pending += 1
                 self.send(REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, (tid, addr, i), (w,))
         rec.pending = pending
@@ -285,14 +282,12 @@ class Tile:
     def on_result(self, pkt):
         addr, arg = pkt.caller_addr, pkt.caller_arg
         rec = self.subtask_list[addr] if addr < len(self.subtask_list) else None
-        if rec is None or not rec.live or arg >= len(rec.status) \
-                or rec.status[arg] != REQUESTED:
+        if rec is None or arg >= len(rec.slots) or rec.slots[arg] is not None:
             self.machine.set_fatal(ProtocolError(
                 f"result for freed or unexpected record t{self.tile_id}/{addr} arg {arg}"))
             return
         w = pkt.payload[0]
         rec.slots[arg] = w
-        rec.status[arg] = PRESENT
         rec.pending -= 1
         if w >> KIND_SHIFT == KIND_ERROR and rec.err is None:
             rec.err = w
@@ -446,9 +441,9 @@ class Tile:
     # ── kernel dispatch ──────────────────────────────────────
 
     def invoke_kernel(self, addr, rec):
-        """The one dispatch path: a task kernel goes, its arguments unwrapped,
-        to the kernel thread; any other method is called here, with the
-        arity check of `KernelRegistry.invoke`."""
+        """The one dispatch path: every method's arity is checked here, then
+        a task kernel goes, its arguments unwrapped, to the kernel thread and
+        any other method is called here."""
         machine = self.machine
         op = machine.ops.get(rec.op_word)
         if op is None:  # the first call on this machine resolves it, once
@@ -472,11 +467,11 @@ class Tile:
                 args = [((w & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48
                         if w >> KIND_SHIFT == KIND_CONST else self.unwrap(w, spec)
                         for w in rec.slots]
-                if task:
-                    self.kernel_thread.submit((self, addr, service, spec.method_id, args))
-                    return  # on_done concludes it
             if spec.arity is not None and len(args) != spec.arity:
                 raise machine.registry.arity_error(service, spec, len(args))
+            if task:
+                self.kernel_thread.submit((self, addr, spec.fn, args))
+                return  # on_done concludes it
             value = spec.fn(ctx, args) if spec.control else spec.fn(ctx, *args)
         except ProtocolError:
             raise  # a malformed word, not a kernel failure: the machine is poisoned
@@ -544,9 +539,9 @@ class _KernelThread:
 
     def run_job(self, job):
         """Run one task kernel and post its completion to the loop."""
-        tile, addr, service, mid, args = job
+        tile, addr, fn, args = job
         try:
-            outcome = self.machine.registry.invoke(service, mid, tile.task_ctx, args), None
+            outcome = fn(tile.task_ctx, *args), None
         except Exception as e:
             outcome = None, kernel_failure(e)
         t = tile.tile_id
@@ -605,6 +600,7 @@ class Machine:
         self._running = threading.Lock()
         self._gateway = queue.SimpleQueue()
         self._trace = [] if trace else None
+        self._result = None  # the root's result packet, kept by the loop until quiet
         self._templates = {}  # compile-time body root -> closure template
         self.work = deque()  # packets the loop's handlers sent, served FIFO
         self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
@@ -744,10 +740,13 @@ class Machine:
         pkt = _new_packet(Packet, (kind, src, dst, *caller, payload))
         if self._trace is not None:
             self._trace.append(pkt)
-        if dst == self.gateway_tile:
-            self._gateway.put(pkt)
-        else:
-            self.work.append(pkt)
+        self.work.append(pkt)
+
+    def on_root_result(self, pkt):
+        """The host's handler: keep the root's result until the machine is quiet."""
+        if self._result is not None:
+            raise ProtocolError("second result for the root")
+        self._result = pkt
 
     def restart_evaluation(self, ref_word, tile_id, caller, src=0):
         if W.kind_of(ref_word) != W.KIND_REF or not W.is_quoted(ref_word):
@@ -763,8 +762,10 @@ class Machine:
     # ── running ──────────────────────────────────────────────
 
     def _serve(self):
-        """The reduction loop: handles every tile-bound packet in FIFO order."""
+        """The reduction loop: handles every packet in FIFO order, the host's
+        results included."""
         handlers = [(t.on_request, t.on_result, t.on_done) for t in self.tiles]
+        handlers.append((None, self.on_root_result, None))  # the host receives only results
         work = self.work
         inbox = self.queue
         fuzz = self.fuzz_seed is not None
@@ -788,7 +789,8 @@ class Machine:
             except Exception as e:  # engine invariant broken: poison the machine
                 self.set_fatal(e)
             if not work and not self.kernel_jobs:
-                self._gateway.put(_QUIET)
+                self._gateway.put(self._result)
+                self._result = None
 
     def run(self, host_args=(), timeout=60.0):
         """Evaluate the program root; blocks until its result reaches the host.
@@ -831,22 +833,14 @@ class Machine:
         return self.decode_word(words[0])
 
     def _await_quiet(self, deadline):
-        """Block until no packet is in flight; returns the root result.
-
-        The result reaches the gateway before the token, because the loop
-        checks for quiet only once the handler that sends it has returned."""
-        result = None
-        while True:
-            try:
-                pkt = self._gateway.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
-                self.set_fatal(StuckReductionError("stuck reduction: timed out"))
-                raise self._fatal from None
-            if pkt is _QUIET:
-                break
-            if result is not None:
-                self.set_fatal(ProtocolError("second result for the root"))
-            result = pkt
+        """Block until the machine is quiet; returns the root result.  The
+        loop puts one message on the gateway at quiet: the kept result, or
+        None."""
+        try:
+            result = self._gateway.get(timeout=max(0.0, deadline - time.monotonic()))
+        except queue.Empty:
+            self.set_fatal(StuckReductionError("stuck reduction: timed out"))
+            raise self._fatal from None
         if self._fatal is not None:
             raise self._fatal
         if result is None:

@@ -59,6 +59,14 @@ def test_run_with_args_and_trace(tmp_path, capsys):
     assert trace.exists() and trace.read_text().count("REQ") >= 1
 
 
+def test_run_prints_a_lambda_result(tmp_path, capsys):
+    src = tmp_path / "lam.gpir"
+    src.write_text("(lambda 'x '(+ x '1))\n")
+    img = tmp_path / "lam.gprm"
+    assert run_cli(capsys, "compile", str(src), "-o", str(img))[0] == EXIT_OK
+    assert run_cli(capsys, "run", str(img)) == (EXIT_OK, "<lambda>", "")
+
+
 def test_compile_gpc_source(tmp_path, capsys):
     img = tmp_path / "c.gprm"
     code, _, _ = run_cli(capsys, "compile", os.path.join(PROGRAMS, "compute.gpc"),

@@ -333,6 +333,18 @@ def test_nesting_bound(shape):
         compile_gpc(_nested(**scale))
 
 
+def _helper_chain(n):
+    """n helpers, each calling the next, and an entry that calls the first."""
+    links = "".join(f"int f{i}(int x) {{ return f{i + 1}(x) + 1; }}\n" for i in range(n))
+    return f"{links}int f{n}(int x) {{ return x; }}\nint GPRM::main() {{ return f0(1); }}\n"
+
+
+def test_helper_chain_too_long_to_generate_is_refused():
+    assert evaluate(compile_gpc(_helper_chain(300)), fresh_registry()) == 301
+    with pytest.raises(GpcError, match="helper calls nest too deeply"):
+        compile_gpc(_helper_chain(1000))
+
+
 # ── the generated GPIR, byte for byte ────────────────────────────────
 
 

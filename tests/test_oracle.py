@@ -46,6 +46,7 @@ def agree(text, want, args=(), data=()):
     # a formal shadowing an outer one binds only inside its own lambda
     ("(beta (lambda 'x '(+ (beta (lambda 'x 'x) '1) x)) '5)", 6),
     ("(label L (+ '2 '3))", 5),  # a label at the root
+    ("(beta '(lambda 'x '(+ x '1)) '2)", 3),  # a quoted lambda as the operator
 ])
 def test_oracle_hand_values(text, want):
     agree(text, want)

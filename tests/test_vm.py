@@ -427,6 +427,61 @@ def test_second_root_result_is_fatal():
             m.run_value()
 
 
+def test_poisoned_machine_counts_out_running_kernels():
+    # k.twice answers the + record's slot twice, which poisons the machine
+    # while k.slow still runs; its completion must still be counted out, so
+    # the run ends once k.slow returns, not at the timeout
+    reg = fresh_registry()
+
+    def twice(ctx, ws):
+        ctx.restart(ws[0], 0)
+        ctx.restart(ws[0], 1)
+        return NO_RESULT
+
+    reg.register("k", [("slow", 0, lambda ctx: time.sleep(0.3) or 1),
+                       ("twice", 1, twice, True)])
+    img = compile_for("(+ (k.slow) (k.twice '(+ '1 '2)))", 2, reg)
+    with Machine(img, reg, 2) as m:
+        start = time.perf_counter()
+        with pytest.raises(ProtocolError, match="unexpected record"):
+            m.run_value(timeout=30.0)
+        assert time.perf_counter() - start < 10.0
+        assert m.kernel_jobs == 0
+
+
+def test_run_after_shutdown_is_refused():
+    reg = fresh_registry()
+    m = Machine(compile_for("(+ '1 '2)", 1, reg), reg, 1)
+    assert m.run_value() == 3
+    m.shutdown()
+    with pytest.raises(VmError, match="machine is shut down"):
+        m.run()
+
+
+def test_second_concurrent_run_is_refused():
+    reg = fresh_registry()
+    started, go = threading.Event(), threading.Event()
+
+    def wait(ctx):
+        started.set()
+        go.wait(10.0)
+        return 4
+
+    reg.register("k", [("wait", 0, wait)])
+    with Machine(compile_for("(k.wait)", 1, reg), reg, 1) as m:
+        results = []
+        t = threading.Thread(target=lambda: results.append(m.run_value(timeout=30.0)))
+        t.start()
+        try:
+            assert started.wait(10.0)
+            with pytest.raises(VmError, match="not reentrant"):
+                m.run()
+        finally:
+            go.set()
+            t.join(10.0)
+        assert results == [4]
+
+
 def test_inflight_count_exact_under_contention():
     # more kernel threads than cores and a short switch interval: every leaf
     # is a stub task kernel placed on tile n % 8, so 8 kernel threads post
@@ -599,21 +654,33 @@ class Manual:
         """Handle one packet to the end, as a loop running its kernel inline
         would: a kernel it hands off is run and its completion handled.  The
         work list is left as it is, ahead of what the completions send."""
-        self.machine.tiles[pkt.dst].handle(pkt)
+        self.handle(pkt)
         self.run_jobs()
         for p in self.drain(self.machine.queue):  # completions only
-            self.machine.tiles[p.dst].handle(p)
+            self.handle(p)
+
+    def handle(self, pkt):
+        """Handle one packet as the loop's handler table would: a host-bound
+        packet goes to the host's row."""
+        m = self.machine
+        if pkt.dst == m.gateway_tile:
+            m.on_root_result(pkt)
+        else:
+            m.tiles[pkt.dst].handle(pkt)
 
     def step_all(self):
         while True:
             pkts = self.pending()
             for p in pkts:
-                self.machine.tiles[p.dst].handle(p)
+                self.handle(p)
             if not self.run_jobs() and not pkts:
                 return
 
     def result(self):
-        return self.machine._gateway.get_nowait()
+        """Take the root result the host's handler kept."""
+        pkt, self.machine._result = self.machine._result, None
+        assert pkt is not None, "no root result"
+        return pkt
 
 
 def test_result_arrival_order_does_not_matter():
