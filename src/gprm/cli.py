@@ -78,10 +78,6 @@ def _registry_for_flat(fp):
     return _stub_registry(used_operations(fp))
 
 
-def _registry_for_text(text):
-    return _registry_for_flat(flatten(lang.desugar(lang.parse(text))))
-
-
 def _registry_for_image(image):
     return _stub_registry(image.symbols.values())
 

@@ -26,14 +26,15 @@ once, and a single-use variable's generated expression is substituted where
 it is read as that reader is generated.  Expressions are generated with an
 explicit stack, so an operator chain has no length limit; the parser and the
 block generator recurse only through parentheses, call-argument lists and
-`if` blocks, whose combined nesting MAX_NESTING (100) bounds.  A helper's
-body is generated inside its caller's, so a chain of a few hundred helpers,
-each calling the next, exhausts the stack and is refused.  Every refusal is
-a GpcError.
+`if` blocks, whose combined nesting MAX_NESTING (100) bounds; that is the
+one recursion bound.  Each helper the entry reaches is generated once,
+callees first, and every call site applies the same lambda, so a chain of
+helpers has no length limit.  Every refusal is a GpcError.
 """
 
 from __future__ import annotations
 
+import graphlib
 import re
 
 from . import lang
@@ -324,9 +325,11 @@ class _Compiler:
         self.recursive = {n for n, f in self.funcs.items() if n in f["calls"]}
         graph = {n: [c for c in f["calls"] if c in self.funcs and c != n]
                  for n, f in self.funcs.items()}
-        cycle = lang.find_cycle(graph)
-        if cycle:
-            raise GpcError(f"mutual recursion is not supported: {' -> '.join(cycle)}")
+        try:  # callees first
+            self.order = list(graphlib.TopologicalSorter(graph).static_order())
+        except graphlib.CycleError as e:  # the path runs against the call edges
+            path = " -> ".join(reversed(e.args[1]))
+            raise GpcError(f"mutual recursion is not supported: {path}") from None
 
     def entry_function(self):
         qualified = [f for f in self.funcs.values() if f["qualified"]]
@@ -350,7 +353,33 @@ class _Compiler:
             else:
                 env[pname] = SExpr(Operation("ctrl.arg"), (Quoted(ConstInt(n_int)),))
                 n_int += 1
+        reached, stack = set(), [entry["name"]]
+        while stack:
+            for callee in self.funcs[stack.pop()]["calls"]:
+                if callee in self.funcs and callee not in reached:
+                    reached.add(callee)
+                    stack.append(callee)
+        self.prefix = {}  # helper -> the operators its calls apply to their arguments
+        for name in self.order:  # an uncalled helper is never generated
+            if name in reached:
+                self.prefix[name] = self.gen_prefix(name)
         return self.gen_block(entry["body"], env, entry["name"])
+
+    def gen_prefix(self, name):
+        """`(lambda params body)`, or for a recursive helper the
+        self-application wrapper and that lambda: the same at every call."""
+        params = [p for p, _ in self.funcs[name]["params"]]
+        me = [name] if name in self.recursive else []
+        if me and name in params:
+            raise GpcError(f"'{name}' shadows one of its parameters")
+        body = self.gen_block(self.funcs[name]["body"], {n: Var(n) for n in params + me}, name)
+        formals = tuple(Quoted(Var(n)) for n in me + params)
+        lam = SExpr(Operation(lang.FORM_LAMBDA), formals + (lang.quote(body),))
+        if not me:
+            return (lam,)
+        # (beta (lambda 'f 'params '(beta f f params)) F args...)
+        seed = SExpr(Operation(lang.FORM_BETA), tuple(Var(n) for n in me + me + params))
+        return SExpr(Operation(lang.FORM_LAMBDA), formals + (Quoted(seed),)), lam
 
     # env: variable name -> lang AST to substitute for it
     def gen_block(self, stmts, env, fname):
@@ -472,19 +501,7 @@ class _Compiler:
             # self-reference to itself
             f = env[name]
             return SExpr(Operation(lang.FORM_BETA), (f, f, *args))
-        params = [p for p, _ in self.funcs[name]["params"]]
-        me = [name] if name in self.recursive else []
-        if me and name in params:
-            raise GpcError(f"'{name}' shadows one of its parameters")
-        body = self.gen_block(self.funcs[name]["body"], {n: Var(n) for n in params + me}, name)
-        formals = tuple(Quoted(Var(n)) for n in me + params)
-        lam = SExpr(Operation(lang.FORM_LAMBDA), formals + (lang.quote(body),))
-        if me:
-            # (beta (lambda 'f 'params '(beta f f params)) F args...)
-            seed = SExpr(Operation(lang.FORM_BETA), tuple(Var(n) for n in me + me + params))
-            wrapper = SExpr(Operation(lang.FORM_LAMBDA), formals + (Quoted(seed),))
-            return SExpr(Operation(lang.FORM_BETA), (wrapper, lam, *args))
-        return SExpr(Operation(lang.FORM_BETA), (lam, *args))
+        return SExpr(Operation(lang.FORM_BETA), (*self.prefix[name], *args))
 
 
 def compile_gpc(source, num_threads=None):
@@ -494,11 +511,4 @@ def compile_gpc(source, num_threads=None):
     last function defined); `num_threads` substitutes the NUM_THREADS
     constant when the source refers to it."""
     decls, funcs = _Parser(_lex(source)).program()
-    try:
-        ast = _Compiler(decls, funcs, num_threads).compile()
-    except RecursionError:
-        # a helper's body is generated inside its caller's, so a long chain
-        # of helpers, each calling the next, recurses once per link
-        raise GpcError("helper calls nest too deeply: a chain of functions, "
-                       "each calling the next, is too long to generate") from None
-    return lang.to_text(ast)
+    return lang.to_text(_Compiler(decls, funcs, num_threads).compile())

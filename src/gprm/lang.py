@@ -21,6 +21,7 @@ limit.
 
 from __future__ import annotations
 
+import graphlib
 import re
 from dataclasses import MISSING, dataclass, fields
 
@@ -368,10 +369,13 @@ def parse(text):
     for name, i in refs:
         if name not in labels:
             raise error(f"unbound variable '{name}'", i)
-    cycle = find_cycle({name: {x.name for x in _nodes(label.body) if isinstance(x, LabelRef)}
-                        & labels.keys() for name, label in labels.items()})
-    if cycle:
-        raise GpirSyntaxError(f"label '{cycle[0]}' is part of a reference cycle")
+    if labels:  # most programs define none, and an empty sort still costs a few µs
+        graph = {name: {x.name for x in _nodes(label.body) if isinstance(x, LabelRef)}
+                 for name, label in labels.items()}
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError as e:
+            raise GpirSyntaxError(f"label '{e.args[1][0]}' is part of a reference cycle") from None
     return root
 
 
@@ -395,28 +399,6 @@ def _has_free_vars(e):
 def label_bodies(e):
     """{name: body} for every label defined anywhere in the tree."""
     return {x.name: x.body for x in _nodes(e) if isinstance(x, Label)}
-
-
-def find_cycle(graph):
-    """A cycle of `graph` ({node: the nodes it refers to}) as the path
-    [a, b, ..., a], or None; one depth-first walk with its own stack."""
-    state = {}  # node -> 1 while its references are being followed, 2 when done
-    for node in graph:
-        if node in state:
-            continue
-        state[node], path = 1, [(node, iter(graph[node]))]
-        while path:  # path holds the nodes being followed
-            for dep in path[-1][1]:
-                if state.get(dep) == 1:
-                    names = [n for n, _ in path]
-                    return names[names.index(dep):] + [dep]
-                if dep not in state:
-                    state[dep] = 1
-                    path.append((dep, iter(graph[dep])))
-                    break
-            else:
-                state[path.pop()[0]] = 2
-    return None
 
 
 # ── Printer ──────────────────────────────────────────────────────────

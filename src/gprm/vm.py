@@ -249,10 +249,6 @@ class Tile:
 
     # ── packet handlers ──────────────────────────────────────
 
-    def handle(self, pkt):
-        """Handle one packet; the loop indexes the same table by pkt.kind."""
-        (self.on_request, self.on_result, self.on_done)[pkt.kind](pkt)
-
     def on_request(self, pkt):
         ref = pkt.payload[0]
         a = ref & ADDR_MASK
@@ -572,11 +568,12 @@ class Machine:
                     f"image/registry symbol mismatch: '{name}' is "
                     f"{rsid}.{rmid} in the registry, {sid}.{mid} in the image")
         # once here, not per packet: no reference (kind 0) may name a missing
-        # tile; the tile field is bits 32-47, compared in place
-        past = image.tile_count << 32
+        # tile; the tile field is compared in place
+        refs_end, tile_field = 1 << KIND_SHIFT, TILE_MASK << TILE_SHIFT
+        past = image.tile_count << TILE_SHIFT
         for w in itertools.chain((image.root,), itertools.chain.from_iterable(
                 image.code.values())):
-            if w < 1 << 60 and (w & 0xFFFF << 32) >= past:
+            if w < refs_end and (w & tile_field) >= past:
                 raise VmError(f"reference {W.word_str(w)} names a tile past the "
                               f"image's {image.tile_count}")
         self.image = image

@@ -1,10 +1,14 @@
 """Benchmarks: model math, merge-sort verification, list-chase partitioning."""
 
 import csv
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +184,15 @@ def test_listchase_gpir_shapes():
     assert listchase_gpir(1) == "(ctrl.run '(chase.strided '0 '1 (ctrl.reg '0)) '0)"
     text = listchase_gpir(3)
     assert text.count("ctrl.run") == 3 and text.count("(+ ") == 2
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_perfbench_smoke_runs_every_workload(trace):
+    # the benchmark drives gpc, lang, the compiler and the vm; --smoke also
+    # feeds each workload a corrupted output that its check must catch
+    run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    proc = subprocess.run([sys.executable, str(run), "--workload", "all", "--seed", "1",
+                           "--seconds", "0.2", "--smoke", "--trace", str(trace)],
+                          stdout=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -390,11 +390,15 @@ GOLDEN_GENERATED = {
 }
 
 
+def _registry_for_text(text):
+    return cli._registry_for_flat(flatten(lang.desugar(lang.parse(text))))
+
+
 @pytest.mark.parametrize("tiles", [1, 2, 4])
 def test_images_byte_identical_to_golden(tiles):
     got = {}
     for name, text in _golden_sources(tiles):
-        img = compile_text(text, tiles, cli._registry_for_text(text))
+        img = compile_text(text, tiles, _registry_for_text(text))
         blob = image_to_bytes(img)
         assert image_to_bytes(image_from_bytes(blob)) == blob
         got[(name, tiles)] = hashlib.sha256(blob).hexdigest()

@@ -301,6 +301,9 @@ def test_recursion_errors():
     with pytest.raises(GpcError, match="mutual recursion is not supported: f -> g -> f"):
         compile_gpc("int f(int x) { return g(x); }\nint g(int x) { return f(x); }\n"
                     "int GPRM::h() { return f(1); }")
+    with pytest.raises(GpcError, match="mutual recursion is not supported: a -> b -> c -> a"):
+        compile_gpc("int a(int x) { return b(x); }\nint b(int x) { return c(x); }\n"
+                    "int c(int x) { return a(x); }\nint GPRM::h() { return a(1); }")
 
 
 def test_duplicate_function_is_refused():
@@ -339,10 +342,21 @@ def _helper_chain(n):
     return f"{links}int f{n}(int x) {{ return x; }}\nint GPRM::main() {{ return f0(1); }}\n"
 
 
-def test_helper_chain_too_long_to_generate_is_refused():
-    assert evaluate(compile_gpc(_helper_chain(300)), fresh_registry()) == 301
-    with pytest.raises(GpcError, match="helper calls nest too deeply"):
-        compile_gpc(_helper_chain(1000))
+def test_long_helper_chain_compiles():
+    # each helper is generated once, so a chain has no length limit
+    gpir = compile_gpc(_helper_chain(300))
+    assert evaluate(gpir, fresh_registry()) == 301
+    assert execute(gpir, threads=2) == 301
+    assert evaluate(compile_gpc(_helper_chain(1000)), fresh_registry()) == 1001
+
+
+def test_uncalled_helper_is_not_generated():
+    # `unused` would be refused (an unused variable), but nothing calls it
+    src = ("T t;\nint unused(int x) { int y = t.m(x); return x; }\n"
+           "int GPRM::main() { return t.m(1); }")
+    assert compile_gpc(src) == "(t.m '1)"
+    with pytest.raises(GpcError, match="unused variable 'y'"):
+        compile_gpc(src.replace("t.m(1)", "unused(1)"))
 
 
 # ── the generated GPIR, byte for byte ────────────────────────────────

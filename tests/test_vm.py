@@ -666,7 +666,8 @@ class Manual:
         if pkt.dst == m.gateway_tile:
             m.on_root_result(pkt)
         else:
-            m.tiles[pkt.dst].handle(pkt)
+            t = m.tiles[pkt.dst]
+            (t.on_request, t.on_result, t.on_done)[pkt.kind](pkt)
 
     def step_all(self):
         while True:
@@ -698,7 +699,7 @@ def test_result_arrival_order_does_not_matter():
         gw = h.machine.gateway_tile
         h.machine.send(REQ, gw, W.ref_tile(root), (gw, 0, 0), (root,))
         (rootpkt,) = h.pending()
-        h.machine.tiles[rootpkt.dst].handle(rootpkt)
+        h.handle(rootpkt)
         kids = h.pending()
         assert len(kids) == 2 and all(p.kind == REQ for p in kids)
         if flip:
@@ -734,7 +735,7 @@ def test_result_for_freed_record_is_fatal():
     assert h.machine.decode_word(res.payload[0]) == 3
     # deliver a stale result for the (now freed) root record
     stale = Packet(RES, 0, 0, 0, 0, 0, (W.mk_const(9),))
-    h.machine.tiles[0].handle(stale)
+    h.handle(stale)
     assert isinstance(h.machine._fatal, ProtocolError)
 
 
@@ -756,9 +757,9 @@ def test_result_for_running_kernel_record_is_fatal():
         h = Manual(text, reg, tiles=1)
         h.send_root()
         (rootpkt,) = h.pending()
-        h.machine.tiles[0].handle(rootpkt)
+        h.handle(rootpkt)
         assert len(h.jobs()) == 1  # handed off, its record 0 still live
-        h.machine.tiles[0].handle(Packet(RES, 0, 0, 0, 0, 0, (W.mk_const(9),)))
+        h.handle(Packet(RES, 0, 0, 0, 0, 0, (W.mk_const(9),)))
         assert isinstance(h.machine._fatal, ProtocolError)
 
 
@@ -768,7 +769,7 @@ def test_conservation_check_detects_kernel_jobs():
     h = Manual("(k.id '7)", reg, tiles=1)
     h.send_root()
     (rootpkt,) = h.pending()
-    h.machine.tiles[0].handle(rootpkt)
+    h.handle(rootpkt)
     with pytest.raises(ResourceLeakError, match="kernel jobs queued or running"):
         h.machine.check_conservation()  # queued
     ((k, job),) = h.jobs()
