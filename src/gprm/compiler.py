@@ -1,11 +1,15 @@
 """GPIR compiler: nested S-expressions -> flat reference map -> 64-bit bytecode.
 
 Flattening substitutes a fresh reference for every non-literal sub-expression,
-producing a map of flat S-expressions (operation word + atom/reference
-arguments, never a nested list).  Addresses are dense from 0 in root-first,
-left-to-right order; lambda variables are alpha-numbered to program-unique
-slot ids.  Compile-time addresses stay below 2**31, the upper half of the
-address space is reserved for code generated at run time by beta reduction.
+producing a map of flat S-expressions (an operation name and its argument
+words, never a nested list).  An argument is the 64-bit word the image stores,
+in the layout of `words`: a reference, a constant or a variable, with its quote
+bit.  Tile assignment rewrites the tile field of reference words; encoding
+resolves the operation name and checks the words.  Addresses are dense from 0
+in root-first, left-to-right order; lambda variables are alpha-numbered to
+program-unique slot ids.  Compile-time addresses stay below 2**31, the upper
+half of the address space is reserved for code generated at run time by beta
+reduction.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass, field
 from . import lang
 from . import words as W
 from .kernels import KernelRegistry
-from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, PAYLOAD_MASK, QUOTE_BIT,
-                    TILE_MASK, TILE_SHIFT, VAR_WORD)
+from .words import (ADDR_MASK, KIND_CONST, KIND_REF, KIND_SHIFT, KIND_VAR, QUOTE_BIT, TILE_MASK,
+                    TILE_SHIFT, VAR_WORD)
 
 COMPILE_ADDR_LIMIT = 1 << 31
 
@@ -33,28 +37,9 @@ class CompileError(lang.GpirError):
 
 
 @lang.node_class
-class WConst:
-    value: int
-    quoted: bool = False
-
-
-@lang.node_class
-class WVar:
-    slot: int
-    quoted: bool = False
-
-
-@lang.node_class
-class WRef:
-    addr: int
-    tile: int = 0
-    quoted: bool = False
-
-
-@lang.node_class
 class FlatEntry:
     op: str
-    args: tuple
+    args: tuple  # argument words, in the layout of `words`
 
 
 @dataclass
@@ -65,19 +50,10 @@ class FlatProgram:
 
 def flat_lines(fp):
     """Debug rendering, one `rN => (op args...)` line per entry."""
-
-    def arg_str(a):
-        q = "'" if a.quoted else ""
-        if isinstance(a, WConst):
-            return f"{q}{a.value}"
-        if isinstance(a, WVar):
-            return f"{q}v{a.slot}"
-        return f"{q}r{a.addr}@t{a.tile}"
-
     out = []
     for addr in sorted(fp.entries):
         e = fp.entries[addr]
-        parts = " ".join([e.op] + [arg_str(a) for a in e.args])
+        parts = " ".join([e.op] + [W.word_str(a) for a in e.args])
         out.append(f"r{addr} => ({parts})")
     return out
 
@@ -95,6 +71,8 @@ def flatten(e):
 
     An entry gets its address when the walk reaches it and its FlatEntry
     once its last argument is done; the open entries are an explicit stack.
+    Each argument is packed as its word when the walk reaches it; references
+    point at tile 0 until `assign_tiles` places their targets.
     """
     SExpr, Quoted, ConstInt, Var = lang.SExpr, lang.Quoted, lang.ConstInt, lang.Var
     entries, labels, stack = {}, {}, []  # labels: name -> address
@@ -121,7 +99,7 @@ def flatten(e):
                 scope = dict(scope)
                 for f in items[:-1]:
                     scope[f.inner.name] = next_slot
-                    out.append(WVar(next_slot, quoted=True))
+                    out.append(VAR_WORD | QUOTE_BIT | next_slot)
                     next_slot += 1
                 items = items[-1:]
             frame = [next_addr, op, out, scope, items, 0]
@@ -137,14 +115,14 @@ def flatten(e):
         while i < n:
             a = items[i]
             i += 1
-            quoted = False
+            q = 0  # the quote bit of the argument's word
             while type(a) is Quoted:
-                a, quoted = a.inner, True
+                a, q = a.inner, QUOTE_BIT
             kind = type(a)
             if kind is ConstInt:
-                out.append(WConst(a.value, quoted))
+                out.append(W.mk_const(a.value, q))
             elif kind is SExpr:
-                out.append(WRef(next_addr, 0, quoted))
+                out.append(next_addr | q)
                 node = a
                 frame[5] = i  # descend; come back for argument i
                 break
@@ -152,7 +130,7 @@ def flatten(e):
                 slot = scope.get(a.name)
                 if slot is None:
                     raise CompileError(f"unbound variable '{a.name}'")
-                out.append(WVar(slot, quoted))
+                out.append(VAR_WORD | slot | q)
             elif kind is lang.Label or kind is lang.LabelRef:
                 ref = labels.get(a.name)
                 if ref is None:
@@ -162,7 +140,7 @@ def flatten(e):
                     if type(node) is not SExpr:
                         raise CompileError(f"label '{a.name}' body must be an S-expression")
                     ref = labels[a.name] = next_addr
-                out.append(WRef(ref, 0, quoted))
+                out.append(ref | q)
                 if node is not None:
                     frame[5] = i
                     break
@@ -182,7 +160,8 @@ def assign_tiles(fp, tile_count):
     an only child shares its parent's tile (dependent work can't overlap).
 
     A child reached from several entries stays where the first placed it.
-    Entries whose references do not move are kept as they are."""
+    A placed reference has its word's tile field rewritten; entries whose
+    references do not move are kept as they are."""
     if tile_count < 1:
         raise CompileError("tile count must be >= 1")
     entries = dict(fp.entries)
@@ -194,23 +173,24 @@ def assign_tiles(fp, tile_count):
         args = e.args
         refs = 0
         for a in args:
-            if type(a) is WRef:
+            if a >> KIND_SHIFT == KIND_REF:
                 refs += 1
         if not refs:
             continue
         parent = tile_of[addr]
         base, i, j, out = len(stack), 0, 0, None  # i counts references, j arguments
         for a in args:
-            if type(a) is WRef:
-                tile = tile_of.get(a.addr)
+            if a >> KIND_SHIFT == KIND_REF:
+                target = a & ADDR_MASK
+                tile = tile_of.get(target)
                 if tile is None:
                     tile = parent if refs == 1 else (parent + 1 + i) % tile_count
-                    tile_of[a.addr] = tile
-                    stack.append(a.addr)
-                if tile != a.tile:
+                    tile_of[target] = tile
+                    stack.append(target)
+                if tile != a >> TILE_SHIFT & TILE_MASK:
                     if out is None:
                         out = list(args)
-                    out[j] = WRef(a.addr, tile, a.quoted)
+                    out[j] = W.ref_with_tile(a, tile)
                 i += 1
             j += 1
         if len(stack) - base > 1:
@@ -219,11 +199,11 @@ def assign_tiles(fp, tile_count):
             entries[addr] = FlatEntry(e.op, tuple(out))
     if len(tile_of) < len(entries):  # entries the root does not reach: unplaced targets on 0
         for addr, e in entries.items():
-            if addr not in tile_of and any(type(a) is WRef and a.tile != tile_of.get(a.addr, 0)
-                                           for a in e.args):
-                entries[addr] = FlatEntry(e.op, tuple([
-                    WRef(a.addr, tile_of.get(a.addr, 0), a.quoted) if type(a) is WRef else a
-                    for a in e.args]))
+            if addr not in tile_of:
+                args = tuple([W.ref_with_tile(a, tile_of.get(a & ADDR_MASK, 0))
+                              if a >> KIND_SHIFT == KIND_REF else a for a in e.args])
+                if args != e.args:
+                    entries[addr] = FlatEntry(e.op, args)
     return FlatProgram(entries, fp.root)
 
 
@@ -243,7 +223,9 @@ class BytecodeImage:
 def encode(fp, tile_count, registry):
     """FlatProgram -> BytecodeImage; names resolved against the registry snapshot.
 
-    Words are packed inline, with the layout constants of `words`."""
+    An entry's words are its operation word and its argument words as they are,
+    once every argument is checked to be a reference to a tile below
+    `tile_count`, a constant or a variable."""
     if not fp.entries:
         raise CompileError("a program must have a root")
     symbols, code, op_words = {}, {}, {}
@@ -260,32 +242,21 @@ def encode(fp, tile_count, registry):
                 symbols[(sid, mid)] = e.op
                 op_word = W.mk_oper(sid, mid)
             op_words[e.op] = op_word
-        ws = [op_word]
-        for a in e.args:
-            kind = type(a)
-            if kind is WRef:
-                tile, ref = a.tile, a.addr
+        args = e.args
+        for a in args:
+            kind = a >> KIND_SHIFT
+            if kind == KIND_REF:
+                tile = a >> TILE_SHIFT & TILE_MASK
                 if tile >= tile_count:
                     raise CompileError(f"tile id {tile} out of range for {tile_count} tiles")
-                if not 0 <= ref <= ADDR_MASK:
-                    raise ValueError(f"code address out of range: {ref}")
-                if not 0 <= tile <= TILE_MASK:
-                    raise ValueError(f"tile id out of range: {tile}")
-                w = tile << TILE_SHIFT | ref
-            elif kind is WConst:
-                value = a.value
-                if not CONST_MIN <= value <= CONST_MAX:
-                    raise ValueError(f"constant out of 32-bit range: {value}")
-                w = CONST_WORD | value & PAYLOAD_MASK
-            else:
-                w = VAR_WORD | a.slot & PAYLOAD_MASK
-            ws.append(w | QUOTE_BIT if a.quoted else w)
-        if len(ws) > MAX_IMAGE_COUNT:
-            raise CompileError(f"entry r{addr} has {len(ws)} words; "
+            elif kind != KIND_CONST and kind != KIND_VAR:
+                raise CompileError(f"bad argument word kind {kind} in r{addr}")
+        if len(args) >= MAX_IMAGE_COUNT:
+            raise CompileError(f"entry r{addr} has {len(args) + 1} words; "
                                f"an image entry holds at most {MAX_IMAGE_COUNT}")
-        if e.op == "ctrl.arg" and e.args and isinstance(e.args[0], WConst):
-            arg_arity = max(arg_arity, e.args[0].value + 1)
-        code[addr] = tuple(ws)
+        if e.op == "ctrl.arg" and args and args[0] >> KIND_SHIFT == KIND_CONST:
+            arg_arity = max(arg_arity, W.const_value(args[0]) + 1)
+        code[addr] = (op_word, *args)
     for what, count in (("tiles", tile_count), ("host arguments", arg_arity)):
         if count > MAX_IMAGE_COUNT:
             raise CompileError(f"{count} {what}; an image holds at most {MAX_IMAGE_COUNT}")
@@ -309,19 +280,11 @@ def decode(image):
                 raise CompileError(f"unknown service/method id {ids[0]}.{ids[1]}")
         else:
             raise CompileError(f"entry r{addr} does not start with an operation")
-        args = []
         for w in ws[1:]:
             k = W.kind_of(w)
-            q = W.is_quoted(w)
-            if k == W.KIND_CONST:
-                args.append(WConst(W.const_value(w), q))
-            elif k == W.KIND_VAR:
-                args.append(WVar(W.var_slot(w), q))
-            elif k == W.KIND_REF:
-                args.append(WRef(W.ref_addr(w), W.ref_tile(w), q))
-            else:
+            if k not in W.QUOTABLE_KINDS:
                 raise CompileError(f"bad argument word kind {k} in r{addr}")
-        entries[addr] = FlatEntry(op, tuple(args))
+        entries[addr] = FlatEntry(op, ws[1:])
     return FlatProgram(entries, W.ref_addr(image.root))
 
 

@@ -46,10 +46,11 @@ class GpcError(Exception):
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|//[^\n]*)
+    r"""(?P<comment>//[^\n]*)
       | (?P<num>\d+)
       | (?P<name>[A-Za-z_]\w*)
       | (?P<op>::|>=|<=|==|!=|[><=+\-*/.,;(){}])
+      | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -61,18 +62,20 @@ MAX_NESTING = 100
 
 
 def _lex(src):
-    out, pos = [], 0
-    line = 1
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise GpcError(f"bad character {src[pos]!r} at line {line}")
-        line += src[pos : m.end()].count("\n")
-        pos = m.end()
-        if m.lastgroup == "ws":
+    """Tokens as (kind, text, line); whitespace is what no pattern matches."""
+    out, line, last = [], 1, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "comment":
             continue
-        out.append((m.lastgroup, m.group(), line))
-    out.append(("eof", "", line))
+        start = m.start()
+        line += src.count("\n", last, start)
+        last = start
+        if kind == "bad":
+            raise GpcError(f"bad character {m.group()!r} at line {line}")
+        out.append((kind, m.group(), line))
+    eof = ("eof", "", line + src.count("\n", last))
+    out += (eof, eof)  # the second one is for peek(1) at the end
     return out
 
 
@@ -84,7 +87,7 @@ class _Parser:
         self.calls = []  # bare-name calls in the function being parsed
 
     def peek(self, k=0):
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        return self.toks[self.i + k]
 
     def next(self):
         t = self.toks[self.i]

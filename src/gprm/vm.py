@@ -589,7 +589,6 @@ class Machine:
         self._data = []
         self._handles = []
         self._handle_ids = {}
-        self._kept_handles = 0  # the registered prefix of the handle table
         self._handle_lock = threading.Lock()
         self._shared = {}
         self._shared_lock = threading.RLock()
@@ -614,8 +613,6 @@ class Machine:
     def register_data(self, obj):
         """Pre-register a host object for ctrl.reg; returns its index."""
         self._data.append(obj)
-        # a stable handle index, kept when a run drops the handles it made
-        self._kept_handles = max(self._kept_handles, self.wrap_handle(obj) + 1)
         return len(self._data) - 1
 
     def wrap_handle(self, obj):
@@ -673,14 +670,6 @@ class Machine:
             info = self.error_info(w)
             raise TaskError(info.message, info.frames)
         raise VmError(f"cannot decode word kind {k}")
-
-    def _drop_run_handles(self):
-        """Truncate the handle table to its registered prefix, between runs."""
-        kept = self._kept_handles
-        with self._handle_lock:
-            for obj in self._handles[kept:]:
-                del self._handle_ids[id(obj)]
-            del self._handles[kept:]
 
     # ── closure templates ────────────────────────────────────
 
@@ -807,7 +796,9 @@ class Machine:
             for t in self.tiles:
                 t.arena.clear()
                 t.arena_next = 0
-            self._drop_run_handles()
+            with self._handle_lock:  # a handle lives for one run
+                self._handles.clear()
+                self._handle_ids.clear()
             root = self.image.root
             gw = self.gateway_tile
             deadline = time.monotonic() + timeout
@@ -860,11 +851,10 @@ class Machine:
                 raise ResourceLeakError(
                     f"tile {t.tile_id} holds {len(t.arena)} arena entries, "
                     f"{t.arena_next} allocated this run")
-        if len(self._handle_ids) != len(self._handles) \
-                or len(self._handles) < self._kept_handles:
+        if len(self._handle_ids) != len(self._handles):
             raise ResourceLeakError(
                 f"handle table holds {len(self._handles)} handles and "
-                f"{len(self._handle_ids)} ids, {self._kept_handles} registered")
+                f"{len(self._handle_ids)} ids")
         if self.work or not self.queue.empty():
             raise ResourceLeakError("packets left in the work list or inbox after the run")
 

@@ -16,7 +16,7 @@ from gprm import compiler, kernels, lang, oracle, vm, words as W
 from gprm.bench import BenchConfig, mergesort_gpir, model_seconds, run_mergesort
 from gprm.gpc import compile_gpc
 from gprm.kernels import ChaseList, ackermann, is_list, materialize, standard_registry
-from gprm.compiler import FlatEntry, WConst, WRef, WVar, compile_text
+from gprm.compiler import compile_text, flat_lines
 
 from conftest import ProgramGen, fresh_registry
 
@@ -37,19 +37,19 @@ def test_criterion_1_golden_compilation():
     t0 = time.perf_counter()
     fp = compiler.flatten(lang.desugar(lang.parse("(t1.m2 (t2.m3 '42) (t3.m4))")))
     assert fp.root == 0
-    assert fp.entries == {
-        0: FlatEntry("t1.m2", (WRef(1), WRef(2))),
-        1: FlatEntry("t2.m3", (WConst(42, True),)),
-        2: FlatEntry("t3.m4", ()),
-    }
+    assert flat_lines(fp) == [
+        "r0 => (t1.m2 r1@t0 r2@t0)",
+        "r1 => (t2.m3 '42)",
+        "r2 => (t3.m4)",
+    ]
 
     fp = compiler.flatten(lang.desugar(lang.parse("(lambda 'x '(* (- x '1) (+ x '1)))")))
-    assert fp.entries == {
-        0: FlatEntry("lambda", (WVar(0, True), WRef(1, 0, True))),
-        1: FlatEntry("*", (WRef(2), WRef(3))),
-        2: FlatEntry("-", (WVar(0), WConst(1, True))),
-        3: FlatEntry("+", (WVar(0), WConst(1, True))),
-    }
+    assert flat_lines(fp) == [
+        "r0 => (lambda 'v0 'r1@t0)",
+        "r1 => (* r2@t0 r3@t0)",
+        "r2 => (- v0 '1)",
+        "r3 => (+ v0 '1)",
+    ]
 
     source = """
     GPRM::Kernel::Task1 t1;
@@ -109,9 +109,9 @@ def _reachable(flat, addr):
     seen, stack = {addr}, [addr]
     while stack:
         for a in flat.entries[stack.pop()].args:
-            if isinstance(a, WRef) and a.addr not in seen:
-                seen.add(a.addr)
-                stack.append(a.addr)
+            if W.kind_of(a) == W.KIND_REF and W.ref_addr(a) not in seen:
+                seen.add(W.ref_addr(a))
+                stack.append(W.ref_addr(a))
     return seen
 
 
@@ -134,7 +134,7 @@ def test_criterion_3_laziness():
         with vm.Machine(image, reg, 4, trace=True) as m:
             assert m.run_value() == want
             unselected = flat.entries[flat.root].args[1 if not truth else 2]
-            dead = _reachable(flat, unselected.addr)
+            dead = _reachable(flat, W.ref_addr(unselected))
             for pkt in m.trace_packets():
                 if pkt.kind == vm.REQ:
                     assert W.ref_addr(pkt.payload[0]) not in dead

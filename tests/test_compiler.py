@@ -12,13 +12,13 @@ from gprm.gpc import compile_gpc
 from gprm.compiler import (
     CompileError,
     FlatEntry,
-    WConst,
-    WRef,
-    WVar,
+    FlatProgram,
     assign_tiles,
+    compile_flat,
     compile_text,
     decode,
     encode,
+    flat_lines,
     flatten,
     image_from_bytes,
     image_to_bytes,
@@ -46,53 +46,60 @@ def stub_reg(**services):
 def test_flatten_composition_golden():
     fp = flat_of("(t1.m2 (t2.m3 '42) (t3.m4))")
     assert fp.root == 0
-    assert fp.entries == {
-        0: FlatEntry("t1.m2", (WRef(1), WRef(2))),
-        1: FlatEntry("t2.m3", (WConst(42, True),)),
-        2: FlatEntry("t3.m4", ()),
-    }
+    assert flat_lines(fp) == [
+        "r0 => (t1.m2 r1@t0 r2@t0)",
+        "r1 => (t2.m3 '42)",
+        "r2 => (t3.m4)",
+    ]
 
 
 def test_flatten_lambda_golden():
     fp = flat_of("(lambda 'x '(* (- x '1) (+ x '1)))")
-    assert fp.entries == {
-        0: FlatEntry("lambda", (WVar(0, True), WRef(1, 0, True))),
-        1: FlatEntry("*", (WRef(2), WRef(3))),
-        2: FlatEntry("-", (WVar(0), WConst(1, True))),
-        3: FlatEntry("+", (WVar(0), WConst(1, True))),
-    }
+    assert flat_lines(fp) == [
+        "r0 => (lambda 'v0 'r1@t0)",
+        "r1 => (* r2@t0 r3@t0)",
+        "r2 => (- v0 '1)",
+        "r3 => (+ v0 '1)",
+    ]
 
 
 def test_flatten_single_leaf():
     fp = flat_of("(t3.m4)")
-    assert fp.entries == {0: FlatEntry("t3.m4", ())}
+    assert flat_lines(fp) == ["r0 => (t3.m4)"]
+
+
+def test_flat_lines_every_argument_kind():
+    # references quoted and not on tiles above 0, a quoted variable, a negative constant
+    fp = flat_of("(beta (lambda 'x '(+ x '-3)) (* '2 '5))", tiles=4)
+    assert flat_lines(fp) == [
+        "r0 => (beta r1@t1 r3@t2)",
+        "r1 => (lambda 'v0 'r2@t1)",
+        "r2 => (+ v0 '-3)",
+        "r3 => (* '2 '5)",
+    ]
 
 
 def test_label_shares_entry():
     fp = flat_of("(t1.m1 (label L (t2.m2 '1)) L L)")
-    refs = [a.addr for a in fp.entries[fp.root].args]
-    assert refs[0] == refs[1] == refs[2]
-    assert len(fp.entries) == 2
+    assert flat_lines(fp) == ["r0 => (t1.m1 r1@t0 r1@t0 r1@t0)", "r1 => (t2.m2 '1)"]
 
 
 def test_assign_tiles_siblings_round_robin():
     fp = flat_of("(t1.m2 (t2.m3 '42) (t3.m4))", tiles=4)
-    args = fp.entries[0].args
-    assert args[0] == WRef(1, 1)
-    assert args[1] == WRef(2, 2)
+    assert flat_lines(fp)[0] == "r0 => (t1.m2 r1@t1 r2@t2)"
 
 
 def test_assign_tiles_single_tile():
     fp = flat_of("(t1.m2 (t2.m3 (t4.m1 '1)) (t3.m4))", tiles=1)
     for e in fp.entries.values():
         for a in e.args:
-            if isinstance(a, WRef):
-                assert a.tile == 0
+            if W.kind_of(a) == W.KIND_REF:
+                assert W.ref_tile(a) == 0
 
 
 def test_assign_tiles_chain_shares():
     fp = flat_of("(a.m (b.m '1))", tiles=8)
-    assert fp.entries[0].args[0] == WRef(1, 0)  # only child shares tile 0
+    assert flat_lines(fp)[0] == "r0 => (a.m r1@t0)"  # only child shares tile 0
 
 
 def test_chain_trace_never_leaves_tile_zero():
@@ -175,6 +182,38 @@ def test_encode_bounds_the_counts_of_an_image(text, tiles, message):
     assert compile_text(text.replace("65535", "65534"), min(tiles, 65535), fresh_registry())
 
 
+def test_constant_out_of_range_in_a_hand_built_ast_refused():
+    big = lang.Quoted(lang.ConstInt(2**31))
+    ast = lang.SExpr(lang.Operation("+"), (big, lang.Quoted(lang.ConstInt(1))))
+    with pytest.raises(ValueError, match=r"^constant out of 32-bit range: 2147483648$"):
+        compile_flat(flatten(ast), 1)
+
+
+def test_encode_refuses_a_reference_to_a_tile_past_the_tile_count():
+    fp = FlatProgram({0: FlatEntry("+", (W.mk_ref(1, 2), W.mk_const(1))),
+                      1: FlatEntry("+", (W.mk_const(1), W.mk_const(2)))})
+    with pytest.raises(CompileError, match=r"^tile id 2 out of range for 2 tiles$"):
+        encode(fp, 2, fresh_registry())
+    assert encode(fp, 3, fresh_registry()).code[0][1] == W.mk_ref(1, 2)
+
+
+@pytest.mark.parametrize("word, kind", [
+    (W.mk_handle(0), W.KIND_HANDLE),
+    (W.mk_error(1), W.KIND_ERROR),
+    (W.mk_oper(1, 1), W.KIND_OPER),
+    (W.mk_builtin(W.FORM_CODE_IF), W.KIND_BUILTIN),
+])
+def test_encode_and_decode_refuse_an_argument_word_of_another_kind(word, kind):
+    fp = FlatProgram({0: FlatEntry("+", (W.mk_const(1), word))})
+    with pytest.raises(CompileError, match=rf"^bad argument word kind {kind} in r0$"):
+        encode(fp, 1, fresh_registry())
+    img = encode(FlatProgram({0: FlatEntry("+", (W.mk_const(1), W.mk_const(2)))}), 1,
+                 fresh_registry())
+    img.code[0] = img.code[0][:2] + (word,)
+    with pytest.raises(CompileError, match=rf"^bad argument word kind {kind} in r0$"):
+        decode(img)
+
+
 def test_write_image_that_cannot_be_serialized_leaves_no_file(tmp_path):
     img = compile_text("(t3.m4)", 1, stub_reg(t3=["m4"]))
     img.code[0] = img.code[0] + (1 << 64,)  # no u64
@@ -185,22 +224,26 @@ def test_write_image_that_cannot_be_serialized_leaves_no_file(tmp_path):
 
 
 def test_assign_tiles_rewrites_only_the_entries_whose_references_move():
+    ref = W.mk_ref
     e = {
-        0: FlatEntry("f", (WRef(1), WRef(2), WRef(1, 0, True))),
-        1: FlatEntry("f", (WRef(3), WConst(1))),
+        0: FlatEntry("f", (ref(1), ref(2), ref(1, 0, True))),
+        1: FlatEntry("f", (ref(3), W.mk_const(1))),
         2: FlatEntry("f", ()),
         3: FlatEntry("f", ()),
-        4: FlatEntry("f", (WRef(2), WRef(5, 3))),  # unreachable from the root
+        4: FlatEntry("f", (ref(2), ref(5, 3))),  # unreachable from the root
         5: FlatEntry("f", ()),
-        6: FlatEntry("f", (WRef(5),)),  # unreachable, and nothing moves
+        6: FlatEntry("f", (ref(5),)),  # unreachable, and nothing moves
     }
-    out = assign_tiles(compiler.FlatProgram(dict(e), 0), 3).entries
-    assert out == {
-        **e,
-        0: FlatEntry("f", (WRef(1, 1), WRef(2, 2), WRef(1, 1, True))),
-        1: FlatEntry("f", (WRef(3, 1), WConst(1))),  # an only child shares its tile
-        4: FlatEntry("f", (WRef(2, 2), WRef(5, 0))),  # a target never placed: tile 0
-    }
+    out = assign_tiles(FlatProgram(dict(e), 0), 3).entries
+    assert flat_lines(FlatProgram(out)) == [
+        "r0 => (f r1@t1 r2@t2 'r1@t1)",
+        "r1 => (f r3@t1 1)",  # an only child shares its tile
+        "r2 => (f)",
+        "r3 => (f)",
+        "r4 => (f r2@t2 r5@t0)",  # a target never placed: tile 0
+        "r5 => (f)",
+        "r6 => (f r5@t0)",
+    ]
     assert all(out[a] is e[a] for a in (2, 3, 5, 6))
 
 
@@ -226,7 +269,7 @@ def test_ctrl_run_first_argument_quoted_reference():
     img = compile_text("(ctrl.run '(t1.m1) '3)", 4, reg)
     fp = decode(img)
     arg0 = fp.entries[fp.root].args[0]
-    assert isinstance(arg0, WRef) and arg0.quoted
+    assert W.kind_of(arg0) == W.KIND_REF and W.is_quoted(arg0)
 
 
 def test_arg_arity_scanned():
@@ -256,7 +299,7 @@ def _count_quotes_ast(e):
 
 
 def _count_quotes_flat(fp):
-    return sum(a.quoted for e in fp.entries.values() for a in e.args)
+    return sum(W.is_quoted(a) for e in fp.entries.values() for a in e.args)
 
 
 def test_quote_placement_preserved_generated():

@@ -315,6 +315,21 @@ def test_duplicate_function_is_refused():
         compile_gpc("int main() { return 1; }\nint GPRM::main() { return 2; }")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("T t;\n// a comment\n\nint GPRM::f() {\n  return t.m(1) # 2;\n}\n",
+     "bad character '#' at line 5"),
+    ("int GPRM::f() { return 1; } // ok\n\n\t@", "bad character '@' at line 3"),
+    ("$", "bad character '$' at line 1"),
+    ("int GPRM::f() { return 1; }\n\u00e9", "bad character '\u00e9' at line 2"),
+    ("int GPRM::f() {\n  return 1\n}\n", "expected ';', got '}' (line 3)"),
+    ("int GPRM::f() {\n  return 1;\n\n// tail\n", "unexpected token '' at line 5"),
+])
+def test_lex_errors_name_their_line(src, message):
+    with pytest.raises(GpcError) as err:
+        compile_gpc(src)
+    assert str(err.value) == message
+
+
 def _nested(parens=0, calls=0, ifs=0):
     e = "(" * parens + "t.m(" * calls + "1" + ")" * (calls + parens)
     body = f"return {e};"

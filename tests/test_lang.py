@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gprm import compiler, lang
+from gprm import compiler, lang, words as W
 from gprm.lang import (
     ConstInt,
     GpirSyntaxError,
@@ -332,11 +332,7 @@ _PLUS = Operation("+")
      "SExpr(op=Operation(name='+'), args=(ConstInt(value=1),))"),
     (lambda: Label("F", LabelRef("G")), "Label(name='F', body=LabelRef(name='G'))"),
     (lambda: LabelRef("F"), "LabelRef(name='F')"),
-    (lambda: compiler.WConst(7), "WConst(value=7, quoted=False)"),
-    (lambda: compiler.WVar(slot=3, quoted=True), "WVar(slot=3, quoted=True)"),
-    (lambda: compiler.WRef(4, 1, True), "WRef(addr=4, tile=1, quoted=True)"),
-    (lambda: compiler.FlatEntry("+", (compiler.WRef(2),)),
-     "FlatEntry(op='+', args=(WRef(addr=2, tile=0, quoted=False),))"),
+    (lambda: compiler.FlatEntry("+", (W.mk_ref(2),)), "FlatEntry(op='+', args=(2,))"),
 ])
 def test_node_contract(make, text):
     # immutable, compared and hashed by value, printed in dataclass form
@@ -347,4 +343,4 @@ def test_node_contract(make, text):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, f.name, getattr(b, f.name))
     assert not hasattr(a, "__dict__")
-    assert a != compiler.WConst(-1) and a != (text,)
+    assert a != ConstInt(-1) and a != (text,)

@@ -243,14 +243,14 @@ def test_if_selects_and_never_requests_unselected():
                   trace=True, keep=True)
     try:
         assert out.value == 3
-        false_addr = out.flat.entries[out.flat.root].args[2].addr
+        false_addr = W.ref_addr(out.flat.entries[out.flat.root].args[2])
         reachable = {false_addr}
         stack = [false_addr]
         while stack:
             for a in out.flat.entries[stack.pop()].args:
-                if isinstance(a, compiler.WRef) and a.addr not in reachable:
-                    reachable.add(a.addr)
-                    stack.append(a.addr)
+                if W.kind_of(a) == W.KIND_REF and W.ref_addr(a) not in reachable:
+                    reachable.add(W.ref_addr(a))
+                    stack.append(W.ref_addr(a))
         assert all(W.ref_addr(p.payload[0]) not in reachable for p in out.requests())
     finally:
         out.machine.shutdown()
@@ -973,7 +973,18 @@ def test_handle_table_stays_flat_across_runs():
         for _ in range(999):
             assert m.run_value() == [1, 2]
         assert len(m._handles) == held
-        assert m.handle_object(0) is data  # the registered handle is kept
+
+
+def test_registering_data_between_runs_keeps_the_handle_table_flat():
+    reg = fresh_registry()
+    img = compile_for("(cons '1 (emptylist))", 1, reg)
+    with Machine(img, reg, 1) as m:
+        sizes = set()
+        for i in range(100):
+            assert m.register_data([i]) == i
+            assert m.run_value() == [1]
+            sizes.add(len(m._handles))
+        assert len(sizes) == 1
 
 
 def test_conservation_check_covers_arena_and_handles():
@@ -1025,7 +1036,7 @@ def test_error_word_naming_no_error_record_is_a_protocol_error(text):
         with pytest.raises(ProtocolError, match="err7 names no error record"):
             m.run_value()
     with Machine(compile_for("(+ '1 '2)", 1, reg), reg, 1) as m:
-        m.register_data([1])  # handle 0 is no error record either
+        m.wrap_handle([1])  # handle 0 is no error record either
         for w in (W.mk_error(0), W.mk_error(7)):
             with pytest.raises(ProtocolError, match="names no error record"):
                 m.decode_word(w)
