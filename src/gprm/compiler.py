@@ -5,7 +5,8 @@ producing a map of flat S-expressions (an operation name and its argument
 words, never a nested list).  An argument is the 64-bit word the image stores,
 in the layout of `words`: a reference, a constant or a variable, with its quote
 bit.  Tile assignment rewrites the tile field of reference words; encoding
-resolves the operation name and checks the words.  Addresses are dense from 0
+resolves the operation name and bounds the image's u16 counts.  The machine
+checks the words when it boots (`vm.check_image`).  Addresses are dense from 0
 in root-first, left-to-right order; lambda variables are alpha-numbered to
 program-unique slot ids.  Compile-time addresses stay below 2**31, the upper
 half of the address space is reserved for code generated at run time by beta
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from . import lang
 from . import words as W
 from .kernels import KernelRegistry
-from .words import (ADDR_MASK, KIND_CONST, KIND_REF, KIND_SHIFT, KIND_VAR, QUOTE_BIT, TILE_MASK,
+from .words import (ADDR_MASK, KIND_CONST, KIND_REF, KIND_SHIFT, QUOTE_BIT, TILE_MASK,
                     TILE_SHIFT, VAR_WORD)
 
 COMPILE_ADDR_LIMIT = 1 << 31
@@ -223,9 +224,8 @@ class BytecodeImage:
 def encode(fp, tile_count, registry):
     """FlatProgram -> BytecodeImage; names resolved against the registry snapshot.
 
-    An entry's words are its operation word and its argument words as they are,
-    once every argument is checked to be a reference to a tile below
-    `tile_count`, a constant or a variable."""
+    An entry's words are its operation word and its argument words as they are.
+    The words are checked where they are run: `vm.check_image`, at boot."""
     if not fp.entries:
         raise CompileError("a program must have a root")
     symbols, code, op_words = {}, {}, {}
@@ -243,14 +243,6 @@ def encode(fp, tile_count, registry):
                 op_word = W.mk_oper(sid, mid)
             op_words[e.op] = op_word
         args = e.args
-        for a in args:
-            kind = a >> KIND_SHIFT
-            if kind == KIND_REF:
-                tile = a >> TILE_SHIFT & TILE_MASK
-                if tile >= tile_count:
-                    raise CompileError(f"tile id {tile} out of range for {tile_count} tiles")
-            elif kind != KIND_CONST and kind != KIND_VAR:
-                raise CompileError(f"bad argument word kind {kind} in r{addr}")
         if len(args) >= MAX_IMAGE_COUNT:
             raise CompileError(f"entry r{addr} has {len(args) + 1} words; "
                                f"an image entry holds at most {MAX_IMAGE_COUNT}")
@@ -280,10 +272,6 @@ def decode(image):
                 raise CompileError(f"unknown service/method id {ids[0]}.{ids[1]}")
         else:
             raise CompileError(f"entry r{addr} does not start with an operation")
-        for w in ws[1:]:
-            k = W.kind_of(w)
-            if k not in W.QUOTABLE_KINDS:
-                raise CompileError(f"bad argument word kind {k} in r{addr}")
         entries[addr] = FlatEntry(op, ws[1:])
     return FlatProgram(entries, W.ref_addr(image.root))
 
@@ -354,6 +342,8 @@ def _parse_image(data):
     code = {}
     for _ in range(nentries):
         addr, n = _ENTRY.unpack_from(data, off)
+        if not n:
+            raise CompileError(f"entry r{addr} has no words")
         code[addr] = _unpack_words(n)(data, off + 6)
         off += 6 + 8 * n
     extra = len(data) - off - _TRAILER.size

@@ -13,9 +13,21 @@ their internal references stored as offsets into the block and their
 variable positions marked, so a beta fills one block of consecutive arena
 addresses in one flat loop.
 
+A machine checks its image once, at boot (`check_image`), and the loop
+trusts what the check guarantees: every entry lies below RUNTIME_BASE and
+starts with a special form or an operation of the image's symbol table;
+every argument word is a reference, a 32-bit constant or a variable; the
+root and every reference name a tile of the machine and an entry of the
+image; and no chain of references is a cycle.  So the packet path has no
+branch for an unknown address, form or operation.  What the loop builds at
+run time (arena copies, handle and error words) it builds from checked
+words.  Two things boot cannot see are checked where they arrive: a
+reference a control method restarts (`Machine.restart_evaluation`), and a
+variable no beta substituted, which is an error result where it is used.
+
 Kernel dispatch follows the paper's split between communication code and
-task code.  A machine resolves each operation word to its kernel once, on
-the operation's first call.  The engine's own services (`builtin` and
+task code.  Boot resolves each operation word of the image to its kernel
+(`Machine.ops`).  The engine's own services (`builtin` and
 `ctrl`) and control methods are O(1) bookkeeping and run inline on the
 loop.  Every other (task) kernel call is handed, its arity checked and its
 arguments unwrapped on the loop, to one of the machine's
@@ -63,7 +75,7 @@ the gateway queue: the kept result, or None.
 
 from __future__ import annotations
 
-import itertools
+import graphlib
 import operator
 import queue
 import random
@@ -75,8 +87,8 @@ from typing import NamedTuple
 
 from . import words as W
 from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, is_list, materialize
-from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_BUILTIN, KIND_CONST,
-                    KIND_ERROR, KIND_OPER, KIND_SHIFT, PAYLOAD_MASK, QUOTE_SHIFT, SIGN_BIT_48,
+from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_CONST, KIND_ERROR,
+                    KIND_OPER, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_SHIFT, SIGN_BIT_48,
                     TILE_MASK, TILE_SHIFT)
 
 RUNTIME_BASE = 1 << 31
@@ -252,11 +264,7 @@ class Tile:
     def on_request(self, pkt):
         ref = pkt.payload[0]
         a = ref & ADDR_MASK
-        try:
-            code = self.code[a] if a < RUNTIME_BASE else self.machine.code_words(a)
-        except KeyError:
-            self.machine.set_fatal(ProtocolError(f"reference to unknown code address {a}"))
-            return
+        code = self.code[a] if a < RUNTIME_BASE else self.machine.code_words(a)
         addr = self.alloc_record()
         rec = self.subtask_list[addr]
         rec.err = None
@@ -299,8 +307,7 @@ class Tile:
     # ── reduction ────────────────────────────────────────────
 
     def op_name(self, op_word):
-        """The frame name of an entry: its operation's name, or the word
-        itself when that is no operation of the image."""
+        """The frame name of an entry: its special form's or operation's name."""
         return W.word_str(op_word, self.machine.image.symbols)
 
     def finish(self, addr, rec):
@@ -309,22 +316,16 @@ class Tile:
             self.reply_error_word(rec, rec.err)
             self.free_record(addr, rec)
             return
-        k = rec.op_word >> KIND_SHIFT
-        if k == KIND_OPER:
+        if rec.op_word >> KIND_SHIFT == KIND_OPER:
             self.invoke_kernel(addr, rec)
             return  # invoke_kernel frees
-        if k == KIND_BUILTIN:
-            form = rec.op_word & PAYLOAD_MASK
-            if form == W.FORM_CODE_LAMBDA:
-                self.reply(rec, W.set_quote(W.clear_quote(rec.self_ref)))
-            elif form == W.FORM_CODE_IF:
-                self.eval_if(rec)
-            elif form == W.FORM_CODE_BETA:
-                self.beta_reduce(rec)
-            else:
-                self.reply_error(rec, f"unknown special form code {form}")
+        form = rec.op_word & PAYLOAD_MASK  # boot admits only the three special forms
+        if form == W.FORM_CODE_LAMBDA:
+            self.reply(rec, W.set_quote(W.clear_quote(rec.self_ref)))
+        elif form == W.FORM_CODE_IF:
+            self.eval_if(rec)
         else:
-            self.reply_error(rec, "entry does not start with an operation")
+            self.beta_reduce(rec)
         self.free_record(addr, rec)
 
     def reply(self, rec, word):
@@ -353,6 +354,8 @@ class Tile:
             # continuation; the unselected branch is never dispatched
             w = W.clear_quote(selected)
             self.machine.send(REQ, self.tile_id, W.ref_tile(w), rec.caller, (w,))
+        elif W.kind_of(selected) == W.KIND_VAR:  # no beta substituted it
+            self.reply_error(rec, "unbound variable in if branch")
         else:
             self.reply(rec, W.clear_quote(selected))
 
@@ -364,11 +367,7 @@ class Tile:
         if W.kind_of(opw) != W.KIND_REF or not W.is_quoted(opw):
             self.reply_error(rec, "operator is not a lambda value")
             return
-        try:
-            lam = self.machine.code_words(W.ref_addr(opw))
-        except KeyError:
-            self.reply_error(rec, "operator references unknown code")
-            return
+        lam = self.machine.code_words(W.ref_addr(opw))
         if W.kind_of(lam[0]) != W.KIND_BUILTIN or \
                 W.builtin_form(lam[0]) != W.FORM_CODE_LAMBDA:
             self.reply_error(rec, "operator is not a lambda value")
@@ -441,18 +440,7 @@ class Tile:
         a task kernel goes, its arguments unwrapped, to the kernel thread and
         any other method is called here."""
         machine = self.machine
-        op = machine.ops.get(rec.op_word)
-        if op is None:  # the first call on this machine resolves it, once
-            sid, mid = W.oper_ids(rec.op_word)
-            try:
-                service, spec = machine.registry.spec(sid, mid)
-            except KernelError:
-                machine.set_fatal(ProtocolError(f"undispatchable operation id {sid}.{mid}"))
-                self.free_record(addr, rec)
-                return
-            task = not spec.control and service.name not in _ENGINE_SERVICES
-            op = machine.ops[rec.op_word] = service, spec, task
-        service, spec, task = op
+        service, spec, task = machine.ops[rec.op_word]
         ctx = self.ctx
         error = None
         try:
@@ -469,8 +457,6 @@ class Tile:
                 self.kernel_thread.submit((self, addr, spec.fn, args))
                 return  # on_done concludes it
             value = spec.fn(ctx, args) if spec.control else spec.fn(ctx, *args)
-        except ProtocolError:
-            raise  # a malformed word, not a kernel failure: the machine is poisoned
         except Exception as e:
             value, error = None, kernel_failure(e)
         finally:
@@ -544,6 +530,63 @@ class _KernelThread:
         self.machine.queue.put(Packet(DONE, t, t, t, addr, 0, outcome))
 
 
+_REF_END = 1 << KIND_SHIFT  # a word below it is a reference, quoted or not
+_TILE_FIELD = TILE_MASK << TILE_SHIFT
+_CONST_NEG = PAYLOAD_MASK + 1 + CONST_MIN  # the payload of the constant CONST_MIN
+_FORM_WORDS = frozenset(W.mk_builtin(form) for form in W.FORM_NAMES)
+
+
+def check_image(image):
+    """Refuse, with VmError, an image that breaks what the loop trusts (see
+    the module docstring).  A reference cycle needs a reference at or before
+    its own entry, so only an image with one has its reference graph
+    searched."""
+    code, past = image.code, image.tile_count << TILE_SHIFT  # the tile field compared in place
+    first_words = _FORM_WORDS | {W.mk_oper(sid, mid) for sid, mid in image.symbols}
+    fault = _ref_fault(image.root, image)
+    if fault:
+        raise VmError(f"root: {fault}")
+    if max(code) >= RUNTIME_BASE:
+        raise VmError(f"entry r{max(code)} lies in the runtime code region")
+    back = False
+    for addr, ws in code.items():
+        if not ws:
+            raise VmError(f"entry r{addr} has no words")
+        if ws[0] not in first_words:
+            raise VmError(f"entry r{addr} starts with {W.word_str(ws[0])}, "
+                          f"not a special form or an operation of the image")
+        for w in ws[1:]:
+            if w < _REF_END:
+                target = w & ADDR_MASK
+                if target <= addr:
+                    back = True
+                if w & _TILE_FIELD >= past or target not in code:
+                    raise VmError(_ref_fault(w, image))
+            elif w >> KIND_SHIFT == KIND_CONST:
+                if CONST_MAX < w & PAYLOAD_MASK < _CONST_NEG:  # not a sign-extended int32
+                    raise VmError(f"constant {W.word_str(w)} in r{addr} is out of 32-bit range")
+            elif w >> KIND_SHIFT != KIND_VAR:
+                raise VmError(f"bad argument word kind {W.kind_of(w)} in r{addr}")
+    if back:
+        graph = {a: [w & ADDR_MASK for w in ws[1:] if w < _REF_END] for a, ws in code.items()}
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError as e:  # the path runs against the reference edges
+            path = " -> ".join(f"r{a}" for a in reversed(e.args[1]))
+            raise VmError(f"reference cycle {path}") from None
+
+
+def _ref_fault(w, image):
+    """Why word w is no reference to an entry of the image, or None."""
+    if w >= _REF_END:
+        return f"{W.word_str(w)} is not a reference"
+    if w >> TILE_SHIFT & TILE_MASK >= image.tile_count:
+        return f"reference {W.word_str(w)} names a tile past the image's {image.tile_count}"
+    if w & ADDR_MASK not in image.code:
+        return f"reference {W.word_str(w)} names no entry"
+    return None
+
+
 class Machine:
     """A booted reduction machine; reusable across run() calls.
 
@@ -558,6 +601,7 @@ class Machine:
             raise VmError("thread count must be >= 1 (no kernel thread for task kernels)")
         if not 1 <= image.tile_count <= MAX_TILES:
             raise VmError(f"tile count must be in 1..{MAX_TILES}")
+        self.ops = {}  # operation word -> (service, spec, task); task: run on a kernel thread
         for (sid, mid), name in image.symbols.items():
             try:
                 rsid, rmid, _ = registry.resolve(name)
@@ -567,20 +611,12 @@ class Machine:
                 raise VmError(
                     f"image/registry symbol mismatch: '{name}' is "
                     f"{rsid}.{rmid} in the registry, {sid}.{mid} in the image")
-        # once here, not per packet: no reference (kind 0) may name a missing
-        # tile; the tile field is compared in place
-        refs_end, tile_field = 1 << KIND_SHIFT, TILE_MASK << TILE_SHIFT
-        past = image.tile_count << TILE_SHIFT
-        for w in itertools.chain((image.root,), itertools.chain.from_iterable(
-                image.code.values())):
-            if w < refs_end and (w & tile_field) >= past:
-                raise VmError(f"reference {W.word_str(w)} names a tile past the "
-                              f"image's {image.tile_count}")
+            service, spec = registry.spec(sid, mid)
+            task = not spec.control and service.name not in _ENGINE_SERVICES
+            self.ops[W.mk_oper(sid, mid)] = service, spec, task
+        check_image(image)
         self.image = image
         self.registry = registry
-        # operation word -> (service, spec, task), resolved on first use;
-        # task is true for a kernel that runs on a kernel thread
-        self.ops = {}
         self.fuzz_seed = fuzz_seed
         self.tile_count = image.tile_count
         self.gateway_tile = image.tile_count
@@ -696,10 +732,7 @@ class Machine:
         stack = [root_addr]
         while stack:
             a = stack.pop()
-            try:
-                code = self.code_words(a)
-            except KeyError:
-                raise VmError(f"closure references unknown code address {a}") from None
+            code = self.code_words(a)
             words = list(code)
             refs, variables = [], []
             for i in range(1, len(code)):
@@ -737,6 +770,10 @@ class Machine:
     def restart_evaluation(self, ref_word, tile_id, caller, src=0):
         if W.kind_of(ref_word) != W.KIND_REF or not W.is_quoted(ref_word):
             raise KernelError("restart requires a quoted reference")
+        try:  # a control method's word, unlike an image's, was not checked at boot
+            self.code_words(W.ref_addr(ref_word))
+        except KeyError:
+            raise KernelError(f"restart of {W.word_str(ref_word)}, which names no entry") from None
         tile = tile_id % self.tile_count  # out-of-range thread ids wrap
         w = W.clear_quote(W.ref_with_tile(ref_word, tile))
         self.send(REQ, src, tile, caller, (w,))

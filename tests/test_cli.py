@@ -5,8 +5,10 @@ import os
 
 import pytest
 
-from gprm import lang
+from gprm import lang, words as W
 from gprm.cli import EXIT_COMPILE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from gprm.compiler import compile_text, write_image
+from gprm.kernels import standard_registry
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROGRAMS = os.path.join(ROOT, "programs")
@@ -176,3 +178,18 @@ def test_cli_parses_each_source_once(tmp_path, capsys, monkeypatch, command):
     argv = [command, str(src)] + (["-o", str(tmp_path / "p.gprm")] if command == "compile" else [])
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert len(calls) == 1
+
+
+
+@pytest.mark.parametrize("words, exit_code, message", [
+    ((W.mk_oper(0, 0), W.mk_const(2), W.mk_handle(0)), EXIT_RUNTIME,
+     "runtime error: bad argument word kind 5 in r1"),  # refused at boot
+    ((), EXIT_COMPILE, "compile error: entry r1 has no words"),  # refused at load
+])
+def test_run_of_a_corrupt_image_prints_one_error_line(tmp_path, capsys, words, exit_code,
+                                                      message):
+    img = compile_text("(+ '1 (+ '2 '3))", 1, standard_registry())
+    img.code[1] = words
+    path = tmp_path / "corrupt.gprm"
+    write_image(img, path)
+    assert run_cli(capsys, "run", str(path)) == (exit_code, "", message)

@@ -189,29 +189,13 @@ def test_constant_out_of_range_in_a_hand_built_ast_refused():
         compile_flat(flatten(ast), 1)
 
 
-def test_encode_refuses_a_reference_to_a_tile_past_the_tile_count():
-    fp = FlatProgram({0: FlatEntry("+", (W.mk_ref(1, 2), W.mk_const(1))),
-                      1: FlatEntry("+", (W.mk_const(1), W.mk_const(2)))})
-    with pytest.raises(CompileError, match=r"^tile id 2 out of range for 2 tiles$"):
-        encode(fp, 2, fresh_registry())
-    assert encode(fp, 3, fresh_registry()).code[0][1] == W.mk_ref(1, 2)
-
-
-@pytest.mark.parametrize("word, kind", [
-    (W.mk_handle(0), W.KIND_HANDLE),
-    (W.mk_error(1), W.KIND_ERROR),
-    (W.mk_oper(1, 1), W.KIND_OPER),
-    (W.mk_builtin(W.FORM_CODE_IF), W.KIND_BUILTIN),
-])
-def test_encode_and_decode_refuse_an_argument_word_of_another_kind(word, kind):
-    fp = FlatProgram({0: FlatEntry("+", (W.mk_const(1), word))})
-    with pytest.raises(CompileError, match=rf"^bad argument word kind {kind} in r0$"):
-        encode(fp, 1, fresh_registry())
-    img = encode(FlatProgram({0: FlatEntry("+", (W.mk_const(1), W.mk_const(2)))}), 1,
-                 fresh_registry())
-    img.code[0] = img.code[0][:2] + (word,)
-    with pytest.raises(CompileError, match=rf"^bad argument word kind {kind} in r0$"):
-        decode(img)
+def test_image_with_a_zero_word_entry_is_refused_at_load():
+    # an entry is at least its operation word; decode and run() used to
+    # raise a raw IndexError on one without
+    img = compile_text("(+ '1 (+ '2 '3))", 1, fresh_registry())
+    img.code[1] = ()
+    with pytest.raises(CompileError, match=r"^entry r1 has no words$"):
+        image_from_bytes(image_to_bytes(img))
 
 
 def test_write_image_that_cannot_be_serialized_leaves_no_file(tmp_path):

@@ -1,6 +1,8 @@
 """The reduction machine: dispatch, beta, if, placement, errors, conservation."""
 
 import queue
+import random
+import re
 import sys
 import threading
 import time
@@ -588,15 +590,6 @@ def test_record_pool_grows_on_demand_and_is_reused():
         assert [t.subtask_list for t in m.tiles] == after_first
 
 
-def test_unknown_special_form_code_is_a_task_error():
-    reg = fresh_registry()
-    img = compile_for("(+ '1 '2)", 1, reg)
-    img.code[W.ref_addr(img.root)] = (W.mk_builtin(7), W.mk_const(1))
-    with Machine(img, reg, 1) as m:
-        with pytest.raises(TaskError, match="unknown special form code 7"):
-            m.run_value()
-
-
 # ── controllable interleaving harness ────────────────────────────────
 
 
@@ -855,36 +848,171 @@ def test_restart_from_task_kernel_is_refused():
 # ── corrupt images ───────────────────────────────────────────────────
 
 
+def _set_entry(addr, *words):
+    """An image edit that makes entry addr the given words."""
+    def edit(img):
+        img.code[addr] = words
+    return edit
+
+
+def _set_lambda_body(word):
+    """An image edit that makes the body of the image's lambda the given word."""
+    def edit(img):
+        lam = next(a for a, ws in img.code.items() if ws[0] == W.mk_builtin(W.FORM_CODE_LAMBDA))
+        img.code[lam] = img.code[lam][:-1] + (word,)
+    return edit
+
+
+def _set_root(word):
+    """An image edit that makes the root the given word."""
+    def edit(img):
+        img.root = word
+    return edit
+
+
+_PLUS = W.mk_oper(0, 0)  # `+`, the first builtin method
+_CORRUPT_IMAGES = {
+    "special-form-7": ("(+ '1 '2)", _set_entry(0, W.mk_builtin(7), W.mk_const(1)),
+                       "entry r0 starts with form7, not a special form or an operation of "
+                       "the image"),
+    "constant-first-word": ("(+ '1 '2)", _set_entry(0, W.mk_const(5), W.mk_const(1)),
+                            "entry r0 starts with 5, not a special form or an operation of "
+                            "the image"),
+    "no-words": ("(+ '1 '2)", _set_entry(0), "entry r0 has no words"),
+    "runtime-region-entry": ("(+ '1 '2)", _set_entry(vm.RUNTIME_BASE, _PLUS),
+                             f"entry r{vm.RUNTIME_BASE} lies in the runtime code region"),
+    "closure-reference-to-unknown-code": (
+        "(beta (lambda 'x '(+ x '1)) '2)", _set_lambda_body(W.mk_ref(999, 0, quoted=True)),
+        "reference 'r999@t0 names no entry"),
+    "handle-word": ("(+ '1 '2)", _set_entry(0, _PLUS, W.mk_const(1), W.mk_handle(0)),
+                    f"bad argument word kind {W.KIND_HANDLE} in r0"),
+    "error-word": ("(+ '1 '2)", _set_entry(0, _PLUS, W.mk_const(1), W.mk_error(1)),
+                   f"bad argument word kind {W.KIND_ERROR} in r0"),
+    "operation-word": ("(+ '1 '2)", _set_entry(0, _PLUS, W.mk_const(1), W.mk_oper(1, 1)),
+                       f"bad argument word kind {W.KIND_OPER} in r0"),
+    "form-word": ("(+ '1 '2)",
+                  _set_entry(0, _PLUS, W.mk_const(1), W.mk_builtin(W.FORM_CODE_IF)),
+                  f"bad argument word kind {W.KIND_BUILTIN} in r0"),
+    "constant-past-int32": ("(+ '1 '2)",
+                            _set_entry(0, _PLUS, W.mk_const(1), W.CONST_WORD | 1 << 40),
+                            "constant 1099511627776 in r0 is out of 32-bit range"),
+    "negative-constant-past-int32": (
+        "(+ '1 '2)",
+        _set_entry(0, _PLUS, W.mk_const(1), W.CONST_WORD | (-(1 << 31) - 1) & W.PAYLOAD_MASK),
+        "constant -2147483649 in r0 is out of 32-bit range"),
+    "root-not-a-reference": ("(+ '1 '2)", _set_root(W.mk_const(0)),
+                             "root: 0 is not a reference"),
+    "root-names-no-entry": ("(+ '1 '2)", _set_root(W.mk_ref(99, 0)),
+                            "root: reference r99@t0 names no entry"),
+    "two-entry-cycle": ("(+ '1 (+ '2 '3))",
+                        _set_entry(1, _PLUS, W.mk_ref(0, 0), W.mk_const(3)),
+                        "reference cycle r0 -> r1 -> r0"),
+    "quoted-self-reference": ("(+ '1 '2)",
+                              _set_entry(0, _PLUS, W.mk_ref(0, 0, quoted=True), W.mk_const(1)),
+                              "reference cycle r0 -> r0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORRUPT_IMAGES))
+def test_boot_refuses_a_corrupt_image(case):
+    # each of these used to reach the running engine: a task or protocol
+    # error, a raw IndexError, or (the cycles) a run that grew until the timeout
+    text, edit, message = _CORRUPT_IMAGES[case]
+    reg = fresh_registry()
+    img = compile_for(text, 1, reg)
+    edit(img)
+    with pytest.raises(VmError, match=f"^{re.escape(message)}$"):
+        Machine(img, reg, 1)
+
+
+def test_boot_accepts_the_int32_bounds():
+    assert execute("(+ '2147483647 '-2147483648)", threads=1) == -1
+
+
+@pytest.mark.parametrize("name", ["beta", "fib6"])
+def test_corrupt_images_fail_with_the_package_errors(name):
+    # 400 seeded corruptions of 1-3 bytes each, on 2 tiles: each gives a
+    # value, a CompileError at load, a VmError at boot or a TaskError from
+    # the run; a raw exception, a ProtocolError or a StuckReductionError
+    # (a timeout) fails the test.  A wrong value passes: a corrupted constant
+    # is still a valid program, which only a checksum over the image could
+    # refuse.  Such a program can also outlive the timeout (fib(64) in place
+    # of fib(6)); seed 2 makes none, about 0.5% of other seeds' fib
+    # corruptions do.
+    text = ("(beta (lambda 'x '(* (- x '1) (+ x '1))) '5)" if name == "beta"
+            else compile_gpc(FIB_GPC.replace("fib(10)", "fib(6)"), num_threads=2))
+    reg = fresh_registry()
+    blob = compiler.image_to_bytes(compile_for(text, 2, reg))
+    rng = random.Random(2)
+    outcomes = set()
+    for _ in range(400):
+        data = bytearray(blob)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        try:
+            img = compiler.image_from_bytes(bytes(data))
+        except compiler.CompileError:
+            outcomes.add("load")
+            continue
+        try:
+            m = Machine(img, reg, 2)
+        except VmError:
+            outcomes.add("boot")
+            continue
+        with m:
+            try:
+                m.run_value(timeout=2.0)
+                outcomes.add("value")
+            except TaskError:
+                outcomes.add("run")
+    assert outcomes == {"load", "boot", "run", "value"}
+
+
 def test_reference_to_runtime_address_of_missing_tile():
     reg = fresh_registry()
     img = compile_for("(+ '1 '2)", 1, reg)
     bad = W.mk_ref(vm.RUNTIME_BASE + 99 * vm.RUNTIME_STRIDE, 0)
     img.code[W.ref_addr(img.root)] = (img.code[W.ref_addr(img.root)][0], bad, W.mk_const(1))
-    with Machine(img, reg, 1) as m:
-        with pytest.raises(ProtocolError, match="unknown code address"):
-            m.run_value()
+    with pytest.raises(VmError, match=f"^reference r{vm.RUNTIME_BASE + 99 * vm.RUNTIME_STRIDE}"
+                                      "@t0 names no entry$"):
+        Machine(img, reg, 1)
 
 
-def test_non_operation_first_word_names_itself_in_the_frame():
+def test_an_operation_the_image_does_not_list_is_refused_at_boot():
+    # `*` is in the registry, but the image's symbol table names only `+`
     reg = fresh_registry()
     img = compile_for("(+ '1 '2)", 1, reg)
-    img.code[W.ref_addr(img.root)] = (W.mk_const(5), W.mk_const(1))
+    sid, mid, _ = reg.resolve("*")
+    img.code[0] = (W.mk_oper(sid, mid),) + img.code[0][1:]
+    with pytest.raises(VmError, match=rf"^entry r0 starts with {sid}\.{mid}, not a special form"):
+        Machine(img, reg, 1)
+    img.symbols[(sid, mid)] = "*"
     with Machine(img, reg, 1) as m:
-        with pytest.raises(TaskError, match="does not start with an operation") as ei:
-            m.run_value()
-    assert ei.value.frames == ("5",)
+        assert m.run_value() == 2
 
 
-def test_closure_reference_to_unknown_code_is_a_task_error():
+def test_restart_of_a_reference_that_names_no_entry_is_a_task_error():
+    # a control method can hand restart a word the image never held
     reg = fresh_registry()
-    img = compile_for("(beta (lambda 'x '(+ x '1)) '2)", 1, reg)
-    lam = next(a for a, ws in img.code.items() if W.kind_of(ws[0]) == W.KIND_BUILTIN
-               and W.builtin_form(ws[0]) == W.FORM_CODE_LAMBDA)
-    img.code[lam] = img.code[lam][:-1] + (W.mk_ref(999, 0, quoted=True),)
-    with Machine(img, reg, 1) as m:
-        with pytest.raises(TaskError, match="unknown code address 999") as ei:
+    reg.register("k", [("jump", 0, lambda ctx, args: ctx.restart(W.mk_ref(999, quoted=True), 0),
+                        True)])
+    with Machine(compile_for("(+ '1 (k.jump))", 1, reg), reg, 1) as m:
+        with pytest.raises(TaskError, match=r"restart of 'r999@t0, which names no entry") as ei:
             m.run_value()
-    assert ei.value.frames == ("beta",)
+        assert ei.value.frames == ("k.jump", "+")
+
+
+def test_unbound_variable_in_an_if_branch_is_a_task_error():
+    # boot checks a variable word's kind only; no beta substitutes one that
+    # no lambda binds, and the selected branch used to reach the host as a
+    # raw variable word
+    reg = fresh_registry()
+    img = compile_for("(if '1 '2 '0)", 1, reg)
+    img.code[0] = (img.code[0][0], W.mk_const(1), W.mk_var(9, quoted=True), W.mk_const(0))
+    with Machine(img, reg, 1) as m:
+        with pytest.raises(TaskError, match="^unbound variable in if branch") as ei:
+            m.run_value()
+    assert ei.value.frames == ("if",)
 
 
 @pytest.mark.parametrize("root", [False, True])
@@ -1003,18 +1131,17 @@ def test_conservation_check_covers_arena_and_handles():
 
 
 def test_unknown_operation_id_in_an_error_chain_is_a_vm_error():
-    # the chain names every frame it crosses; an operation id the registry
-    # does not know names itself instead of raising a raw KernelError
+    # an operation id the registry does not know used to reach the error
+    # chain, which named it by id; boot now refuses it
     reg = fresh_registry()
     img = compile_for("(+ (head (emptylist)) '1)", 1, reg)
     sid, mid, _ = reg.resolve("+")
     addr = next(a for a, code in img.code.items() if code[0] == W.mk_oper(sid, mid))
     img.code[addr] = (W.mk_oper(77, 0),) + img.code[addr][1:]
-    with Machine(img, reg, 1) as m:
-        with pytest.raises(VmError) as ei:
-            m.run_value()
+    with pytest.raises(VmError, match=f"^entry r{addr} starts with 77.0, not a special form "
+                                      "or an operation of the image$") as ei:
+        Machine(img, reg, 1)
     assert not isinstance(ei.value, KernelError)
-    assert isinstance(ei.value, TaskError) and ei.value.frames[-1] == "77.0"
 
 
 def _error_word_image(text, reg):
@@ -1030,11 +1157,11 @@ def _error_word_image(text, reg):
 @pytest.mark.parametrize("text", ["(beta (lambda 'x '5) '1)",
                                   "(+ '1 (beta (lambda 'x '5) '1))"])
 def test_error_word_naming_no_error_record_is_a_protocol_error(text):
-    # the root's result (run), or an argument's (the error chain on the loop)
+    # an image holds no error word: boot refuses it where it would have been
+    # the root's result or an argument's; the host API still checks its own
     reg = fresh_registry()
-    with Machine(_error_word_image(text, reg), reg, 1) as m:
-        with pytest.raises(ProtocolError, match="err7 names no error record"):
-            m.run_value()
+    with pytest.raises(VmError, match=f"^bad argument word kind {W.KIND_ERROR} in r"):
+        Machine(_error_word_image(text, reg), reg, 1)
     with Machine(compile_for("(+ '1 '2)", 1, reg), reg, 1) as m:
         m.wrap_handle([1])  # handle 0 is no error record either
         for w in (W.mk_error(0), W.mk_error(7)):
@@ -1071,6 +1198,7 @@ def _with_root(text, op, nargs, reg):
     img = compile_for(text, 1, reg)
     sid, mid, _ = reg.resolve(op)
     img.code[W.ref_addr(img.root)] = (W.mk_oper(sid, mid),) + (W.mk_const(1),) * nargs
+    img.symbols[(sid, mid)] = op
     return img
 
 
@@ -1084,13 +1212,12 @@ def test_builtin_errors_keep_their_messages_and_frames():
          ("k.two",)),
         ("(k.big)", "kernel returned out-of-range integer 1099511627776", ("k.big",)),
         (_with_root("(+ '1 '2)", "+", 1, reg), "+ expects 2 arguments, got 1", ("+",)),
-        # operations the image has no symbol for name themselves by id
         (_with_root("(+ '1 '2)", "k.two", 3, reg), "k.two expects 2 arguments, got 3",
-         ("3.0",)),
+         ("k.two",)),
         (_with_root("(+ '1 '2)", "ctrl.run", 3, reg), "ctrl.run expects 2 arguments, got 3",
-         ("1.2",)),
+         ("ctrl.run",)),
         (_with_root("(+ '1 '2)", "ctrl.arg", 0, reg), "ctrl.arg expects 1 arguments, got 0",
-         ("1.0",)),
+         ("ctrl.arg",)),
     ]
     for program, message, frames in cases:
         img = compile_for(program, 1, reg) if isinstance(program, str) else program
@@ -1113,8 +1240,11 @@ def _handle_word_image(text, reg):
 
 @pytest.mark.parametrize("text", ["(if '1 '5 '0)", "(+ '5 '1)"])
 def test_handle_word_naming_no_handle_is_a_protocol_error(text):
-    # the root's result (decode_word), or a kernel's argument (unwrap)
+    # an image holds no handle word: boot refuses it where it would have been
+    # the root's result or a kernel's argument; the host API still checks its own
     reg = fresh_registry()
-    with Machine(_handle_word_image(text, reg), reg, 1) as m:
+    with pytest.raises(VmError, match=f"^bad argument word kind {W.KIND_HANDLE} in r0$"):
+        Machine(_handle_word_image(text, reg), reg, 1)
+    with Machine(compile_for("(+ '1 '2)", 1, reg), reg, 1) as m:
         with pytest.raises(ProtocolError, match="h99 names no handle"):
-            m.run_value()
+            m.decode_word(W.mk_handle(99))
