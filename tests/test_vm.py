@@ -904,6 +904,9 @@ _CORRUPT_IMAGES = {
                              "root: 0 is not a reference"),
     "root-names-no-entry": ("(+ '1 '2)", _set_root(W.mk_ref(99, 0)),
                             "root: reference r99@t0 names no entry"),
+    "reference-to-tile-past-tile-count": ("(+ '1 (+ '2 '3))",
+                                          _set_entry(0, _PLUS, W.mk_const(1), W.mk_ref(1, 1)),
+                                          "reference r1@t1 names a tile past the image's 1"),
     "two-entry-cycle": ("(+ '1 (+ '2 '3))",
                         _set_entry(1, _PLUS, W.mk_ref(0, 0), W.mk_const(3)),
                         "reference cycle r0 -> r1 -> r0"),
@@ -927,6 +930,14 @@ def test_boot_refuses_a_corrupt_image(case):
 
 def test_boot_accepts_the_int32_bounds():
     assert execute("(+ '2147483647 '-2147483648)", threads=1) == -1
+
+
+def test_boot_accepts_a_reference_to_the_last_tile():
+    reg = fresh_registry()
+    img = compile_for("(+ '1 (+ '2 '3))", 2, reg)
+    img.code[0] = (_PLUS, W.mk_const(1), W.mk_ref(1, 1))
+    with Machine(img, reg, 2) as m:
+        assert m.run_value() == 6
 
 
 @pytest.mark.parametrize("name", ["beta", "fib6"])
