@@ -13,6 +13,7 @@ goes through the same wrapper dispatch path.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -172,7 +173,8 @@ def materialize(v):
 
 
 def int32(v):
-    """Wrap to 32-bit two's complement; arithmetic and the oracle share this."""
+    """Wrap to 32-bit two's complement: the wrap the arithmetic builtins
+    apply inline, for host code and tests to reproduce their results."""
     v &= 0xFFFFFFFF
     return v - (1 << 32) if v & 0x80000000 else v
 
@@ -193,11 +195,26 @@ def _want_list(v, op):
 
 
 def _builtin_methods():
+    # each arithmetic and comparison method is one Python call: an argument
+    # is checked only when it is not a plain int, and arithmetic wraps its
+    # result as int32 does, inline
     def arith(name, fn):
-        return (name, 2, lambda ctx, a, b: int32(fn(_want_int(a, name), _want_int(b, name))))
+        def method(ctx, a, b):
+            if type(a) is not int:
+                _want_int(a, name)
+            if type(b) is not int:
+                _want_int(b, name)
+            return ((fn(a, b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+        return name, 2, method
 
     def cmp(name, fn):
-        return (name, 2, lambda ctx, a, b: int(fn(_want_int(a, name), _want_int(b, name))))
+        def method(ctx, a, b):
+            if type(a) is not int:
+                _want_int(a, name)
+            if type(b) is not int:
+                _want_int(b, name)
+            return 1 if fn(a, b) else 0
+        return name, 2, method
 
     def head(ctx, l):
         if _want_list(l, "head") is EMPTY:
@@ -213,15 +230,15 @@ def _builtin_methods():
         return Cons(h, _want_list(t, "cons"))
 
     return [
-        arith("+", lambda a, b: a + b),
-        arith("-", lambda a, b: a - b),
-        arith("*", lambda a, b: a * b),
-        cmp(">=", lambda a, b: a >= b),
-        cmp(">", lambda a, b: a > b),
-        cmp("<=", lambda a, b: a <= b),
-        cmp("<", lambda a, b: a < b),
-        cmp("==", lambda a, b: a == b),
-        cmp("!=", lambda a, b: a != b),
+        arith("+", operator.add),
+        arith("-", operator.sub),
+        arith("*", operator.mul),
+        cmp(">=", operator.ge),
+        cmp(">", operator.gt),
+        cmp("<=", operator.le),
+        cmp("<", operator.lt),
+        cmp("==", operator.eq),
+        cmp("!=", operator.ne),
         ("cons", 2, cons),
         ("head", 1, head),
         ("tail", 1, tail),

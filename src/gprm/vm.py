@@ -1,17 +1,21 @@
 """The parallel reduction machine.
 
 A machine is a set of tiles served by one reduction loop, which handles
-every tile-bound packet in FIFO order.  A reference packet asks a tile to
-evaluate one flat S-expression: the tile allocates a subtask record, stores
-present arguments, requests referenced arguments from their tiles, and
-invokes the kernel once every slot is filled.  Results travel back to the
-requesting record's slot.  Beta reduction is string reduction: the lambda
-body's entries are copied into a per-tile runtime code region with argument
-words substituted for variable words, and the fresh root is dispatched.
-The copy instantiates a closure template: the body's entries in copy order,
-their internal references stored as offsets into the block and their
-variable positions marked, so a beta fills one block of consecutive arena
-addresses in one flat loop.
+every tile-bound packet in FIFO order (a fuzzed machine takes a random one).
+A reference packet asks a tile to evaluate one flat S-expression.  An entry
+none of whose argument words is an unquoted reference has nothing to wait
+for: the tile reduces it at once, from its code words and the packet's
+caller.  Any other entry gets a subtask record: the tile stores present
+arguments, requests referenced arguments from their tiles, and reduces the
+entry once every slot is filled.  Results travel back to the requesting
+record's slot.  A task kernel in flight holds a record with no slots until
+its completion.  Beta reduction is string reduction: the lambda body's
+entries are copied into a per-tile runtime code region with argument words
+substituted for variable words, and the fresh root is dispatched.  The copy
+instantiates a closure template: the body's entries in copy order, their
+internal references stored as offsets into the block and their variable
+positions marked, so a beta fills one block of consecutive arena addresses
+in one flat loop.
 
 A machine checks its image once, at boot (`check_image`), and the loop
 trusts what the check guarantees: every entry lies below RUNTIME_BASE and
@@ -34,7 +38,7 @@ arguments unwrapped on the loop, to one of the machine's
 `min(threads, tile_count)` kernel threads: tile t's go to kernel thread
 t % n, each started on its first task kernel.  The kernel thread runs the
 kernel and posts one completion packet (kind DONE, never traced) to the
-loop's inbox; the loop then replies and frees the record.  So a long kernel
+loop's inbox; the loop then frees the record and replies.  So a long kernel
 does not hold up the packets queued behind it.
 
 The reduction is pure Python, so under the GIL a second loop could never
@@ -51,9 +55,9 @@ Ownership rules (the whole concurrency argument):
     next run;
   - only the loop's handlers send packets, and they append every packet,
     the host's result too, to the work list (`Machine.work`), a deque that
-    only the loop touches.  The inbox (`Machine.queue`) carries what the
-    loop did not send: the host's root packet, kernel threads' completions
-    and the stop token.  The loop moves waiting inbox packets onto the tail
+    only the loop touches, through `Machine.post`.  The inbox
+    (`Machine.queue`) carries what the loop did not send: the host's root
+    packet, kernel threads' completions and the stop token.  The loop moves waiting inbox packets onto the tail
     of the work list and blocks on the inbox only when the work list is
     empty;
   - `KernelContext.restart` is refused off the loop;
@@ -88,7 +92,7 @@ from typing import NamedTuple
 from . import words as W
 from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, is_list, materialize
 from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_CONST, KIND_ERROR,
-                    KIND_OPER, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_SHIFT, SIGN_BIT_48,
+                    KIND_OPER, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_BIT, SIGN_BIT_48,
                     TILE_MASK, TILE_SHIFT)
 
 RUNTIME_BASE = 1 << 31
@@ -162,10 +166,11 @@ LAMBDA_VALUE = LambdaValue()
 
 
 class SubtaskRecord:
-    """A requested slot holds None until its result arrives; a free record
-    has no slots."""
+    """An entry that waits.  A requested slot holds None until its result
+    arrives; a record waiting on a task kernel, and a free record, have no
+    slots."""
 
-    __slots__ = ("op_word", "self_ref", "caller", "slots", "pending", "err")
+    __slots__ = ("op_word", "self_ref", "caller", "slots", "pending", "failed")
 
     def __init__(self):
         self.op_word = 0
@@ -173,20 +178,20 @@ class SubtaskRecord:
         self.caller = (0, 0, 0)
         self.slots = ()
         self.pending = 0
-        self.err = None
+        self.failed = False  # some slot holds an error word
 
 
 class KernelContext:
     """What a kernel method may see of the engine.
 
-    Each tile has two: one for the methods run on its loop, whose `_rec` is
-    set while a control method runs, and one for its task kernels on the
-    kernel thread, whose `_rec` is always None."""
+    Each tile has two: one for the methods run on its loop, whose `_caller`
+    is set while a control method runs, and one for its task kernels on the
+    kernel thread, whose `_caller` is always None."""
 
     def __init__(self, tile):
         self._tile = tile
         self._machine = tile.machine
-        self._rec = None
+        self._caller = None  # the running control method's caller
 
     @property
     def tile_id(self):
@@ -221,12 +226,12 @@ class KernelContext:
     def restart(self, ref_word, tile_id):
         """Rewrite the reference's tile field, drop the quote, re-dispatch.
 
-        The restarted computation answers this record's caller directly.
+        The restarted computation answers this entry's caller directly.
         Only a control method may restart: it runs on the loop, the one
         place that may send packets."""
-        if self._rec is None:
+        if self._caller is None:
             raise KernelError("restart is only allowed in a control method")
-        self._machine.restart_evaluation(ref_word, tile_id, self._rec.caller,
+        self._machine.restart_evaluation(ref_word, tile_id, self._caller,
                                          src=self._tile.tile_id)
 
 
@@ -235,7 +240,7 @@ class Tile:
         self.machine = machine
         self.tile_id = tile_id
         self.code = machine.code
-        self.send = machine.send
+        self.post = machine.post
         self.subtask_list = []
         self.subtask_stack = []  # free addresses, reused LIFO
         self.arena = {}
@@ -248,16 +253,14 @@ class Tile:
         self.kernel_thread = machine.kernel_threads[tile_id % len(machine.kernel_threads)]
 
     # ── record allocation ────────────────────────────────────
+    # The packet path takes a record inline, as `stack.pop() if stack else
+    # self.new_record()`, and frees it by emptying its slots and pushing its
+    # address: the most recently freed record is reused first.
 
-    def alloc_record(self):
-        if self.subtask_stack:
-            return self.subtask_stack.pop()
+    def new_record(self):
+        """Grow the pool by one record; returns its address."""
         self.subtask_list.append(SubtaskRecord())
         return len(self.subtask_list) - 1
-
-    def free_record(self, addr, rec):
-        rec.slots = ()
-        self.subtask_stack.append(addr)
 
     # ── packet handlers ──────────────────────────────────────
 
@@ -265,23 +268,29 @@ class Tile:
         ref = pkt.payload[0]
         a = ref & ADDR_MASK
         code = self.code[a] if a < RUNTIME_BASE else self.machine.code_words(a)
-        addr = self.alloc_record()
+        # an unquoted reference is the only word below QUOTE_BIT, and the
+        # first word, a form or an operation, never is one
+        if min(code) >= QUOTE_BIT:
+            self.finish(code[0], code[1:], pkt[3:6], ref)
+            return
+        stack = self.subtask_stack
+        addr = stack.pop() if stack else self.new_record()
         rec = self.subtask_list[addr]
-        rec.err = None
+        rec.failed = False
         rec.self_ref = ref
         rec.caller = pkt[3:6]  # (caller_tile, caller_addr, caller_arg)
         rec.op_word = code[0]
         rec.slots = slots = list(code[1:])
         pending = 0
         tid = self.tile_id
+        post = self.post
         for i, w in enumerate(slots):
-            if w >> QUOTE_SHIFT == 0:  # an unquoted reference
+            if w < QUOTE_BIT:
                 slots[i] = None
                 pending += 1
-                self.send(REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, (tid, addr, i), (w,))
+                post(_new_packet(Packet, (REQ, tid, (w >> TILE_SHIFT) & TILE_MASK,
+                                          tid, addr, i, (w,))))
         rec.pending = pending
-        if not pending:
-            self.finish(addr, rec)
 
     def on_result(self, pkt):
         addr, arg = pkt.caller_addr, pkt.caller_arg
@@ -291,93 +300,135 @@ class Tile:
                 f"result for freed or unexpected record t{self.tile_id}/{addr} arg {arg}"))
             return
         w = pkt.payload[0]
-        rec.slots[arg] = w
+        slots = rec.slots
+        slots[arg] = w
+        if w >> KIND_SHIFT == KIND_ERROR:
+            rec.failed = True
         rec.pending -= 1
-        if w >> KIND_SHIFT == KIND_ERROR and rec.err is None:
-            rec.err = w
         if rec.pending == 0:
-            self.finish(addr, rec)
+            rec.slots = ()
+            self.subtask_stack.append(addr)
+            if rec.failed:
+                # an error short-circuits the reduction but waited for every
+                # slot; the leftmost error wins whatever order they came in
+                err = next(w for w in slots if w >> KIND_SHIFT == KIND_ERROR)
+                self.reply_error_word(rec.op_word, rec.caller, err)
+            else:
+                self.finish(rec.op_word, slots, rec.caller, rec.self_ref)
 
     def on_done(self, pkt):
-        """A task kernel's completion packet: reply and free on the loop."""
+        """A task kernel's completion packet: free its record and reply, on the loop."""
         self.machine.kernel_jobs -= 1
         addr = pkt.caller_addr
-        self.conclude(addr, self.subtask_list[addr], *pkt.payload)
+        rec = self.subtask_list[addr]
+        rec.slots = ()
+        self.subtask_stack.append(addr)
+        self.conclude(rec.op_word, rec.caller, *pkt.payload)
 
     # ── reduction ────────────────────────────────────────────
+    # An entry's fields: its op word, its filled slots (no error among them),
+    # the caller its result goes to, and the reference it was requested by.
 
     def op_name(self, op_word):
         """The frame name of an entry: its special form's or operation's name."""
         return W.word_str(op_word, self.machine.image.symbols)
 
-    def finish(self, addr, rec):
-        if rec.err is not None:
-            # error short-circuits the kernel but waited for all slots
-            self.reply_error_word(rec, rec.err)
-            self.free_record(addr, rec)
+    def finish(self, op_word, slots, caller, self_ref):
+        """Reduce an entry whose slots are all filled.  This is the one
+        kernel dispatch path: every method's arity is checked here, then a
+        task kernel goes, its arguments unwrapped, to the kernel thread, its
+        entry waiting in a record until on_done, and any other method is
+        called here."""
+        if op_word >> KIND_SHIFT != KIND_OPER:
+            form = op_word & PAYLOAD_MASK  # boot admits only the three special forms
+            if form == W.FORM_CODE_LAMBDA:
+                self.reply(caller, W.set_quote(W.clear_quote(self_ref)))
+            elif form == W.FORM_CODE_IF:
+                self.eval_if(op_word, slots, caller)
+            else:
+                self.beta_reduce(op_word, slots, caller)
             return
-        if rec.op_word >> KIND_SHIFT == KIND_OPER:
-            self.invoke_kernel(addr, rec)
-            return  # invoke_kernel frees
-        form = rec.op_word & PAYLOAD_MASK  # boot admits only the three special forms
-        if form == W.FORM_CODE_LAMBDA:
-            self.reply(rec, W.set_quote(W.clear_quote(rec.self_ref)))
-        elif form == W.FORM_CODE_IF:
-            self.eval_if(rec)
-        else:
-            self.beta_reduce(rec)
-        self.free_record(addr, rec)
+        machine = self.machine
+        service, spec, task = machine.ops[op_word]
+        ctx = self.ctx
+        error = None
+        try:
+            if spec.control:
+                ctx._caller = caller
+                args = list(slots)
+            else:
+                args = []  # a loop: on Python 3.11 a comprehension is one more call
+                for w in slots:
+                    args.append(((w & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48
+                                if w >> KIND_SHIFT == KIND_CONST else self.unwrap(w, spec))
+            if spec.arity is not None and len(args) != spec.arity:
+                raise machine.registry.arity_error(service, spec, len(args))
+            if task:
+                stack = self.subtask_stack
+                addr = stack.pop() if stack else self.new_record()
+                rec = self.subtask_list[addr]
+                rec.op_word = op_word
+                rec.caller = caller
+                self.kernel_thread.submit((self, addr, spec.fn, args))
+                return  # on_done concludes it
+            value = spec.fn(ctx, args) if spec.control else spec.fn(ctx, *args)
+        except Exception as e:
+            value, error = None, kernel_failure(e)
+        finally:
+            ctx._caller = None
+        self.conclude(op_word, caller, value, error)
 
-    def reply(self, rec, word):
-        self.send(RES, self.tile_id, rec.caller[0], rec.caller, (word,))
+    def reply(self, caller, word):
+        ct, ca, cg = caller
+        self.post(_new_packet(Packet, (RES, self.tile_id, ct, ct, ca, cg, (word,))))
 
-    def reply_error(self, rec, message):
-        info = ErrorInfo(message, (self.op_name(rec.op_word),))
-        self.reply(rec, W.mk_error(self.machine.wrap_handle(info)))
+    def reply_error(self, op_word, caller, message):
+        info = ErrorInfo(message, (self.op_name(op_word),))
+        self.reply(caller, W.mk_error(self.machine.wrap_handle(info)))
 
-    def reply_error_word(self, rec, err_word):
+    def reply_error_word(self, op_word, caller, err_word):
         info = self.machine.error_info(err_word)
-        chained = ErrorInfo(info.message, info.frames + (self.op_name(rec.op_word),))
-        self.reply(rec, W.mk_error(self.machine.wrap_handle(chained)))
+        chained = ErrorInfo(info.message, info.frames + (self.op_name(op_word),))
+        self.reply(caller, W.mk_error(self.machine.wrap_handle(chained)))
 
-    def eval_if(self, rec):
-        if len(rec.slots) != 3:
-            self.reply_error(rec, "if expects a condition and two branches")
+    def eval_if(self, op_word, slots, caller):
+        if len(slots) != 3:
+            self.reply_error(op_word, caller, "if expects a condition and two branches")
             return
-        cw = rec.slots[0]
+        cw = slots[0]
         if W.kind_of(cw) != W.KIND_CONST:
-            self.reply_error(rec, "if condition did not evaluate to an integer")
+            self.reply_error(op_word, caller, "if condition did not evaluate to an integer")
             return
-        selected = rec.slots[1] if W.const_value(cw) != 0 else rec.slots[2]
+        selected = slots[1] if W.const_value(cw) != 0 else slots[2]
         if W.kind_of(selected) == W.KIND_REF:
             # deferred branch: drop the quote, restart with our caller as
             # continuation; the unselected branch is never dispatched
             w = W.clear_quote(selected)
-            self.machine.send(REQ, self.tile_id, W.ref_tile(w), rec.caller, (w,))
+            self.machine.send(REQ, self.tile_id, W.ref_tile(w), caller, (w,))
         elif W.kind_of(selected) == W.KIND_VAR:  # no beta substituted it
-            self.reply_error(rec, "unbound variable in if branch")
+            self.reply_error(op_word, caller, "unbound variable in if branch")
         else:
-            self.reply(rec, W.clear_quote(selected))
+            self.reply(caller, W.clear_quote(selected))
 
-    def beta_reduce(self, rec):
-        if not rec.slots:
-            self.reply_error(rec, "operator is not a lambda value")
+    def beta_reduce(self, op_word, slots, caller):
+        if not slots:
+            self.reply_error(op_word, caller, "operator is not a lambda value")
             return
-        opw = rec.slots[0]
+        opw = slots[0]
         if W.kind_of(opw) != W.KIND_REF or not W.is_quoted(opw):
-            self.reply_error(rec, "operator is not a lambda value")
+            self.reply_error(op_word, caller, "operator is not a lambda value")
             return
         lam = self.machine.code_words(W.ref_addr(opw))
         if W.kind_of(lam[0]) != W.KIND_BUILTIN or \
                 W.builtin_form(lam[0]) != W.FORM_CODE_LAMBDA:
-            self.reply_error(rec, "operator is not a lambda value")
+            self.reply_error(op_word, caller, "operator is not a lambda value")
             return
         formals, body_w = lam[1:-1], lam[-1]
-        operands = rec.slots[1:]
+        operands = slots[1:]
         if len(operands) != len(formals):
             self.reply_error(
-                rec, f"lambda arity mismatch: {len(formals)} formals, "
-                     f"{len(operands)} operands")
+                op_word, caller, f"lambda arity mismatch: {len(formals)} formals, "
+                                 f"{len(operands)} operands")
             return
         # the quote is removed during substitution so deferred references
         # get evaluated where they land
@@ -388,22 +439,22 @@ class Tile:
                 new_root = self.copy_closure(
                     self.machine.template(W.ref_addr(body_w)), subst)
             except VmError as e:
-                self.reply_error(rec, str(e))
+                self.reply_error(op_word, caller, str(e))
                 return
             w = W.mk_ref(new_root, W.ref_tile(body_w))
-            self.machine.send(REQ, self.tile_id, W.ref_tile(w), rec.caller, (w,))
+            self.machine.send(REQ, self.tile_id, W.ref_tile(w), caller, (w,))
         elif bk == W.KIND_VAR:
             w = subst.get(W.var_slot(body_w))
             if w is None:
-                self.reply_error(rec, "unbound variable in lambda body")
+                self.reply_error(op_word, caller, "unbound variable in lambda body")
             elif W.kind_of(w) == W.KIND_REF:
-                self.machine.send(REQ, self.tile_id, W.ref_tile(w), rec.caller, (w,))
+                self.machine.send(REQ, self.tile_id, W.ref_tile(w), caller, (w,))
             else:
-                self.reply(rec, w)
+                self.reply(caller, w)
         else:
             # constant body, or any value substituted into a copied lambda's
             # body position (a handle is not a reference: return it)
-            self.reply(rec, W.clear_quote(body_w) if bk in W.QUOTABLE_KINDS else body_w)
+            self.reply(caller, W.clear_quote(body_w) if bk in W.QUOTABLE_KINDS else body_w)
 
     def copy_closure(self, template, subst):
         """String reduction: instantiate a closure template in one block of
@@ -435,46 +486,19 @@ class Tile:
 
     # ── kernel dispatch ──────────────────────────────────────
 
-    def invoke_kernel(self, addr, rec):
-        """The one dispatch path: every method's arity is checked here, then
-        a task kernel goes, its arguments unwrapped, to the kernel thread and
-        any other method is called here."""
-        machine = self.machine
-        service, spec, task = machine.ops[rec.op_word]
-        ctx = self.ctx
-        error = None
-        try:
-            if spec.control:
-                ctx._rec = rec
-                args = list(rec.slots)
-            else:
-                args = [((w & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48
-                        if w >> KIND_SHIFT == KIND_CONST else self.unwrap(w, spec)
-                        for w in rec.slots]
-            if spec.arity is not None and len(args) != spec.arity:
-                raise machine.registry.arity_error(service, spec, len(args))
-            if task:
-                self.kernel_thread.submit((self, addr, spec.fn, args))
-                return  # on_done concludes it
-            value = spec.fn(ctx, args) if spec.control else spec.fn(ctx, *args)
-        except Exception as e:
-            value, error = None, kernel_failure(e)
-        finally:
-            ctx._rec = None
-        self.conclude(addr, rec, value, error)
-
-    def conclude(self, addr, rec, value, error):
-        """Reply with a kernel's value or error, then free its record."""
+    def conclude(self, op_word, caller, value, error):
+        """Reply with a kernel's value or error."""
         if error is not None:
-            self.reply_error(rec, error)
+            self.reply_error(op_word, caller, error)
         elif type(value) is int and CONST_MIN <= value <= CONST_MAX:
-            self.reply(rec, CONST_WORD | (value & PAYLOAD_MASK))
+            ct, ca, cg = caller  # reply() inline: the per-entry hot path
+            self.post(_new_packet(Packet, (RES, self.tile_id, ct, ct, ca, cg,
+                                           (CONST_WORD | (value & PAYLOAD_MASK),))))
         elif value is not NO_RESULT:
             try:
-                self.reply(rec, self.machine.wrap_value(value))
+                self.reply(caller, self.machine.wrap_value(value))
             except KernelError as e:
-                self.reply_error(rec, str(e))
-        self.free_record(addr, rec)
+                self.reply_error(op_word, caller, str(e))
 
     def unwrap(self, w, spec):
         """Evaluated non-constant word -> kernel value; only control methods
@@ -635,6 +659,8 @@ class Machine:
         self._result = None  # the root's result packet, kept by the loop until quiet
         self._templates = {}  # compile-time body root -> closure template
         self.work = deque()  # packets the loop's handlers sent, served FIFO
+        # a handler's send: a traced machine also records the packet
+        self.post = self.work.append if trace is False else self._post_traced
         self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
         self.queue = queue.SimpleQueue()  # the loop's inbox
         self.kernel_threads = [_KernelThread(self, i)
@@ -756,9 +782,10 @@ class Machine:
 
     def send(self, kind, src, dst, caller, payload):
         """Send a packet from a handler on the loop."""
-        pkt = _new_packet(Packet, (kind, src, dst, *caller, payload))
-        if self._trace is not None:
-            self._trace.append(pkt)
+        self.post(_new_packet(Packet, (kind, src, dst, *caller, payload)))
+
+    def _post_traced(self, pkt):
+        self._trace.append(pkt)
         self.work.append(pkt)
 
     def on_root_result(self, pkt):
@@ -785,27 +812,38 @@ class Machine:
     # ── running ──────────────────────────────────────────────
 
     def _serve(self):
-        """The reduction loop: handles every packet in FIFO order, the host's
-        results included."""
+        """The reduction loop: handles every packet, the host's results
+        included, in FIFO order or, on a fuzzed machine, in random order."""
         handlers = [(t.on_request, t.on_result, t.on_done) for t in self.tiles]
         handlers.append((None, self.on_root_result, None))  # the host receives only results
         work = self.work
         inbox = self.queue
-        fuzz = self.fuzz_seed is not None
-        rng = random.Random(self.fuzz_seed)
+        take = work.popleft  # the one place scheduling policy lives
+        if self.fuzz_seed is not None:
+            rng = random.Random(self.fuzz_seed)
+
+            def take():
+                """A random waiting packet, now and then after a short pause
+                that lets a kernel completion land at another point."""
+                if rng.random() < 0.25:
+                    time.sleep(rng.random() * 1e-4)
+                i = rng.randrange(len(work))
+                work.rotate(-i)
+                pkt = work.popleft()
+                work.rotate(i)
+                return pkt
+
         while True:
             if work:
                 while not inbox.empty():
                     work.append(inbox.get())
-                pkt = work.popleft()
+                pkt = take()
             else:
                 pkt = inbox.get()
             if pkt is _STOP:
                 return
             try:
                 if self._fatal is None:
-                    if fuzz and rng.random() < 0.25:
-                        time.sleep(rng.random() * 1e-4)
                     handlers[pkt.dst][pkt.kind](pkt)
                 elif pkt.kind == DONE:
                     self.kernel_jobs -= 1  # a poisoned machine still drains its jobs

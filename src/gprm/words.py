@@ -21,7 +21,7 @@ The quoted bit is meaningful on Reference, ConstInt and Var words only.
 
 The constants below name the field positions, for code that decodes or packs
 words inline with shifts and masks instead of a call per word: `w >> KIND_SHIFT`
-is the kind, `w >> QUOTE_SHIFT == 0` holds for an unquoted reference, and
+is the kind, `w < QUOTE_BIT` holds only for an unquoted reference, and
 `(w >> TILE_SHIFT) & TILE_MASK` is a reference's tile.
 """
 

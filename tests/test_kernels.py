@@ -1,5 +1,7 @@
 """Kernel registry, builtins, list ops, workload kernels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from gprm.kernels import (
     materialize,
     tree_segment,
 )
+from gprm.oracle import evaluate
 
 
 class _Ctx:
@@ -88,6 +91,35 @@ def test_arithmetic_wraps_to_32_bits():
     assert invoke(reg, "*", 2**15, 2**16) == -(2**31)
     assert invoke(reg, "*", 2**16, 2**16) == 0
     assert int32(2**31) == -(2**31)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "<"])
+def test_builtins_refuse_what_is_not_an_int(op):
+    reg = KernelRegistry()
+    for bad, name in [(True, "bool"), (np.int64(3), "int64"), (Cons(1, EMPTY), "Cons")]:
+        for args in ((bad, 1), (1, bad)):
+            with pytest.raises(KernelError, match=f"^{re.escape(op)} expects integers, got {name}$"):
+                invoke(reg, op, *args)
+
+
+def test_builtins_take_an_int_subclass():
+    class Count(int):
+        pass
+
+    reg = KernelRegistry()
+    assert invoke(reg, "+", Count(2), 3) == 5
+    assert invoke(reg, "-", 2, Count(3)) == -1
+    assert invoke(reg, "<", Count(2), Count(3)) == 1
+
+
+def test_builtins_wrap_at_the_int32_edges_through_the_oracle():
+    # the builtins wrap inline; int32 is the same wrap, for host-side checks
+    reg = KernelRegistry()
+    for text, exact, want in [("(+ '2147483647 '1)", 2**31, -2147483648),
+                              ("(* '65536 '65536)", 2**32, 0),
+                              ("(- '-2147483648 '1)", -(2**31) - 1, 2147483647),
+                              ("(* '-2147483648 '-1)", 2**31, -2147483648)]:
+        assert evaluate(text, reg) == int32(exact) == want, text
 
 
 def test_arity_mismatch():

@@ -12,6 +12,7 @@ import pytest
 from gprm import bench, compiler, kernels, lang, vm, words as W
 from gprm.gpc import compile_gpc
 from gprm.kernels import NO_RESULT, KernelError
+from gprm.oracle import evaluate
 from gprm.vm import (
     REQ,
     RES,
@@ -709,13 +710,14 @@ def test_result_arrival_order_does_not_matter():
 
 def test_freed_address_reused_by_next_request():
     reg = fresh_registry()
-    h = Manual("(+ '1 '2)", reg, tiles=1)
+    # the root waits on its first argument, so it takes a record
+    h = Manual("(+ (+ '1 '2) '3)", reg, tiles=1)
     tile = h.machine.tiles[0]
     h.inject_root()
-    assert h.machine.decode_word(h.result().payload[0]) == 3
+    assert h.machine.decode_word(h.result().payload[0]) == 6
     top = tile.subtask_stack[-1]
     h.inject_root()
-    assert h.machine.decode_word(h.result().payload[0]) == 3
+    assert h.machine.decode_word(h.result().payload[0]) == 6
     assert tile.subtask_stack[-1] == top  # freed back to the top of the stack
     assert len(tile.subtask_list) == 1  # and reused, not regrown
 
@@ -734,7 +736,8 @@ def test_result_for_freed_record_is_fatal():
 
 def test_conservation_check_detects_leaks():
     reg = fresh_registry()
-    img = compiler.compile_text("(+ '1 '2)", 2, reg)
+    # the root waits on its first argument, so tile 0 holds a freed record
+    img = compiler.compile_text("(+ (+ '1 '2) '3)", 2, reg)
     with Machine(img, reg, 2) as m:
         m.run_value()
         m.check_conservation()
@@ -774,6 +777,74 @@ def test_conservation_check_detects_kernel_jobs():
     h.step_all()
     assert h.machine.decode_word(h.result().payload[0]) == 7
     h.machine.check_conservation()
+
+
+# ── entries with nothing to wait for ─────────────────────────────────
+
+
+def _live_records(m):
+    return [len(t.subtask_list) - len(t.subtask_stack) for t in m.tiles]
+
+
+def test_ready_entry_takes_no_record():
+    # no argument word is an unquoted reference: reduced straight from the
+    # code words, so no tile ever allocates a record
+    reg = fresh_registry()
+    for text, want in [("(+ '1 '2)", 3), ("(lambda 'x 'x)", vm.LAMBDA_VALUE)]:
+        with Machine(compile_for(text, 2, reg), reg, 2) as m:
+            assert m.run_value() == want
+            assert [t.subtask_list for t in m.tiles] == [[], []], text
+
+
+def test_ready_entry_errors_keep_their_messages_and_frames():
+    reg = fresh_registry()
+    cases = [(_with_root("(+ '1 '2)", "+", 1, reg), "+ expects 2 arguments, got 1", ("+",)),
+             (compile_for("(head '3)", 1, reg), "head expects a list, got int", ("head",))]
+    for img, message, frames in cases:
+        with Machine(img, reg, 1) as m:
+            with pytest.raises(TaskError) as ei:
+                m.run_value()
+            m.check_conservation()
+            assert m.tiles[0].subtask_list == []
+        assert (ei.value.message, ei.value.frames) == (message, frames)
+
+
+def test_ready_control_method_restarts_with_its_callers_continuation():
+    reg = fresh_registry()
+    sid, mid, _ = reg.resolve("ctrl.run")
+    plus = W.mk_oper(*reg.resolve("+")[:2])
+    for text, want in [("(+ '1 (ctrl.run '(+ '2 '3) '1))", 6),
+                       ("(ctrl.run '(+ '2 '3) '1)", 5)]:
+        img = compile_for(text, 2, reg)
+        run_at = next(a for a, ws in img.code.items() if ws[0] == W.mk_oper(sid, mid))
+        inner = next(a for a, ws in img.code.items()
+                     if ws[0] == plus and W.const_value(ws[1]) == 2)
+        with Machine(img, reg, 2, trace=True) as m:
+            assert m.run_value() == want
+            reqs = [p for p in m.trace_packets() if p.kind == REQ]
+        (asked,) = [p for p in reqs if W.ref_addr(p.payload[0]) == run_at]
+        (restarted,) = [p for p in reqs if W.ref_addr(p.payload[0]) == inner]
+        assert restarted.dst == 1
+        assert restarted[3:6] == asked[3:6], text  # the result goes where ctrl.run's would
+
+
+def test_ready_task_kernel_waits_in_a_record_until_done():
+    reg = fresh_registry()
+    reg.register("k", [("zero", 0, lambda c: 0)])
+    h = Manual("(k.zero)", reg, tiles=1)
+    m = h.machine
+    h.send_root()
+    (rootpkt,) = h.pending()
+    h.handle(rootpkt)
+    assert (m.kernel_jobs, _live_records(m)) == (1, [1])
+    assert h.run_jobs() == 1
+    assert (m.kernel_jobs, _live_records(m)) == (1, [1])  # ran, DONE not yet handled
+    (done,) = h.drain(m.queue)
+    h.handle(done)
+    assert (m.kernel_jobs, _live_records(m)) == (0, [0])
+    h.step_all()
+    assert m.decode_word(h.result().payload[0]) == 0
+    m.check_conservation()
 
 
 # ── task kernels off the tile loop ───────────────────────────────────
@@ -1259,3 +1330,42 @@ def test_handle_word_naming_no_handle_is_a_protocol_error(text):
     with Machine(compile_for("(+ '1 '2)", 1, reg), reg, 1) as m:
         with pytest.raises(ProtocolError, match="h99 names no handle"):
             m.decode_word(W.mk_handle(99))
+
+
+# ── fuzzed schedules ─────────────────────────────────────────────────
+
+PURE = "(+ (beta (lambda 'x '(* x (- x '1))) (+ '3 '4)) (if (> '2 '1) '(* '5 '6) '0))"
+
+
+def test_fuzz_seeds_permute_the_packet_order_of_a_pure_program():
+    orders, values = set(), set()
+    for seed in range(20):
+        out = execute(PURE, threads=4, trace=True, keep=True, fuzz_seed=seed)
+        try:
+            values.add(out.value)
+            orders.add(tuple((p.kind, p.src, p.dst, p.caller_arg, p.payload)
+                             for p in out.trace))
+        finally:
+            out.machine.shutdown()
+    assert values == {72}
+    assert len(orders) >= 2
+
+
+def test_the_leftmost_error_wins_in_any_schedule():
+    # the oracle stops at the first error, left to right; the machine waits
+    # for every slot and reports the leftmost, whichever arrived first
+    reg = fresh_registry()
+
+    def fail(ctx, x):
+        raise KernelError(f"fail {x}")
+
+    reg.register("k", [("fail", 1, fail)])
+    cases = [("(+ (head '1) (tail '2))", "head expects a list, got int", ("head", "+")),
+             ("(+ (k.fail '1) (k.fail '2))", "fail 1", ("k.fail", "+"))]
+    for text, message, frames in cases:
+        with pytest.raises(KernelError, match=f"^{message}$"):
+            evaluate(text, reg)
+        for seed in range(20):
+            with pytest.raises(TaskError) as ei:
+                execute(text, threads=2, registry=reg, fuzz_seed=seed)
+            assert (ei.value.message, ei.value.frames) == (message, frames), (text, seed)
