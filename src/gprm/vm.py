@@ -1,7 +1,11 @@
 """The parallel reduction machine.
 
 A machine is a set of tiles served by one reduction loop, which handles
-every tile-bound packet in FIFO order (a fuzzed machine takes a random one).
+every tile-bound packet newest first (a fuzzed machine takes a random one).
+So a run goes depth-first, and the records it holds grow with the depth of
+the program, not with its calls.  A record posts its requests last slot
+first, so its leftmost argument is served first, as the oracle evaluates.
+
 A reference packet asks a tile to evaluate one flat S-expression.  An entry
 none of whose argument words is an unquoted reference has nothing to wait
 for: the tile reduces it at once, from its code words and the packet's
@@ -55,11 +59,12 @@ Ownership rules (the whole concurrency argument):
     next run;
   - only the loop's handlers send packets, and they append every packet,
     the host's result too, to the work list (`Machine.work`), a deque that
-    only the loop touches, through `Machine.post`.  The inbox
+    only the loop touches, through `Machine.post`.  A packet is a plain
+    tuple; `Packet` names its fields for the trace.  The inbox
     (`Machine.queue`) carries what the loop did not send: the host's root
-    packet, kernel threads' completions and the stop token.  The loop moves waiting inbox packets onto the tail
-    of the work list and blocks on the inbox only when the work list is
-    empty;
+    packet, kernel threads' completions and the stop token.  The loop moves
+    waiting inbox packets onto the work list while a task kernel is out,
+    and blocks on the inbox only when the work list is empty;
   - `KernelContext.restart` is refused off the loop;
   - only the loop appends to the packet trace during a run.  The host
     appends the root packet before putting it in the inbox, while the loop
@@ -70,11 +75,12 @@ has finished handling a packet, the work list is empty and no task kernel is
 outstanding.  The count of outstanding kernel jobs is owned by the loop: a
 job is counted at its hand-off and counted out when its completion packet is
 handled, both on the loop.  An inbox packet cannot be missed: a completion
-waits on a counted job, and the host sends the root only while the machine
-is quiet.  The host is one more row of the loop's handler table (id ==
-tile_count): `Machine.on_root_result` keeps the root's result, and a second
-one poisons the machine.  When quiet, the loop puts exactly one message on
-the gateway queue: the kept result, or None.
+waits on a counted job, the host sends the root only while the machine is
+quiet, and the stop token waits until the work list is empty.  The host is
+one more row of the loop's handler table (id == tile_count):
+`Machine.on_root_result` keeps the root's result, and a second one poisons
+the machine.  When quiet, the loop puts exactly one message on the gateway
+queue: the kept result, or None.
 """
 
 from __future__ import annotations
@@ -106,7 +112,6 @@ _KIND_NAMES = {REQ: "REQ", RES: "RES"}
 
 # services whose non-control methods run inline on the loop
 _ENGINE_SERVICES = frozenset((BUILTIN_SERVICE, "ctrl"))
-_new_packet = tuple.__new__  # a Packet without the NamedTuple's Python-level __new__
 
 _STOP = object()
 
@@ -138,6 +143,9 @@ class TaskError(VmError):
 
 
 class Packet(NamedTuple):
+    """The outside view of a packet (`Machine.trace_packets`).  On the loop a
+    packet is a plain tuple of these seven fields, read by position."""
+
     kind: int
     src: int
     dst: int
@@ -265,7 +273,7 @@ class Tile:
     # ── packet handlers ──────────────────────────────────────
 
     def on_request(self, pkt):
-        ref = pkt.payload[0]
+        ref = pkt[6][0]
         a = ref & ADDR_MASK
         code = self.code[a] if a < RUNTIME_BASE else self.machine.code_words(a)
         # an unquoted reference is the only word below QUOTE_BIT, and the
@@ -284,22 +292,22 @@ class Tile:
         pending = 0
         tid = self.tile_id
         post = self.post
-        for i, w in enumerate(slots):
+        # last slot first: the work list is served LIFO, so the leftmost goes first
+        for i in range(len(slots) - 1, -1, -1):
+            w = slots[i]
             if w < QUOTE_BIT:
                 slots[i] = None
                 pending += 1
-                post(_new_packet(Packet, (REQ, tid, (w >> TILE_SHIFT) & TILE_MASK,
-                                          tid, addr, i, (w,))))
+                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w,)))
         rec.pending = pending
 
     def on_result(self, pkt):
-        addr, arg = pkt.caller_addr, pkt.caller_arg
+        _, _, _, _, addr, arg, (w,) = pkt
         rec = self.subtask_list[addr] if addr < len(self.subtask_list) else None
         if rec is None or arg >= len(rec.slots) or rec.slots[arg] is not None:
             self.machine.set_fatal(ProtocolError(
                 f"result for freed or unexpected record t{self.tile_id}/{addr} arg {arg}"))
             return
-        w = pkt.payload[0]
         slots = rec.slots
         slots[arg] = w
         if w >> KIND_SHIFT == KIND_ERROR:
@@ -319,11 +327,11 @@ class Tile:
     def on_done(self, pkt):
         """A task kernel's completion packet: free its record and reply, on the loop."""
         self.machine.kernel_jobs -= 1
-        addr = pkt.caller_addr
+        addr = pkt[4]
         rec = self.subtask_list[addr]
         rec.slots = ()
         self.subtask_stack.append(addr)
-        self.conclude(rec.op_word, rec.caller, *pkt.payload)
+        self.conclude(rec.op_word, rec.caller, *pkt[6])
 
     # ── reduction ────────────────────────────────────────────
     # An entry's fields: its op word, its filled slots (no error among them),
@@ -380,7 +388,7 @@ class Tile:
 
     def reply(self, caller, word):
         ct, ca, cg = caller
-        self.post(_new_packet(Packet, (RES, self.tile_id, ct, ct, ca, cg, (word,))))
+        self.post((RES, self.tile_id, ct, ct, ca, cg, (word,)))
 
     def reply_error(self, op_word, caller, message):
         info = ErrorInfo(message, (self.op_name(op_word),))
@@ -492,8 +500,8 @@ class Tile:
             self.reply_error(op_word, caller, error)
         elif type(value) is int and CONST_MIN <= value <= CONST_MAX:
             ct, ca, cg = caller  # reply() inline: the per-entry hot path
-            self.post(_new_packet(Packet, (RES, self.tile_id, ct, ct, ca, cg,
-                                           (CONST_WORD | (value & PAYLOAD_MASK),))))
+            self.post((RES, self.tile_id, ct, ct, ca, cg,
+                       (CONST_WORD | (value & PAYLOAD_MASK),)))
         elif value is not NO_RESULT:
             try:
                 self.reply(caller, self.machine.wrap_value(value))
@@ -551,7 +559,7 @@ class _KernelThread:
         except Exception as e:
             outcome = None, kernel_failure(e)
         t = tile.tile_id
-        self.machine.queue.put(Packet(DONE, t, t, t, addr, 0, outcome))
+        self.machine.queue.put((DONE, t, t, t, addr, 0, outcome))
 
 
 _REF_END = 1 << KIND_SHIFT  # a word below it is a reference, quoted or not
@@ -658,7 +666,7 @@ class Machine:
         self._trace = [] if trace else None
         self._result = None  # the root's result packet, kept by the loop until quiet
         self._templates = {}  # compile-time body root -> closure template
-        self.work = deque()  # packets the loop's handlers sent, served FIFO
+        self.work = deque()  # packets the loop's handlers sent, served LIFO
         # a handler's send: a traced machine also records the packet
         self.post = self.work.append if trace is False else self._post_traced
         self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
@@ -782,7 +790,7 @@ class Machine:
 
     def send(self, kind, src, dst, caller, payload):
         """Send a packet from a handler on the loop."""
-        self.post(_new_packet(Packet, (kind, src, dst, *caller, payload)))
+        self.post((kind, src, dst, *caller, payload))
 
     def _post_traced(self, pkt):
         self._trace.append(pkt)
@@ -813,12 +821,13 @@ class Machine:
 
     def _serve(self):
         """The reduction loop: handles every packet, the host's results
-        included, in FIFO order or, on a fuzzed machine, in random order."""
+        included, newest first or, on a fuzzed machine, in random order.
+        During a run only a completion can arrive in the inbox."""
         handlers = [(t.on_request, t.on_result, t.on_done) for t in self.tiles]
         handlers.append((None, self.on_root_result, None))  # the host receives only results
         work = self.work
         inbox = self.queue
-        take = work.popleft  # the one place scheduling policy lives
+        take = work.pop  # the one place scheduling policy lives
         if self.fuzz_seed is not None:
             rng = random.Random(self.fuzz_seed)
 
@@ -835,8 +844,9 @@ class Machine:
 
         while True:
             if work:
-                while not inbox.empty():
-                    work.append(inbox.get())
+                if self.kernel_jobs:
+                    while not inbox.empty():
+                        work.append(inbox.get())
                 pkt = take()
             else:
                 pkt = inbox.get()
@@ -844,8 +854,8 @@ class Machine:
                 return
             try:
                 if self._fatal is None:
-                    handlers[pkt.dst][pkt.kind](pkt)
-                elif pkt.kind == DONE:
+                    handlers[pkt[2]][pkt[0]](pkt)
+                elif pkt[0] == DONE:
                     self.kernel_jobs -= 1  # a poisoned machine still drains its jobs
             except Exception as e:  # engine invariant broken: poison the machine
                 self.set_fatal(e)
@@ -877,7 +887,7 @@ class Machine:
             root = self.image.root
             gw = self.gateway_tile
             deadline = time.monotonic() + timeout
-            pkt = Packet(REQ, gw, W.ref_tile(root), gw, 0, 0, (root,))
+            pkt = (REQ, gw, W.ref_tile(root), gw, 0, 0, (root,))
             if self._trace is not None:
                 self._trace.append(pkt)
             self.queue.put(pkt)
@@ -885,7 +895,7 @@ class Machine:
             self.check_conservation()
         finally:
             self._running.release()
-        words = pkt.payload
+        words = pkt[6]
         if words and W.kind_of(words[0]) == W.KIND_ERROR:
             info = self.error_info(words[0])
             raise TaskError(info.message, info.frames)
@@ -947,11 +957,12 @@ class Machine:
     def trace_packets(self):
         if self._trace is None:
             raise VmError("machine was booted without trace=True")
-        return list(self._trace)
+        return [Packet._make(p) for p in self._trace]
 
     def write_trace(self, path):
+        packets = self.trace_packets()
         with open(path, "w") as f:
-            for seq, pkt in enumerate(self._trace or []):
+            for seq, pkt in enumerate(packets):
                 payload = ",".join(f"{w:016x}" for w in pkt.payload)
                 f.write(f"{seq} {_KIND_NAMES[pkt.kind]} {pkt.src} {pkt.dst} "
                         f"{pkt.caller_addr} {pkt.caller_arg} {payload}\n")

@@ -12,7 +12,7 @@ import pytest
 from gprm import bench, compiler, kernels, lang, vm, words as W
 from gprm.gpc import compile_gpc
 from gprm.kernels import NO_RESULT, KernelError
-from gprm.oracle import evaluate
+from gprm.oracle import Oracle, evaluate
 from gprm.vm import (
     REQ,
     RES,
@@ -151,6 +151,34 @@ def test_trace_file_format(tmp_path):
             int(payload.split(",")[0], 16)
     finally:
         out.machine.shutdown()
+
+
+def test_write_trace_untraced_machine_raises(tmp_path):
+    reg = fresh_registry()
+    path = tmp_path / "trace.log"
+    with Machine(compile_for("(+ '1 '2)", 1, reg), reg, 1) as m:
+        assert m.run_value() == 3
+        with pytest.raises(VmError, match="booted without trace=True"):
+            m.write_trace(path)
+    assert not path.exists()
+
+
+def test_write_trace_lines_give_the_packet_fields(tmp_path):
+    reg = fresh_registry()
+    with Machine(compile_for("(+ (+ '1 '2) (+ '3 '4))", 2, reg), reg, 2, trace=True) as m:
+        assert m.run_value() == 10
+        path = tmp_path / "trace.log"
+        m.write_trace(path)
+        packets = m.trace_packets()
+    assert all(type(p) is Packet for p in packets)
+    kinds = [p.kind for p in packets]
+    assert (kinds.count(REQ), kinds.count(RES)) == (3, 3)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(packets)
+    for seq, (line, p) in enumerate(zip(lines, packets)):
+        assert line.split() == [str(seq), "REQ" if p.kind == REQ else "RES", str(p.src),
+                                str(p.dst), str(p.caller_addr), str(p.caller_arg),
+                                ",".join(f"{w:016x}" for w in p.payload)]
 
 
 # ── beta reduction ───────────────────────────────────────────────────
@@ -412,6 +440,18 @@ def test_timed_out_run_poisons_machine():
             m.run_value((2,))
 
 
+def test_machine_timed_out_mid_reduction_shuts_down():
+    # the stop token waits in the inbox until the work list is empty; a
+    # poisoned loop drops what is left, so shutdown still stops it
+    reg = fresh_registry()
+    img = compile_for(compile_gpc(FIB_GPC.replace("fib(10)", "fib(18)")), 1, reg)
+    m = Machine(img, reg, 1)
+    with pytest.raises(StuckReductionError, match="timed out"):
+        m.run_value(timeout=0.02)
+    m.shutdown()
+    assert not m._loop.is_alive()
+
+
 def test_second_root_result_is_fatal():
     # a control kernel that both restarts and replies answers its caller
     # twice; at the root, the spare answer must not wait for the next run
@@ -579,7 +619,7 @@ def test_record_pool_grows_on_demand_and_is_reused():
         assert m.run_value() == 21
         # grew past one record, never past one per entry (5 entries)
         assert 1 < len(m.tiles[0].subtask_list) <= 5
-    # 2 tiles on 1 thread: one FIFO, so every run has the same live peak
+    # 2 tiles on 1 thread: one work list, so every run has the same live peak
     img = compile_for(compile_gpc(FIB_GPC, num_threads=2), 2, reg)
     with Machine(img, reg, 1) as m:
         assert [len(t.subtask_list) for t in m.tiles] == [0, 0]
@@ -591,7 +631,42 @@ def test_record_pool_grows_on_demand_and_is_reused():
         assert [t.subtask_list for t in m.tiles] == after_first
 
 
-# ── controllable interleaving harness ────────────────────────────────
+# ── depth-first order ────────────────────────────────────────────────
+
+
+def test_leftmost_argument_is_served_first():
+    # one tile and one kernel thread, unfuzzed: the log kernels run in the
+    # order the loop hands them off.  The middle argument waits on a record;
+    # its kernel must go before the later sibling's, as the oracle evaluates
+    reg = fresh_registry()
+    text = ("(beta (lambda 'a 'b 'c '(+ a (+ b c)))"
+            " (log.rec '1) (+ (log.rec '2) '0) (log.rec '3))")
+    o = Oracle(fresh_registry())
+    assert o.eval_program(lang.parse(text)) == 6
+    assert o.ctx.shared("log")[0]["events"] == [1, 2, 3]
+    with Machine(compile_for(text, 1, reg), reg, 1) as m:
+        assert m.run_value() == 6
+        assert m.shared_state("log")["events"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n, want", [(12, 144), (15, 610), (18, 2584)])
+def test_fib_records_bounded_by_depth(n, want):
+    # served depth-first, a run holds records for the path it is on
+    reg = fresh_registry()
+    img = compile_for(compile_gpc(FIB_GPC.replace("fib(10)", f"fib({n})")), 1, reg)
+    with Machine(img, reg, 1) as m:
+        assert m.run_value(timeout=30.0) == want
+        m.check_conservation()
+        assert len(m.tiles[0].subtask_list) <= n
+
+
+def test_plus_tree_records_bounded_by_depth():
+    # a depth-10 tree of 1,023 entries
+    reg = fresh_registry()
+    with Machine(compile_for(_plus_tree(10, iter(range(1024))), 1, reg), reg, 1) as m:
+        assert m.run_value() == 1023 * 1024 // 2
+        m.check_conservation()
+        assert len(m.tiles[0].subtask_list) <= 10
 
 
 class Manual:
@@ -625,12 +700,12 @@ class Manual:
                 return out
 
     def pending(self):
-        """Take every waiting packet: the work list, then the inbox, as the
-        loop would serve them."""
+        """Take every waiting packet, as `Packet` views: the work list, oldest
+        first, then the inbox."""
         work = self.machine.work
         out = list(work)
         work.clear()
-        return out + self.drain(self.machine.queue)
+        return [Packet._make(p) for p in out + self.drain(self.machine.queue)]
 
     def jobs(self):
         """Take every queued kernel job, as (kernel thread, job) pairs."""
@@ -657,6 +732,7 @@ class Manual:
         """Handle one packet as the loop's handler table would: a host-bound
         packet goes to the host's row."""
         m = self.machine
+        pkt = Packet._make(pkt)
         if pkt.dst == m.gateway_tile:
             m.on_root_result(pkt)
         else:
@@ -675,7 +751,7 @@ class Manual:
         """Take the root result the host's handler kept."""
         pkt, self.machine._result = self.machine._result, None
         assert pkt is not None, "no root result"
-        return pkt
+        return Packet._make(pkt)
 
 
 def test_result_arrival_order_does_not_matter():
