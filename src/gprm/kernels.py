@@ -179,6 +179,22 @@ def int32(v):
     return v - (1 << 32) if v & 0x80000000 else v
 
 
+def int_result(v):
+    """The integer a kernel's return value stands for, as the machine and
+    the oracle both read it: None is 0, a bool is 0 or 1, and an int or a
+    numpy integer must fit in 32 bits (KernelError if not).  None for any
+    other value, which travels as an opaque handle."""
+    if v is None or isinstance(v, bool):
+        return int(v or 0)
+    try:
+        i = operator.index(v)
+    except TypeError:
+        return None
+    if not W.CONST_MIN <= i <= W.CONST_MAX:
+        raise KernelError(f"kernel returned out-of-range integer {i}")
+    return i
+
+
 # ── Builtin service (reserved id 0) ──────────────────────────────────
 
 

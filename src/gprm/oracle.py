@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 
 from . import lang
-from .kernels import KernelError, NO_RESULT
+from .kernels import KernelError, NO_RESULT, int_result
 
 
 class OracleError(lang.GpirError):
@@ -217,7 +217,11 @@ class Oracle:
         value = self.registry.invoke(service, mid, self.ctx, values)
         if value is NO_RESULT:
             raise OracleError(f"'{name}' produced no value")
-        return value
+        try:  # the machine's rule for what a kernel may return
+            i = int_result(value)
+        except KernelError as e:
+            raise OracleError(str(e)) from None
+        return value if i is None else i
 
 
 def evaluate(text_or_ast, registry, host_args=(), data=()):

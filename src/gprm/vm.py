@@ -12,9 +12,13 @@ for: the tile reduces it at once, from its code words and the packet's
 caller.  Any other entry gets a subtask record: the tile stores present
 arguments, requests referenced arguments from their tiles, and reduces the
 entry once every slot is filled.  Results travel back to the requesting
-record's slot.  A task kernel in flight holds a record with no slots until
-its completion.  Beta reduction is string reduction: the lambda body's
-entries are copied into a per-tile runtime code region with argument words
+record's slot.  So a record is only ever an entry waiting on a referenced
+argument, and it keeps no error state: error is the highest word kind, so
+`max` over the filled slots tells whether one failed.
+
+Beta reduction is string reduction: the lambda body's entries are copied
+into the machine's runtime code arena (`Machine.arena`, one dict in which
+each tile owns a region of RUNTIME_STRIDE addresses) with argument words
 substituted for variable words, and the fresh root is dispatched.  The copy
 instantiates a closure template: the body's entries in copy order, their
 internal references stored as offsets into the block and their variable
@@ -40,19 +44,22 @@ task code.  Boot resolves each operation word of the image to its kernel
 loop.  Every other (task) kernel call is handed, its arity checked and its
 arguments unwrapped on the loop, to one of the machine's
 `min(threads, tile_count)` kernel threads: tile t's go to kernel thread
-t % n, each started on its first task kernel.  The kernel thread runs the
-kernel and posts one completion packet (kind DONE, never traced) to the
-loop's inbox; the loop then frees the record and replies.  So a long kernel
-does not hold up the packets queued behind it.
+t % n, each started on its first task kernel.  A kernel in flight takes no
+record: its job carries the entry's op word and caller, and the kernel
+thread runs the kernel and posts one completion packet (kind DONE, never
+traced) to the loop's inbox, addressed to the caller, with the op word,
+value and error as payload; the loop then replies.  So a long kernel does
+not hold up the packets queued behind it.
 
 The reduction is pure Python, so under the GIL a second loop could never
 reduce at the same time as the first; only task kernels that release the
 GIL run in parallel, and they do on the kernel threads.
 
 Ownership rules (the whole concurrency argument):
-  - subtask records, runtime code arenas, the closure-template cache and
-    the kept root result are touched only by the loop thread, never by a
-    kernel thread;
+  - subtask records, the runtime code arena and its cursors, the
+    closure-template cache, the count of outstanding kernel jobs and the
+    kept root result are touched only by the loop thread, never by a kernel
+    thread;
   - the compile-time code region is immutable after boot, so a template
     built from it is memoised; a template that reads a runtime entry is
     built afresh for each beta, because arena addresses are reused by the
@@ -65,6 +72,9 @@ Ownership rules (the whole concurrency argument):
     packet, kernel threads' completions and the stop token.  The loop moves
     waiting inbox packets onto the work list while a task kernel is out,
     and blocks on the inbox only when the work list is empty;
+  - a kernel thread holds only its job queue and the loop's inbox: it runs
+    a job's kernel with the tile's task context and puts one completion in
+    the inbox;
   - `KernelContext.restart` is refused off the loop;
   - only the loop appends to the packet trace during a run.  The host
     appends the root packet before putting it in the inbox, while the loop
@@ -86,7 +96,6 @@ queue: the kept result, or None.
 from __future__ import annotations
 
 import graphlib
-import operator
 import queue
 import random
 import threading
@@ -96,7 +105,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import words as W
-from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, is_list, materialize
+from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, int_result, is_list, materialize
 from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_CONST, KIND_ERROR,
                     KIND_OPER, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_BIT, SIGN_BIT_48,
                     TILE_MASK, TILE_SHIFT)
@@ -174,11 +183,10 @@ LAMBDA_VALUE = LambdaValue()
 
 
 class SubtaskRecord:
-    """An entry that waits.  A requested slot holds None until its result
-    arrives; a record waiting on a task kernel, and a free record, have no
-    slots."""
+    """An entry that waits on a referenced argument.  A requested slot holds
+    None until its result arrives; a free record has no slots."""
 
-    __slots__ = ("op_word", "self_ref", "caller", "slots", "pending", "failed")
+    __slots__ = ("op_word", "self_ref", "caller", "slots", "pending")
 
     def __init__(self):
         self.op_word = 0
@@ -186,7 +194,6 @@ class SubtaskRecord:
         self.caller = (0, 0, 0)
         self.slots = ()
         self.pending = 0
-        self.failed = False  # some slot holds an error word
 
 
 class KernelContext:
@@ -251,8 +258,8 @@ class Tile:
         self.post = machine.post
         self.subtask_list = []
         self.subtask_stack = []  # free addresses, reused LIFO
-        self.arena = {}
-        self.arena_next = 0
+        self.arena = machine.arena
+        self.arena_next = 0  # the next free offset in this tile's arena region
         self.local_state = {}
         seed = machine.fuzz_seed
         self.rng = random.Random(None if seed is None else seed + 7919 * tile_id)
@@ -260,31 +267,26 @@ class Tile:
         self.task_ctx = KernelContext(self)
         self.kernel_thread = machine.kernel_threads[tile_id % len(machine.kernel_threads)]
 
-    # ── record allocation ────────────────────────────────────
-    # The packet path takes a record inline, as `stack.pop() if stack else
-    # self.new_record()`, and frees it by emptying its slots and pushing its
-    # address: the most recently freed record is reused first.
-
-    def new_record(self):
-        """Grow the pool by one record; returns its address."""
-        self.subtask_list.append(SubtaskRecord())
-        return len(self.subtask_list) - 1
-
     # ── packet handlers ──────────────────────────────────────
 
     def on_request(self, pkt):
         ref = pkt[6][0]
         a = ref & ADDR_MASK
-        code = self.code[a] if a < RUNTIME_BASE else self.machine.code_words(a)
+        code = self.code[a] if a < RUNTIME_BASE else self.arena[a]
         # an unquoted reference is the only word below QUOTE_BIT, and the
         # first word, a form or an operation, never is one
         if min(code) >= QUOTE_BIT:
             self.finish(code[0], code[1:], pkt[3:6], ref)
             return
+        # a record is freed by emptying its slots and pushing its address, so
+        # the most recently freed one is reused first; else the pool grows
         stack = self.subtask_stack
-        addr = stack.pop() if stack else self.new_record()
+        if stack:
+            addr = stack.pop()
+        else:
+            addr = len(self.subtask_list)
+            self.subtask_list.append(SubtaskRecord())
         rec = self.subtask_list[addr]
-        rec.failed = False
         rec.self_ref = ref
         rec.caller = pkt[3:6]  # (caller_tile, caller_addr, caller_arg)
         rec.op_word = code[0]
@@ -310,13 +312,11 @@ class Tile:
             return
         slots = rec.slots
         slots[arg] = w
-        if w >> KIND_SHIFT == KIND_ERROR:
-            rec.failed = True
         rec.pending -= 1
         if rec.pending == 0:
             rec.slots = ()
             self.subtask_stack.append(addr)
-            if rec.failed:
+            if max(slots) >= _ERROR_WORD:  # error is the highest word kind
                 # an error short-circuits the reduction but waited for every
                 # slot; the leftmost error wins whatever order they came in
                 err = next(w for w in slots if w >> KIND_SHIFT == KIND_ERROR)
@@ -325,13 +325,11 @@ class Tile:
                 self.finish(rec.op_word, slots, rec.caller, rec.self_ref)
 
     def on_done(self, pkt):
-        """A task kernel's completion packet: free its record and reply, on the loop."""
+        """A task kernel's completion packet, addressed to the entry's
+        caller: count the job out and reply, on the loop."""
         self.machine.kernel_jobs -= 1
-        addr = pkt[4]
-        rec = self.subtask_list[addr]
-        rec.slots = ()
-        self.subtask_stack.append(addr)
-        self.conclude(rec.op_word, rec.caller, *pkt[6])
+        op_word, value, error = pkt[6]
+        self.conclude(op_word, pkt[3:6], value, error)
 
     # ── reduction ────────────────────────────────────────────
     # An entry's fields: its op word, its filled slots (no error among them),
@@ -344,8 +342,8 @@ class Tile:
     def finish(self, op_word, slots, caller, self_ref):
         """Reduce an entry whose slots are all filled.  This is the one
         kernel dispatch path: every method's arity is checked here, then a
-        task kernel goes, its arguments unwrapped, to the kernel thread, its
-        entry waiting in a record until on_done, and any other method is
+        task kernel goes, its arguments unwrapped, to the kernel thread,
+        counted in `kernel_jobs` until on_done, and any other method is
         called here."""
         if op_word >> KIND_SHIFT != KIND_OPER:
             form = op_word & PAYLOAD_MASK  # boot admits only the three special forms
@@ -372,12 +370,8 @@ class Tile:
             if spec.arity is not None and len(args) != spec.arity:
                 raise machine.registry.arity_error(service, spec, len(args))
             if task:
-                stack = self.subtask_stack
-                addr = stack.pop() if stack else self.new_record()
-                rec = self.subtask_list[addr]
-                rec.op_word = op_word
-                rec.caller = caller
-                self.kernel_thread.submit((self, addr, spec.fn, args))
+                machine.kernel_jobs += 1
+                self.kernel_thread.submit((self, op_word, caller, spec.fn, args))
                 return  # on_done concludes it
             value = spec.fn(ctx, args) if spec.control else spec.fn(ctx, *args)
         except Exception as e:
@@ -412,7 +406,7 @@ class Tile:
             # deferred branch: drop the quote, restart with our caller as
             # continuation; the unselected branch is never dispatched
             w = W.clear_quote(selected)
-            self.machine.send(REQ, self.tile_id, W.ref_tile(w), caller, (w,))
+            self.post((REQ, self.tile_id, W.ref_tile(w), *caller, (w,)))
         elif W.kind_of(selected) == W.KIND_VAR:  # no beta substituted it
             self.reply_error(op_word, caller, "unbound variable in if branch")
         else:
@@ -449,14 +443,14 @@ class Tile:
             except VmError as e:
                 self.reply_error(op_word, caller, str(e))
                 return
-            w = W.mk_ref(new_root, W.ref_tile(body_w))
-            self.machine.send(REQ, self.tile_id, W.ref_tile(w), caller, (w,))
+            tile = W.ref_tile(body_w)
+            self.post((REQ, self.tile_id, tile, *caller, (W.mk_ref(new_root, tile),)))
         elif bk == W.KIND_VAR:
             w = subst.get(W.var_slot(body_w))
             if w is None:
                 self.reply_error(op_word, caller, "unbound variable in lambda body")
             elif W.kind_of(w) == W.KIND_REF:
-                self.machine.send(REQ, self.tile_id, W.ref_tile(w), caller, (w,))
+                self.post((REQ, self.tile_id, W.ref_tile(w), *caller, (w,)))
             else:
                 self.reply(caller, w)
         else:
@@ -530,18 +524,17 @@ def kernel_failure(e):
 
 class _KernelThread:
     """Runs the task kernels of the tiles mapped to it, one at a time, and
-    posts each completion to the loop.  Its thread starts on first use."""
+    posts each completion to the loop's inbox.  Its thread starts on first
+    use."""
 
-    def __init__(self, machine, index):
-        self.machine = machine
+    def __init__(self, inbox, index):
+        self.inbox = inbox
         self.name = f"gprm-kernels-{index}"
         self.jobs = queue.SimpleQueue()
         self.thread = None
 
     def submit(self, job):
-        """Hand a task kernel call over, on the loop; it stays outstanding
-        until its completion packet has been handled."""
-        self.machine.kernel_jobs += 1
+        """Hand a task kernel call over, on the loop."""
         if self.thread is None:
             self.thread = threading.Thread(target=self.run, name=self.name, daemon=True)
             self.thread.start()
@@ -552,17 +545,19 @@ class _KernelThread:
             self.run_job(job)
 
     def run_job(self, job):
-        """Run one task kernel and post its completion to the loop."""
-        tile, addr, fn, args = job
+        """Run one task kernel and post its completion, addressed to the
+        entry's caller, to the loop."""
+        tile, op_word, caller, fn, args = job
         try:
-            outcome = fn(tile.task_ctx, *args), None
+            value, error = fn(tile.task_ctx, *args), None
         except Exception as e:
-            outcome = None, kernel_failure(e)
+            value, error = None, kernel_failure(e)
         t = tile.tile_id
-        self.machine.queue.put((DONE, t, t, t, addr, 0, outcome))
+        self.inbox.put((DONE, t, t, *caller, (op_word, value, error)))
 
 
 _REF_END = 1 << KIND_SHIFT  # a word below it is a reference, quoted or not
+_ERROR_WORD = KIND_ERROR << KIND_SHIFT  # a word at or above it is an error
 _TILE_FIELD = TILE_MASK << TILE_SHIFT
 _CONST_NEG = PAYLOAD_MASK + 1 + CONST_MIN  # the payload of the constant CONST_MIN
 _FORM_WORDS = frozenset(W.mk_builtin(form) for form in W.FORM_NAMES)
@@ -666,12 +661,13 @@ class Machine:
         self._trace = [] if trace else None
         self._result = None  # the root's result packet, kept by the loop until quiet
         self._templates = {}  # compile-time body root -> closure template
+        self.arena = {}  # runtime code; tile t's region starts at RUNTIME_BASE + t*RUNTIME_STRIDE
         self.work = deque()  # packets the loop's handlers sent, served LIFO
         # a handler's send: a traced machine also records the packet
         self.post = self.work.append if trace is False else self._post_traced
         self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
         self.queue = queue.SimpleQueue()  # the loop's inbox
-        self.kernel_threads = [_KernelThread(self, i)
+        self.kernel_threads = [_KernelThread(self.queue, i)
                                for i in range(min(threads, self.tile_count))]
         self.tiles = [Tile(self, t) for t in range(self.tile_count)]
         self._loop = threading.Thread(target=self._serve, name="gprm-loop", daemon=True)
@@ -713,18 +709,10 @@ class Machine:
             return self._shared.setdefault(name, {})
 
     def wrap_value(self, v):
-        if v is None:
-            return W.mk_const(0)
-        if isinstance(v, bool):
-            return W.mk_const(int(v))
-        try:
-            i = operator.index(v)  # int and numpy integers
-        except TypeError:
+        i = int_result(v)
+        if i is None:
             return W.mk_handle(self.wrap_handle(v))
-        try:
-            return W.mk_const(i)
-        except ValueError:
-            raise KernelError(f"kernel returned out-of-range integer {i}") from None
+        return CONST_WORD | (i & PAYLOAD_MASK)
 
     def decode_word(self, w):
         """Result word -> host value (lists materialized)."""
@@ -788,10 +776,6 @@ class Machine:
 
     # ── packet plumbing ──────────────────────────────────────
 
-    def send(self, kind, src, dst, caller, payload):
-        """Send a packet from a handler on the loop."""
-        self.post((kind, src, dst, *caller, payload))
-
     def _post_traced(self, pkt):
         self._trace.append(pkt)
         self.work.append(pkt)
@@ -811,7 +795,7 @@ class Machine:
             raise KernelError(f"restart of {W.word_str(ref_word)}, which names no entry") from None
         tile = tile_id % self.tile_count  # out-of-range thread ids wrap
         w = W.clear_quote(W.ref_with_tile(ref_word, tile))
-        self.send(REQ, src, tile, caller, (w,))
+        self.post((REQ, src, tile, *caller, (w,)))
 
     def set_fatal(self, exc):
         if self._fatal is None:
@@ -878,8 +862,8 @@ class Machine:
             raise VmError("run() is not reentrant; one evaluation at a time")
         try:
             self.host_args = tuple(host_args)
+            self.arena.clear()
             for t in self.tiles:
-                t.arena.clear()
                 t.arena_next = 0
             with self._handle_lock:  # a handle lives for one run
                 self._handles.clear()
@@ -927,15 +911,19 @@ class Machine:
         if self.kernel_jobs:
             raise ResourceLeakError(
                 f"{self.kernel_jobs} kernel jobs queued or running")
+        allocated = 0
         for t in self.tiles:
             if len(t.subtask_stack) != len(t.subtask_list):
                 raise ResourceLeakError(
                     f"tile {t.tile_id} leaked "
                     f"{len(t.subtask_list) - len(t.subtask_stack)} subtask records")
-            if len(t.arena) != t.arena_next or t.arena_next > RUNTIME_STRIDE:
-                raise ResourceLeakError(
-                    f"tile {t.tile_id} holds {len(t.arena)} arena entries, "
-                    f"{t.arena_next} allocated this run")
+            if t.arena_next > RUNTIME_STRIDE:
+                raise ResourceLeakError(f"tile {t.tile_id} ran past its arena region")
+            allocated += t.arena_next
+        if len(self.arena) != allocated:
+            raise ResourceLeakError(
+                f"the arena holds {len(self.arena)} arena entries, "
+                f"{allocated} allocated this run")
         if len(self._handle_ids) != len(self._handles):
             raise ResourceLeakError(
                 f"handle table holds {len(self._handles)} handles and "
@@ -947,12 +935,7 @@ class Machine:
 
     def code_words(self, addr):
         """Code entry at addr; KeyError if there is none."""
-        if addr < RUNTIME_BASE:
-            return self.code[addr]
-        tile = (addr - RUNTIME_BASE) // RUNTIME_STRIDE
-        if tile >= self.tile_count:
-            raise KeyError(addr)
-        return self.tiles[tile].arena[addr]
+        return self.code[addr] if addr < RUNTIME_BASE else self.arena[addr]
 
     def trace_packets(self):
         if self._trace is None:

@@ -3,6 +3,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from gprm import lang, oracle
@@ -87,6 +88,34 @@ def test_oracle_errors_match_machine_classes():
             with pytest.raises(want) as run:
                 execute(text, threads=threads)
             assert str(run.value).startswith(str(orc.value)), text
+
+
+def test_oracle_refuses_the_integers_the_machine_refuses():
+    # a kernel's value must fit in 32 bits on both routes, a host argument's
+    # (ctrl.arg) too, before any arithmetic could wrap it
+    reg = fresh_registry()
+    reg.register("k", [("big", 0, lambda c: 2**40)])
+    for text, args, bad in [("(ctrl.arg '0)", (2**31,), 2**31),
+                            ("(+ (ctrl.arg '0) '0)", (2**31,), 2**31),
+                            ("(k.big)", (), 2**40)]:
+        message = f"kernel returned out-of-range integer {bad}"
+        with pytest.raises(OracleError, match=f"^{message}$"):
+            evaluate(text, reg, host_args=args)
+        for threads in (1, 2):
+            with pytest.raises(TaskError) as run:
+                execute(text, threads=threads, args=args, registry=reg)
+            assert run.value.message == message, text
+
+
+def test_oracle_reads_none_bools_and_numpy_integers_as_the_machine_does():
+    reg = fresh_registry()
+    reg.register("k", [("yes", 0, lambda c: True), ("n", 0, lambda c: np.int64(-7)),
+                       ("none", 0, lambda c: None)])
+    for text, want in [("(k.yes)", 1), ("(+ (k.n) '1)", -6),
+                       ("(k.none)", 0), ("(+ (k.none) '1)", 1)]:
+        got = evaluate(text, reg)
+        assert got == want and type(got) is int, text
+        assert execute(text, threads=2, registry=reg) == want
 
 
 def test_label_evaluation():

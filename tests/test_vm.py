@@ -252,6 +252,23 @@ def test_runtime_arena_reset_between_runs():
         assert sum(t.arena_next for t in m.tiles) == used_first
 
 
+def test_runtime_region_exhaustion_is_a_task_error(monkeypatch):
+    # a beta whose copy would run past its tile's region replies an error;
+    # the machine stays sound, and the next run starts from an empty arena
+    monkeypatch.setattr(vm, "RUNTIME_STRIDE", 64)
+    reg = fresh_registry()
+    src = FIB_GPC.replace("main()", "main(int n)").replace("fib(10)", "fib(n)")
+    with Machine(compile_for(compile_gpc(src), 1, reg), reg, 1) as m:
+        with pytest.raises(TaskError) as ei:
+            m.run_value((10,))
+        assert ei.value.message == "address space exhausted (runtime code region)"
+        assert ei.value.frames[:2] == ("beta", "+")
+        m.check_conservation()
+        assert 0 < m.tiles[0].arena_next <= 64
+        assert m.run_value((4,)) == 3
+        m.check_conservation()
+
+
 def test_beta_nullary_lambda():
     assert execute("(beta (lambda '(+ '1 '2)))") == 3
 
@@ -684,7 +701,7 @@ class Manual:
     def send_root(self):
         root = self.machine.image.root
         gw = self.machine.gateway_tile
-        self.machine.send(REQ, gw, W.ref_tile(root), (gw, 0, 0), (root,))
+        self.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root,)))
 
     def inject_root(self):
         self.send_root()
@@ -767,7 +784,7 @@ def test_result_arrival_order_does_not_matter():
         h = Manual("(k.pair (k.a) (k.b))", reg, tiles=4)
         root = h.machine.image.root
         gw = h.machine.gateway_tile
-        h.machine.send(REQ, gw, W.ref_tile(root), (gw, 0, 0), (root,))
+        h.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root,)))
         (rootpkt,) = h.pending()
         h.handle(rootpkt)
         kids = h.pending()
@@ -904,17 +921,21 @@ def test_ready_control_method_restarts_with_its_callers_continuation():
         assert restarted[3:6] == asked[3:6], text  # the result goes where ctrl.run's would
 
 
-def test_ready_task_kernel_waits_in_a_record_until_done():
+def test_ready_task_kernel_is_counted_not_recorded():
+    # a kernel in flight is one count in kernel_jobs and holds no record
+    seen = []
     reg = fresh_registry()
-    reg.register("k", [("zero", 0, lambda c: 0)])
+    reg.register("k", [("zero", 0,
+                        lambda c: seen.append((m.kernel_jobs, _live_records(m))) or 0)])
     h = Manual("(k.zero)", reg, tiles=1)
     m = h.machine
     h.send_root()
     (rootpkt,) = h.pending()
     h.handle(rootpkt)
-    assert (m.kernel_jobs, _live_records(m)) == (1, [1])
+    assert (m.kernel_jobs, _live_records(m)) == (1, [0])  # queued
     assert h.run_jobs() == 1
-    assert (m.kernel_jobs, _live_records(m)) == (1, [1])  # ran, DONE not yet handled
+    assert seen == [(1, [0])]  # running
+    assert (m.kernel_jobs, _live_records(m)) == (1, [0])  # ran, DONE not yet handled
     (done,) = h.drain(m.queue)
     h.handle(done)
     assert (m.kernel_jobs, _live_records(m)) == (0, [0])
@@ -1279,7 +1300,7 @@ def test_conservation_check_covers_arena_and_handles():
     with Machine(img, reg, 1) as m:
         assert m.run_value() == [1]
         m.check_conservation()
-        m.tiles[0].arena[vm.RUNTIME_BASE + 99] = (W.mk_const(0),)  # stray entry
+        m.arena[vm.RUNTIME_BASE + 99] = (W.mk_const(0),)  # stray entry
         with pytest.raises(ResourceLeakError, match="arena entries"):
             m.check_conservation()
         assert m.run_value() == [1]

@@ -55,6 +55,17 @@ def test_var_handle_error_roundtrip():
     assert W.kind_of(e) == W.KIND_ERROR and W.handle_index(e) == 3
 
 
+def test_error_is_the_highest_word_kind():
+    # a record finds an error among its slots with max(slots): a word of a
+    # higher kind would pass for one
+    kinds = {name: v for name, v in vars(W).items()
+             if name.startswith("KIND_") and name != "KIND_SHIFT"}
+    assert max(kinds.values()) == W.KIND_ERROR
+    assert [n for n, v in kinds.items() if v == W.KIND_ERROR] == ["KIND_ERROR"]
+    assert min(W.mk_error(0), W.mk_error(1)) > max(W.mk_handle(W.PAYLOAD_MASK),
+                                                  W.mk_const(-1, quoted=True))
+
+
 def test_quote_only_on_quotable_kinds():
     with pytest.raises(ValueError):
         W.set_quote(W.mk_oper(1, 2))
