@@ -6,9 +6,10 @@ So a run goes depth-first, and the records it holds grow with the depth of
 the program, not with its calls.  A record posts its requests last slot
 first, so its leftmost argument is served first, as the oracle evaluates.
 
-A reference packet asks a tile to evaluate one flat S-expression.  An entry
-none of whose argument words is an unquoted reference has nothing to wait
-for: the tile reduces it at once, from its code words and the packet's
+A request packet asks a tile to evaluate one flat S-expression; its payload
+is (reference, environment), and the trace shows only the reference.  An
+entry none of whose argument words is an unquoted reference has nothing to
+wait for: the tile reduces it at once, from its words and the packet's
 caller.  Any other entry gets a subtask record: the tile stores present
 arguments, requests referenced arguments from their tiles, and reduces the
 entry once every slot is filled.  Results travel back to the requesting
@@ -16,14 +17,20 @@ record's slot.  So a record is only ever an entry waiting on a referenced
 argument, and it keeps no error state: error is the highest word kind, so
 `max` over the filled slots tells whether one failed.
 
-Beta reduction is string reduction: the lambda body's entries are copied
-into the machine's runtime code arena (`Machine.arena`, one dict in which
-each tile owns a region of RUNTIME_STRIDE addresses) with argument words
-substituted for variable words, and the fresh root is dispatched.  The copy
-instantiates a closure template: the body's entries in copy order, their
-internal references stored as offsets into the block and their variable
-positions marked, so a beta fills one block of consecutive arena addresses
-in one flat loop.
+Beta reduction binds, it does not copy.  An environment is a dict from
+variable slot to word, or None at the root, and a tile fills an entry's
+variable words from it through the entry's plan of variable positions
+(`Machine.plans`), keeping a quoted occurrence quoted.  A beta binds each
+formal to its operand, quote cleared, over the operator's environment, and
+requests the body in that environment.  Every reference value is a closure:
+one entry (reference, environment) of the machine's closure arena
+(`Machine.arena`, one dict in which each tile owns a region of
+RUNTIME_STRIDE addresses).  A `lambda` replies with a closure of itself
+over its environment, or with the closure it was requested through; a beta
+closes its literal quoted operands over its entry's environment.  So a
+compile-time reference in a slot is always a literal of the entry being
+reduced, and runs in the entry's environment (an `if` branch, a literal
+beta operator, `ctrl.run`'s target); a closure runs in its own.
 
 A machine checks its image once, at boot (`check_image`), and the loop
 trusts what the check guarantees: every entry lies below RUNTIME_BASE and
@@ -32,10 +39,10 @@ every argument word is a reference, a 32-bit constant or a variable; the
 root and every reference name a tile of the machine and an entry of the
 image; and no chain of references is a cycle.  So the packet path has no
 branch for an unknown address, form or operation.  What the loop builds at
-run time (arena copies, handle and error words) it builds from checked
-words.  Two things boot cannot see are checked where they arrive: a
-reference a control method restarts (`Machine.restart_evaluation`), and a
-variable no beta substituted, which is an error result where it is used.
+run time (closures, handle and error words) it builds from checked words.
+Two things boot cannot see are checked where they arrive: a reference a
+control method restarts (`Machine.restart_evaluation`), and a
+variable no beta bound, which is an error result where it is used.
 
 Kernel dispatch follows the paper's split between communication code and
 task code.  Boot resolves each operation word of the image to its kernel
@@ -56,14 +63,10 @@ reduce at the same time as the first; only task kernels that release the
 GIL run in parallel, and they do on the kernel threads.
 
 Ownership rules (the whole concurrency argument):
-  - subtask records, the runtime code arena and its cursors, the
-    closure-template cache, the count of outstanding kernel jobs and the
-    kept root result are touched only by the loop thread, never by a kernel
-    thread;
-  - the compile-time code region is immutable after boot, so a template
-    built from it is memoised; a template that reads a runtime entry is
-    built afresh for each beta, because arena addresses are reused by the
-    next run;
+  - subtask records, the closure arena and its cursors, the count of
+    outstanding kernel jobs and the kept root result are touched only by
+    the loop thread, never by a kernel thread;
+  - the code and the plans are immutable after boot;
   - only the loop's handlers send packets, and they append every packet,
     the host's result too, to the work list (`Machine.work`), a deque that
     only the loop touches, through `Machine.post`.  A packet is a plain
@@ -183,14 +186,16 @@ LAMBDA_VALUE = LambdaValue()
 
 
 class SubtaskRecord:
-    """An entry that waits on a referenced argument.  A requested slot holds
-    None until its result arrives; a free record has no slots."""
+    """An entry that waits on a referenced argument, with the environment it
+    was requested in.  A requested slot holds None until its result arrives;
+    a free record has no slots."""
 
-    __slots__ = ("op_word", "self_ref", "caller", "slots", "pending")
+    __slots__ = ("op_word", "self_ref", "env", "caller", "slots", "pending")
 
     def __init__(self):
         self.op_word = 0
         self.self_ref = 0
+        self.env = None
         self.caller = (0, 0, 0)
         self.slots = ()
         self.pending = 0
@@ -200,13 +205,14 @@ class KernelContext:
     """What a kernel method may see of the engine.
 
     Each tile has two: one for the methods run on its loop, whose `_caller`
-    is set while a control method runs, and one for its task kernels on the
-    kernel thread, whose `_caller` is always None."""
+    (and `_env`) are set for each control method it runs, and one for its
+    task kernels on the kernel thread, whose `_caller` is always None."""
 
     def __init__(self, tile):
         self._tile = tile
         self._machine = tile.machine
         self._caller = None  # the running control method's caller
+        self._env = None  # and the environment of its entry
 
     @property
     def tile_id(self):
@@ -241,12 +247,13 @@ class KernelContext:
     def restart(self, ref_word, tile_id):
         """Rewrite the reference's tile field, drop the quote, re-dispatch.
 
-        The restarted computation answers this entry's caller directly.
-        Only a control method may restart: it runs on the loop, the one
-        place that may send packets."""
+        The restarted computation answers this entry's caller directly, in
+        this entry's environment unless the reference is a closure.  Only a
+        control method may restart: it runs on the loop, the one place that
+        may send packets."""
         if self._caller is None:
             raise KernelError("restart is only allowed in a control method")
-        self._machine.restart_evaluation(ref_word, tile_id, self._caller,
+        self._machine.restart_evaluation(ref_word, tile_id, self._caller, self._env,
                                          src=self._tile.tile_id)
 
 
@@ -255,11 +262,12 @@ class Tile:
         self.machine = machine
         self.tile_id = tile_id
         self.code = machine.code
+        self.plans = machine.plans
         self.post = machine.post
         self.subtask_list = []
         self.subtask_stack = []  # free addresses, reused LIFO
         self.arena = machine.arena
-        self.arena_next = 0  # the next free offset in this tile's arena region
+        self.arena_next = 0  # the next free offset in this tile's closure region
         self.local_state = {}
         seed = machine.fuzz_seed
         self.rng = random.Random(None if seed is None else seed + 7919 * tile_id)
@@ -270,13 +278,23 @@ class Tile:
     # ── packet handlers ──────────────────────────────────────
 
     def on_request(self, pkt):
-        ref = pkt[6][0]
+        ref, env = pkt[6]
         a = ref & ADDR_MASK
-        code = self.code[a] if a < RUNTIME_BASE else self.arena[a]
+        if a >= RUNTIME_BASE:  # a closure: its code runs in its own environment
+            code_ref, env = self.arena[a]
+            a = code_ref & ADDR_MASK
+        code = self.code[a]
+        if env is not None and (plan := self.plans.get(a)):
+            code = list(code)
+            for i, slot, quoted in plan:
+                w = env.get(slot)
+                if w is not None:  # else a lambda's own formal, or unbound
+                    # a quoted occurrence stays deferred
+                    code[i] = w | quoted if w >> KIND_SHIFT in W.QUOTABLE_KINDS else w
         # an unquoted reference is the only word below QUOTE_BIT, and the
         # first word, a form or an operation, never is one
         if min(code) >= QUOTE_BIT:
-            self.finish(code[0], code[1:], pkt[3:6], ref)
+            self.finish(code[0], code[1:], pkt[3:6], ref, env)
             return
         # a record is freed by emptying its slots and pushing its address, so
         # the most recently freed one is reused first; else the pool grows
@@ -288,6 +306,7 @@ class Tile:
             self.subtask_list.append(SubtaskRecord())
         rec = self.subtask_list[addr]
         rec.self_ref = ref
+        rec.env = env
         rec.caller = pkt[3:6]  # (caller_tile, caller_addr, caller_arg)
         rec.op_word = code[0]
         rec.slots = slots = list(code[1:])
@@ -300,7 +319,7 @@ class Tile:
             if w < QUOTE_BIT:
                 slots[i] = None
                 pending += 1
-                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w,)))
+                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w, env)))
         rec.pending = pending
 
     def on_result(self, pkt):
@@ -322,7 +341,7 @@ class Tile:
                 err = next(w for w in slots if w >> KIND_SHIFT == KIND_ERROR)
                 self.reply_error_word(rec.op_word, rec.caller, err)
             else:
-                self.finish(rec.op_word, slots, rec.caller, rec.self_ref)
+                self.finish(rec.op_word, slots, rec.caller, rec.self_ref, rec.env)
 
     def on_done(self, pkt):
         """A task kernel's completion packet, addressed to the entry's
@@ -333,13 +352,14 @@ class Tile:
 
     # ── reduction ────────────────────────────────────────────
     # An entry's fields: its op word, its filled slots (no error among them),
-    # the caller its result goes to, and the reference it was requested by.
+    # the caller its result goes to, the reference it was requested by and
+    # its environment.
 
     def op_name(self, op_word):
         """The frame name of an entry: its special form's or operation's name."""
         return W.word_str(op_word, self.machine.image.symbols)
 
-    def finish(self, op_word, slots, caller, self_ref):
+    def finish(self, op_word, slots, caller, self_ref, env):
         """Reduce an entry whose slots are all filled.  This is the one
         kernel dispatch path: every method's arity is checked here, then a
         task kernel goes, its arguments unwrapped, to the kernel thread,
@@ -347,12 +367,17 @@ class Tile:
         called here."""
         if op_word >> KIND_SHIFT != KIND_OPER:
             form = op_word & PAYLOAD_MASK  # boot admits only the three special forms
-            if form == W.FORM_CODE_LAMBDA:
-                self.reply(caller, W.set_quote(W.clear_quote(self_ref)))
-            elif form == W.FORM_CODE_IF:
-                self.eval_if(op_word, slots, caller)
-            else:
-                self.beta_reduce(op_word, slots, caller)
+            try:
+                if form == W.FORM_CODE_LAMBDA:
+                    if self_ref & ADDR_MASK < RUNTIME_BASE:
+                        self_ref = self.closure(self_ref, env)
+                    self.reply(caller, self_ref | QUOTE_BIT)
+                elif form == W.FORM_CODE_IF:
+                    self.eval_if(op_word, slots, caller, env)
+                else:
+                    self.beta_reduce(op_word, slots, caller, env)
+            except VmError as e:  # closure() found its region full
+                self.reply_error(op_word, caller, str(e))
             return
         machine = self.machine
         service, spec, task = machine.ops[op_word]
@@ -360,7 +385,7 @@ class Tile:
         error = None
         try:
             if spec.control:
-                ctx._caller = caller
+                ctx._caller, ctx._env = caller, env
                 args = list(slots)
             else:
                 args = []  # a loop: on Python 3.11 a comprehension is one more call
@@ -393,7 +418,7 @@ class Tile:
         chained = ErrorInfo(info.message, info.frames + (self.op_name(op_word),))
         self.reply(caller, W.mk_error(self.machine.wrap_handle(chained)))
 
-    def eval_if(self, op_word, slots, caller):
+    def eval_if(self, op_word, slots, caller, env):
         if len(slots) != 3:
             self.reply_error(op_word, caller, "if expects a condition and two branches")
             return
@@ -406,23 +431,23 @@ class Tile:
             # deferred branch: drop the quote, restart with our caller as
             # continuation; the unselected branch is never dispatched
             w = W.clear_quote(selected)
-            self.post((REQ, self.tile_id, W.ref_tile(w), *caller, (w,)))
-        elif W.kind_of(selected) == W.KIND_VAR:  # no beta substituted it
+            self.post((REQ, self.tile_id, W.ref_tile(w), *caller, (w, env)))
+        elif W.kind_of(selected) == W.KIND_VAR:  # no beta bound it
             self.reply_error(op_word, caller, "unbound variable in if branch")
         else:
             self.reply(caller, W.clear_quote(selected))
 
-    def beta_reduce(self, op_word, slots, caller):
-        if not slots:
-            self.reply_error(op_word, caller, "operator is not a lambda value")
-            return
-        opw = slots[0]
+    def beta_reduce(self, op_word, slots, caller, env):
+        opw = slots[0] if slots else 0
         if W.kind_of(opw) != W.KIND_REF or not W.is_quoted(opw):
             self.reply_error(op_word, caller, "operator is not a lambda value")
             return
-        lam = self.machine.code_words(W.ref_addr(opw))
-        if W.kind_of(lam[0]) != W.KIND_BUILTIN or \
-                W.builtin_form(lam[0]) != W.FORM_CODE_LAMBDA:
+        a, lam_env = W.ref_addr(opw), env  # a literal lambda closes over this entry's env
+        if a >= RUNTIME_BASE:
+            code_ref, lam_env = self.arena[a]
+            a = W.ref_addr(code_ref)
+        lam = self.code[a]
+        if lam[0] != _LAMBDA_WORD:
             self.reply_error(op_word, caller, "operator is not a lambda value")
             return
         formals, body_w = lam[1:-1], lam[-1]
@@ -432,59 +457,38 @@ class Tile:
                 op_word, caller, f"lambda arity mismatch: {len(formals)} formals, "
                                  f"{len(operands)} operands")
             return
-        # the quote is removed during substitution so deferred references
-        # get evaluated where they land
-        subst = {W.var_slot(f): W.clear_quote(v) for f, v in zip(formals, operands)}
+        # the quote is removed in binding, so a deferred operand is evaluated
+        # at each unquoted use; a literal one is closed over this entry's env
+        bound = dict(lam_env) if lam_env else {}
+        for f, v in zip(formals, operands):
+            v = W.clear_quote(v)
+            if v < _REF_END and v & ADDR_MASK < RUNTIME_BASE:
+                v = self.closure(v, env)
+            bound[W.var_slot(f)] = v
         bk = W.kind_of(body_w)
-        if bk == W.KIND_REF:
-            try:
-                new_root = self.copy_closure(
-                    self.machine.template(W.ref_addr(body_w)), subst)
-            except VmError as e:
-                self.reply_error(op_word, caller, str(e))
-                return
-            tile = W.ref_tile(body_w)
-            self.post((REQ, self.tile_id, tile, *caller, (W.mk_ref(new_root, tile),)))
-        elif bk == W.KIND_VAR:
-            w = subst.get(W.var_slot(body_w))
-            if w is None:
+        if bk == W.KIND_VAR:
+            body_w = bound.get(W.var_slot(body_w))
+            if body_w is None:
                 self.reply_error(op_word, caller, "unbound variable in lambda body")
-            elif W.kind_of(w) == W.KIND_REF:
-                self.post((REQ, self.tile_id, W.ref_tile(w), *caller, (w,)))
-            else:
-                self.reply(caller, w)
+                return
+            bk = W.kind_of(body_w)
+        if bk == W.KIND_REF:
+            w = W.clear_quote(body_w)
+            self.post((REQ, self.tile_id, W.ref_tile(w), *caller, (w, bound)))
         else:
-            # constant body, or any value substituted into a copied lambda's
-            # body position (a handle is not a reference: return it)
             self.reply(caller, W.clear_quote(body_w) if bk in W.QUOTABLE_KINDS else body_w)
 
-    def copy_closure(self, template, subst):
-        """String reduction: instantiate a closure template in one block of
-        consecutive arena addresses, substituting argument words for variable
-        words; returns the block's first address, the body root."""
-        start = self.arena_next
-        if start + len(template) > RUNTIME_STRIDE:
+    def closure(self, ref, env):
+        """A closure of ref's code over env: one entry at the next address of
+        this tile's arena region.  Returns its unquoted reference, on ref's
+        tile."""
+        n = self.arena_next
+        if n >= RUNTIME_STRIDE:
             raise VmError("address space exhausted (runtime code region)")
-        self.arena_next = start + len(template)
-        base = RUNTIME_BASE + self.tile_id * RUNTIME_STRIDE + start
-        arena = self.arena
-        addr = base
-        for words, refs, variables in template:
-            if refs or variables:
-                out = list(words)
-                for i in refs:
-                    out[i] += base  # the address field holds the offset
-                for i, slot, quoted in variables:
-                    s = subst.get(slot)
-                    if s is None:
-                        continue  # someone else's formal
-                    if quoted and W.kind_of(s) in W.QUOTABLE_KINDS:
-                        s = W.set_quote(s)  # deferred occurrence stays deferred
-                    out[i] = s
-                words = tuple(out)
-            arena[addr] = words
-            addr += 1
-        return base
+        self.arena_next = n + 1
+        a = RUNTIME_BASE + self.tile_id * RUNTIME_STRIDE + n
+        self.arena[a] = (ref, env)
+        return ref & _TILE_FIELD | a
 
     # ── kernel dispatch ──────────────────────────────────────
 
@@ -512,7 +516,7 @@ class Tile:
             raise KernelError(
                 f"quoted reference passed to non-control method '{spec.name}'")
         if k == W.KIND_VAR:
-            raise KernelError("unsubstituted lambda variable reached a kernel")
+            raise KernelError("unbound lambda variable reached a kernel")
         raise KernelError(f"word kind {k} is not a kernel value")
 
 
@@ -561,13 +565,14 @@ _ERROR_WORD = KIND_ERROR << KIND_SHIFT  # a word at or above it is an error
 _TILE_FIELD = TILE_MASK << TILE_SHIFT
 _CONST_NEG = PAYLOAD_MASK + 1 + CONST_MIN  # the payload of the constant CONST_MIN
 _FORM_WORDS = frozenset(W.mk_builtin(form) for form in W.FORM_NAMES)
+_LAMBDA_WORD = W.mk_builtin(W.FORM_CODE_LAMBDA)
 
 
 def check_image(image):
     """Refuse, with VmError, an image that breaks what the loop trusts (see
     the module docstring).  A reference cycle needs a reference at or before
     its own entry, so only an image with one has its reference graph
-    searched."""
+    searched.  Returns the addresses of the entries with a variable word."""
     code, past = image.code, image.tile_count << TILE_SHIFT  # the tile field compared in place
     first_words = _FORM_WORDS | {W.mk_oper(sid, mid) for sid, mid in image.symbols}
     fault = _ref_fault(image.root, image)
@@ -575,7 +580,7 @@ def check_image(image):
         raise VmError(f"root: {fault}")
     if max(code) >= RUNTIME_BASE:
         raise VmError(f"entry r{max(code)} lies in the runtime code region")
-    back = False
+    back, variable_entries = False, set()
     for addr, ws in code.items():
         if not ws:
             raise VmError(f"entry r{addr} has no words")
@@ -592,7 +597,9 @@ def check_image(image):
             elif w >> KIND_SHIFT == KIND_CONST:
                 if CONST_MAX < w & PAYLOAD_MASK < _CONST_NEG:  # not a sign-extended int32
                     raise VmError(f"constant {W.word_str(w)} in r{addr} is out of 32-bit range")
-            elif w >> KIND_SHIFT != KIND_VAR:
+            elif w >> KIND_SHIFT == KIND_VAR:
+                variable_entries.add(addr)
+            else:
                 raise VmError(f"bad argument word kind {W.kind_of(w)} in r{addr}")
     if back:
         graph = {a: [w & ADDR_MASK for w in ws[1:] if w < _REF_END] for a, ws in code.items()}
@@ -601,6 +608,7 @@ def check_image(image):
         except graphlib.CycleError as e:  # the path runs against the reference edges
             path = " -> ".join(f"r{a}" for a in reversed(e.args[1]))
             raise VmError(f"reference cycle {path}") from None
+    return variable_entries
 
 
 def _ref_fault(w, image):
@@ -641,13 +649,17 @@ class Machine:
             service, spec = registry.spec(sid, mid)
             task = not spec.control and service.name not in _ENGINE_SERVICES
             self.ops[W.mk_oper(sid, mid)] = service, spec, task
-        check_image(image)
+        variable_entries = check_image(image)
         self.image = image
         self.registry = registry
         self.fuzz_seed = fuzz_seed
         self.tile_count = image.tile_count
         self.gateway_tile = image.tile_count
         self.code = dict(image.code)
+        # entry -> its variable positions (index, slot, quote bit)
+        self.plans = {a: tuple((i, w & PAYLOAD_MASK, w & QUOTE_BIT)
+                               for i, w in enumerate(self.code[a]) if w >> KIND_SHIFT == KIND_VAR)
+                      for a in variable_entries}
         self.host_args = ()
         self._data = []
         self._handles = []
@@ -660,8 +672,7 @@ class Machine:
         self._gateway = queue.SimpleQueue()
         self._trace = [] if trace else None
         self._result = None  # the root's result packet, kept by the loop until quiet
-        self._templates = {}  # compile-time body root -> closure template
-        self.arena = {}  # runtime code; tile t's region starts at RUNTIME_BASE + t*RUNTIME_STRIDE
+        self.arena = {}  # closures; tile t's region starts at RUNTIME_BASE + t*RUNTIME_STRIDE
         self.work = deque()  # packets the loop's handlers sent, served LIFO
         # a handler's send: a traced machine also records the packet
         self.post = self.work.append if trace is False else self._post_traced
@@ -729,51 +740,6 @@ class Machine:
             raise TaskError(info.message, info.frames)
         raise VmError(f"cannot decode word kind {k}")
 
-    # ── closure templates ────────────────────────────────────
-
-    def template(self, root_addr):
-        """The closure template of the lambda body rooted at root_addr.  It
-        is memoised only when every entry it copies is compile-time code: a
-        runtime address holds other code in the next run."""
-        template = self._templates.get(root_addr)
-        if template is None:
-            template, sources = self.build_template(root_addr)
-            if max(sources) < RUNTIME_BASE:
-                self._templates[root_addr] = template
-        return template
-
-    def build_template(self, root_addr):
-        """The entries reachable from root_addr, in copy order, each as
-        (words, reference positions, variable positions).  A reference word
-        holds its target's offset in the block; a variable position is
-        (index, slot, quoted).  An entry gets its offset when first reached,
-        so a shared entry is copied once; the stack leaves nesting depth
-        unbounded.  Returns the template and the source addresses."""
-        offsets = {root_addr: 0}
-        template = [None]
-        stack = [root_addr]
-        while stack:
-            a = stack.pop()
-            code = self.code_words(a)
-            words = list(code)
-            refs, variables = [], []
-            for i in range(1, len(code)):
-                w = code[i]
-                k = W.kind_of(w)
-                if k == W.KIND_REF:
-                    src = W.ref_addr(w)
-                    off = offsets.get(src)
-                    if off is None:
-                        off = offsets[src] = len(template)
-                        template.append(None)
-                        stack.append(src)
-                    words[i] = W.mk_ref(off, W.ref_tile(w), W.is_quoted(w))
-                    refs.append(i)
-                elif k == W.KIND_VAR:
-                    variables.append((i, W.var_slot(w), W.is_quoted(w)))
-            template[offsets[a]] = (tuple(words), tuple(refs), tuple(variables))
-        return template, offsets.keys()
-
     # ── packet plumbing ──────────────────────────────────────
 
     def _post_traced(self, pkt):
@@ -786,16 +752,16 @@ class Machine:
             raise ProtocolError("second result for the root")
         self._result = pkt
 
-    def restart_evaluation(self, ref_word, tile_id, caller, src=0):
+    def restart_evaluation(self, ref_word, tile_id, caller, env, src=0):
         if W.kind_of(ref_word) != W.KIND_REF or not W.is_quoted(ref_word):
             raise KernelError("restart requires a quoted reference")
-        try:  # a control method's word, unlike an image's, was not checked at boot
-            self.code_words(W.ref_addr(ref_word))
-        except KeyError:
-            raise KernelError(f"restart of {W.word_str(ref_word)}, which names no entry") from None
+        # a control method's word, unlike an image's, was not checked at boot
+        a = W.ref_addr(ref_word)
+        if a not in (self.code if a < RUNTIME_BASE else self.arena):
+            raise KernelError(f"restart of {W.word_str(ref_word)}, which names no entry")
         tile = tile_id % self.tile_count  # out-of-range thread ids wrap
         w = W.clear_quote(W.ref_with_tile(ref_word, tile))
-        self.post((REQ, src, tile, *caller, (w,)))
+        self.post((REQ, src, tile, *caller, (w, env)))
 
     def set_fatal(self, exc):
         if self._fatal is None:
@@ -871,7 +837,7 @@ class Machine:
             root = self.image.root
             gw = self.gateway_tile
             deadline = time.monotonic() + timeout
-            pkt = (REQ, gw, W.ref_tile(root), gw, 0, 0, (root,))
+            pkt = (REQ, gw, W.ref_tile(root), gw, 0, 0, (root, None))
             if self._trace is not None:
                 self._trace.append(pkt)
             self.queue.put(pkt)
@@ -907,7 +873,8 @@ class Machine:
 
     def check_conservation(self):
         """Quiescence hook: no kernel job left, no leaked records, no queued
-        packets, and the arena and handle table within this run's bounds."""
+        packets, and the closure arena and handle table within this run's
+        bounds."""
         if self.kernel_jobs:
             raise ResourceLeakError(
                 f"{self.kernel_jobs} kernel jobs queued or running")
@@ -933,14 +900,11 @@ class Machine:
 
     # ── introspection ────────────────────────────────────────
 
-    def code_words(self, addr):
-        """Code entry at addr; KeyError if there is none."""
-        return self.code[addr] if addr < RUNTIME_BASE else self.arena[addr]
-
     def trace_packets(self):
+        """The traced packets, a request's payload shown as its reference only."""
         if self._trace is None:
             raise VmError("machine was booted without trace=True")
-        return [Packet._make(p) for p in self._trace]
+        return [Packet._make(p[:6] + (p[6][:1],)) for p in self._trace]
 
     def write_trace(self, path):
         packets = self.trace_packets()

@@ -362,7 +362,9 @@ def test_long_helper_chain_compiles():
     gpir = compile_gpc(_helper_chain(300))
     assert evaluate(gpir, fresh_registry()) == 301
     assert execute(gpir, threads=2) == 301
-    assert evaluate(compile_gpc(_helper_chain(1000)), fresh_registry()) == 1001
+    gpir = compile_gpc(_helper_chain(1000))
+    assert evaluate(gpir, fresh_registry()) == 1001
+    assert execute(gpir, threads=1) == 1001  # one closure per nested helper lambda
 
 
 def test_uncalled_helper_is_not_generated():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gprm import lang, oracle
+from gprm.compiler import compile_text
 from gprm.kernels import KernelError, UnknownServiceError, is_list, materialize
 from gprm.oracle import OracleError, evaluate
-from gprm.vm import TaskError
+from gprm.vm import Machine, TaskError
 
 from conftest import ProgramGen, execute, fresh_registry
 
@@ -149,8 +150,45 @@ def test_deep_programs_agree_with_machine():
 def test_oracle_agrees_with_machine_on_generated_programs():
     rng = random.Random(4242)
     gen = ProgramGen(rng)
-    for _ in range(25):
+    for i in range(25):
         text = gen.program(depth=6)
         want = seq(text)
         for threads in (1, 2, 4):
-            assert execute(text, threads=threads) == want
+            assert execute(text, threads=threads, fuzz_seed=10 * i + threads) == want, \
+                (text, threads)
+
+
+def closure_program(rng, family):
+    """A higher-order program of the family, its constants drawn from rng."""
+    a, b, c = (rng.randrange(-9, 10) for _ in range(3))
+    op = rng.choice("+-*")
+    q = rng.choice(("", "'"))  # a lambda operand or branch evaluated, or deferred
+    if family == "curried":
+        return (f"(beta (beta (beta (lambda 'x '(lambda 'y '(lambda 'z '({op} (- x y) z))))"
+                f" '{a}) '{b}) '{c})")
+    if family == "passed":
+        # made where k is a, applied in a body that binds its own k to b
+        return (f"(beta (lambda 'k 'g '(beta g (beta g k))) '{b}"
+                f" {q}(beta (lambda 'k '(lambda 'y '({op} y k))) '{a}))")
+    if family == "chosen":
+        return (f"(beta (lambda 'k '(beta (if (< k '{b}) {q}(lambda 'x '(+ x k))"
+                f" {q}(lambda 'x '({op} x k))) '{c})) '{a})")
+    # self-application with deferred operands: each call closes two of them
+    return ("(beta (lambda 'f 'n '(beta f f n))"
+            f" (lambda 'f 'n '(if (< n '2) '(+ n '{a}) '({op} (beta f f '(- n '1))"
+            f" (beta f f '(- n '2))))) '{rng.randrange(7)})")
+
+
+@pytest.mark.parametrize("family", ["curried", "passed", "chosen", "deferred"])
+def test_closures_agree_with_the_oracle(family):
+    # 7 programs, each run 10 times on a fuzzed machine of 1, 2 and 4 tiles
+    rng = random.Random(family)
+    for _ in range(7):
+        text = closure_program(rng, family)
+        want = seq(text)
+        reg = fresh_registry()
+        for threads in (1, 2, 4):
+            image = compile_text(text, threads, reg)
+            with Machine(image, reg, threads, fuzz_seed=threads) as m:
+                for _ in range(10):
+                    assert m.run_value() == want, (text, threads)

@@ -195,14 +195,14 @@ def test_beta_atom_bodies():
 
 
 def test_beta_quoted_operand_deferred():
-    # quoted operand: evaluated at the occurrence, after substitution
+    # quoted operand: evaluated at each unquoted occurrence, in its own env
     assert execute("(beta (lambda 'x '(+ x x)) '(+ '1 '2))") == 6
 
 
 def test_beta_handle_substituted_into_body_position():
     # inner lambda's body is a free variable of the outer lambda; once the
-    # outer application substitutes a handle there, the inner application
-    # must return that handle, not treat it as code
+    # outer application binds a handle to it, the inner application must
+    # return that handle, not treat it as code
     text = "(beta (lambda 'x '(beta (lambda 'y 'x) '1)) (emptylist))"
     assert execute(text, threads=4, timeout=10.0) == []
     text2 = "(beta (lambda 'x '(beta (lambda 'y 'x) '1)) (cons '9 (emptylist)))"
@@ -236,8 +236,8 @@ def test_recursion_fresh_code_per_application():
     out = execute(text, threads=4, keep=True)
     try:
         assert out.value == 55
-        # every application copied the body into the runtime region
-        assert sum(t.arena_next for t in out.machine.tiles) > 10
+        # the two lambdas' closures only: an application binds, it makes no entry
+        assert sum(t.arena_next for t in out.machine.tiles) == 2
     finally:
         out.machine.shutdown()
 
@@ -253,12 +253,15 @@ def test_runtime_arena_reset_between_runs():
 
 
 def test_runtime_region_exhaustion_is_a_task_error(monkeypatch):
-    # a beta whose copy would run past its tile's region replies an error;
-    # the machine stays sound, and the next run starts from an empty arena
+    # a beta whose closure would run past its tile's region replies an error;
+    # the machine stays sound, and the next run starts from an empty arena.
+    # fib with deferred operands closes two of them per call
     monkeypatch.setattr(vm, "RUNTIME_STRIDE", 64)
     reg = fresh_registry()
-    src = FIB_GPC.replace("main()", "main(int n)").replace("fib(10)", "fib(n)")
-    with Machine(compile_for(compile_gpc(src), 1, reg), reg, 1) as m:
+    src = ("(beta (lambda 'f 'n '(beta f f n))"
+           " (lambda 'f 'n '(if (< n '2) 'n '(+ (beta f f '(- n '1)) (beta f f '(- n '2)))))"
+           " (ctrl.arg '0))")
+    with Machine(compile_for(src, 1, reg), reg, 1) as m:
         with pytest.raises(TaskError) as ei:
             m.run_value((10,))
         assert ei.value.message == "address space exhausted (runtime code region)"
@@ -666,15 +669,18 @@ def test_leftmost_argument_is_served_first():
         assert m.shared_state("log")["events"] == [1, 2, 3]
 
 
-@pytest.mark.parametrize("n, want", [(12, 144), (15, 610), (18, 2584)])
+@pytest.mark.parametrize("n, want", [(12, 144), (15, 610), (18, 2584), (24, 46368)])
 def test_fib_records_bounded_by_depth(n, want):
-    # served depth-first, a run holds records for the path it is on
+    # served depth-first, a run holds records for the path it is on; a call
+    # binds its operands and makes no closure, so the arena holds the two
+    # lambdas' closures whatever n is
     reg = fresh_registry()
     img = compile_for(compile_gpc(FIB_GPC.replace("fib(10)", f"fib({n})")), 1, reg)
     with Machine(img, reg, 1) as m:
         assert m.run_value(timeout=30.0) == want
         m.check_conservation()
-        assert len(m.tiles[0].subtask_list) <= n
+        assert len(m.tiles[0].subtask_list) == n
+        assert m.tiles[0].arena_next == 2
 
 
 def test_plus_tree_records_bounded_by_depth():
@@ -701,7 +707,7 @@ class Manual:
     def send_root(self):
         root = self.machine.image.root
         gw = self.machine.gateway_tile
-        self.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root,)))
+        self.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root, None)))
 
     def inject_root(self):
         self.send_root()
@@ -784,7 +790,7 @@ def test_result_arrival_order_does_not_matter():
         h = Manual("(k.pair (k.a) (k.b))", reg, tiles=4)
         root = h.machine.image.root
         gw = h.machine.gateway_tile
-        h.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root,)))
+        h.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root, None)))
         (rootpkt,) = h.pending()
         h.handle(rootpkt)
         kids = h.pending()
@@ -1182,9 +1188,9 @@ def test_restart_of_a_reference_that_names_no_entry_is_a_task_error():
 
 
 def test_unbound_variable_in_an_if_branch_is_a_task_error():
-    # boot checks a variable word's kind only; no beta substitutes one that
-    # no lambda binds, and the selected branch used to reach the host as a
-    # raw variable word
+    # boot checks a variable word's kind only; a variable no lambda binds
+    # stays unbound, and the selected branch used to reach the host as a raw
+    # variable word
     reg = fresh_registry()
     img = compile_for("(if '1 '2 '0)", 1, reg)
     img.code[0] = (img.code[0][0], W.mk_const(1), W.mk_var(9, quoted=True), W.mk_const(0))
@@ -1212,6 +1218,25 @@ def test_reference_to_missing_tile_fails_at_boot(root):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("edit", ["variable", "body"])
+def test_a_body_never_reads_a_sibling_lambdas_binding(edit):
+    # fib(6)'s `(- n '1)` edited to read the outer lambda's `n`, or to
+    # evaluate the outer lambda's body `(beta fib fib n)`: those variables are
+    # bound only in the sibling lambda, so the run ends in a TaskError, not
+    # a value read from the caller's bindings and not a timeout
+    reg = fresh_registry()
+    img = compile_for(compile_gpc(FIB_GPC.replace("fib(10)", "fib(6)")), 2, reg)
+    outer = min(a for a, ws in img.code.items() if ws[0] == W.mk_builtin(W.FORM_CODE_LAMBDA))
+    sid, mid, _ = reg.resolve("-")
+    minus = next(a for a, ws in img.code.items()
+                 if ws[0] == W.mk_oper(sid, mid) and ws[2] == W.mk_const(1, quoted=True))
+    sibling = img.code[outer][2 if edit == "variable" else -1]  # 'n, or '(beta fib fib n)
+    img.code[minus] = img.code[minus][:2] + (W.clear_quote(sibling),)
+    with Machine(img, reg, 2) as m:
+        with pytest.raises(TaskError):
+            m.run_value(timeout=2.0)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_deep_lambda_body_is_copied_without_recursion(threads):
     depth = 3000
@@ -1219,27 +1244,20 @@ def test_deep_lambda_body_is_copied_without_recursion(threads):
     assert execute(f"(beta (lambda 'x '{body}) '1)", threads=threads) == depth + 2
 
 
-# ── closure templates ────────────────────────────────────────────────
+# ── environments ─────────────────────────────────────────────────
 
 
-def test_template_copies_a_shared_entry_once():
+def test_a_shared_entry_of_a_lambda_body_takes_no_closure():
     reg = fresh_registry()
     img = compile_for("(beta (lambda 'x '(+ x (+ (label L (* '2 '3)) L))) '3)", 1, reg)
     with Machine(img, reg, 1) as m:
         assert m.run_value() == 15
-        # the body is a DAG of three entries: both references of the copied
-        # (+ L L) name the one copy of L
-        assert m.tiles[0].arena_next == 3
-        inner = m.code_words(W.ref_addr(m.code_words(vm.RUNTIME_BASE)[2]))
-        assert W.ref_addr(inner[1]) == W.ref_addr(inner[2])
-        assert vm.RUNTIME_BASE <= W.ref_addr(inner[1]) < vm.RUNTIME_BASE + 3
-        (template,) = m._templates.values()
-        assert len(template) == 3
+        assert m.tiles[0].arena_next == 1  # the lambda's closure only
 
 
-def test_template_keeps_a_quoted_variable_deferred():
+def test_a_quoted_variable_stays_deferred():
     # the unselected branch is a quoted occurrence of x; its deferred
-    # argument must be substituted still quoted, so it is never requested
+    # argument must be bound still quoted there, so it is never requested
     calls = []
     reg = fresh_registry()
     reg.register("k", [("boom", 0, lambda c: calls.append(1) or 9)])
@@ -1249,21 +1267,19 @@ def test_template_keeps_a_quoted_variable_deferred():
         img = compile_for(text, 1, reg)
         with Machine(img, reg, 1) as m:
             assert m.run_value() == value
-            assert W.is_quoted(m.code_words(vm.RUNTIME_BASE)[2])
         assert calls == [1] * (value == 9)
 
 
-def test_runtime_lambda_template_is_never_memoised():
-    # the curried application copies the inner lambda to the same runtime
-    # address in both runs, with a different x; a template cached under
-    # that address would answer the second run with the first run's x
+def test_a_runtime_lambda_closes_over_its_own_run():
+    # the curried application makes the inner lambda's closure at the same
+    # arena address in both runs, with a different x; the second run must
+    # not see the first run's x
     reg = fresh_registry()
     text = "(beta (beta (lambda 'x '(lambda 'y '(+ x y))) (ctrl.arg '0)) '1)"
     img = compile_for(text, 1, reg)
     with Machine(img, reg, 1) as m:
         assert m.run_value((10,)) == 11
         assert m.run_value((20,)) == 21
-        assert m._templates and all(a < vm.RUNTIME_BASE for a in m._templates)
 
 
 # ── handle table and error frames ────────────────────────────────────
