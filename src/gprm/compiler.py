@@ -1,22 +1,31 @@
-"""GPIR compiler: nested S-expressions -> flat reference map -> 64-bit bytecode.
+"""GPIR compiler: nested S-expressions -> flat program -> 64-bit bytecode.
 
 Flattening substitutes a fresh reference for every non-literal sub-expression,
-producing a map of flat S-expressions (an operation name and its argument
+producing a list of flat S-expressions (an operation name and its argument
 words, never a nested list).  An argument is the 64-bit word the image stores,
 in the layout of `words`: a reference, a constant or a variable, with its quote
 bit.  Tile assignment rewrites the tile field of reference words; encoding
 resolves the operation name and bounds the image's u16 counts.  The machine
 checks the words when it boots (`vm.check_image`).  Addresses are dense from 0
-in root-first, left-to-right order; lambda variables are alpha-numbered to
-program-unique slot ids.  Compile-time addresses stay below 2**31, the upper
-half of the address space is reserved for code generated at run time by beta
-reduction.
+in root-first, left-to-right order, so an entry's address is its index in the
+list and the root is entry 0 on tile 0 (`ROOT`); lambda variables are
+alpha-numbered to program-unique slot ids.  Compile-time addresses stay below
+2**31, the upper half of the address space is reserved for code generated at
+run time by beta reduction.
+
+A `.gprm` image (version 2) holds, little-endian and in order: the header
+(magic, version, tile count, symbol count); each symbol's service id, method
+id and UTF-8 name; the entry count and the total word count; one u16 word
+count per entry, by address; every entry's u64 words in one array; the host
+argument count; and a CRC32 of every byte before it.  It stores no address
+and no root: the order gives both.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 from . import lang
@@ -26,6 +35,7 @@ from .words import (ADDR_MASK, KIND_CONST, KIND_REF, KIND_SHIFT, QUOTE_BIT, TILE
                     TILE_SHIFT, VAR_WORD)
 
 COMPILE_ADDR_LIMIT = 1 << 31
+ROOT = 0  # the root: entry 0, on tile 0, so also its reference word
 
 _FORM_CODES = {name: code for code, name in W.FORM_NAMES.items()}
 
@@ -45,15 +55,13 @@ class FlatEntry:
 
 @dataclass
 class FlatProgram:
-    entries: dict = field(default_factory=dict)  # addr -> FlatEntry
-    root: int = 0
+    entries: list = field(default_factory=list)  # FlatEntry by address, the root first
 
 
 def flat_lines(fp):
     """Debug rendering, one `rN => (op args...)` line per entry."""
     out = []
-    for addr in sorted(fp.entries):
-        e = fp.entries[addr]
+    for addr, e in enumerate(fp.entries):
         parts = " ".join([e.op] + [W.word_str(a) for a in e.args])
         out.append(f"r{addr} => ({parts})")
     return out
@@ -61,7 +69,7 @@ def flat_lines(fp):
 
 def used_operations(fp):
     """Service operation names appearing in the program (special forms excluded)."""
-    return {e.op for e in fp.entries.values() if e.op not in _FORM_CODES}
+    return {e.op for e in fp.entries if e.op not in _FORM_CODES}
 
 
 # ── Flatten ──────────────────────────────────────────────────────────
@@ -76,7 +84,7 @@ def flatten(e):
     point at tile 0 until `assign_tiles` places their targets.
     """
     SExpr, Quoted, ConstInt, Var = lang.SExpr, lang.Quoted, lang.ConstInt, lang.Var
-    entries, labels, stack = {}, {}, []  # labels: name -> address
+    entries, labels, stack = [], {}, []  # labels: name -> address
     bodies = None  # name -> label body, collected on the first label reached
     next_addr = next_slot = 0
     node, scope = e, {}  # the S-expression to open an entry for next, and its scope
@@ -105,6 +113,7 @@ def flatten(e):
                 items = items[-1:]
             frame = [next_addr, op, out, scope, items, 0]
             stack.append(frame)
+            entries.append(None)  # filled once its last argument is done
             next_addr += 1
             node = None
         elif stack:
@@ -150,7 +159,7 @@ def flatten(e):
         else:
             entries[addr] = FlatEntry(op, tuple(out))
             stack.pop()
-    return FlatProgram(entries, 0)
+    return FlatProgram(entries)
 
 
 # ── Tile assignment ──────────────────────────────────────────────────
@@ -165,9 +174,9 @@ def assign_tiles(fp, tile_count):
     references do not move are kept as they are."""
     if tile_count < 1:
         raise CompileError("tile count must be >= 1")
-    entries = dict(fp.entries)
-    tile_of = {fp.root: 0}
-    stack = [fp.root]
+    entries = list(fp.entries)
+    tile_of = {ROOT: 0}
+    stack = [ROOT]
     while stack:  # depth first; an entry is rewritten once its children are placed
         addr = stack.pop()
         e = entries[addr]
@@ -199,13 +208,13 @@ def assign_tiles(fp, tile_count):
         if out is not None:
             entries[addr] = FlatEntry(e.op, tuple(out))
     if len(tile_of) < len(entries):  # entries the root does not reach: unplaced targets on 0
-        for addr, e in entries.items():
+        for addr, e in enumerate(entries):
             if addr not in tile_of:
                 args = tuple([W.ref_with_tile(a, tile_of.get(a & ADDR_MASK, 0))
                               if a >> KIND_SHIFT == KIND_REF else a for a in e.args])
                 if args != e.args:
                     entries[addr] = FlatEntry(e.op, args)
-    return FlatProgram(entries, fp.root)
+    return FlatProgram(entries)
 
 
 # ── Encode / decode ──────────────────────────────────────────────────
@@ -213,11 +222,9 @@ def assign_tiles(fp, tile_count):
 
 @dataclass
 class BytecodeImage:
-    version: int
     tile_count: int
     symbols: dict  # (service_id, method_id) -> operation name
-    code: dict  # addr -> tuple of 64-bit words
-    root: int  # root reference word
+    code: list  # by address, the root first: a tuple of 64-bit words per entry
     arg_arity: int  # host arguments the program reads via ctrl.arg
 
 
@@ -228,11 +235,9 @@ def encode(fp, tile_count, registry):
     The words are checked where they are run: `vm.check_image`, at boot."""
     if not fp.entries:
         raise CompileError("a program must have a root")
-    symbols, code, op_words = {}, {}, {}
+    symbols, code, op_words = {}, [], {}
     arg_arity = 0
-    entries = fp.entries
-    for addr in sorted(entries):
-        e = entries[addr]
+    for addr, e in enumerate(fp.entries):
         op_word = op_words.get(e.op)
         if op_word is None:
             if e.op in _FORM_CODES:
@@ -248,17 +253,17 @@ def encode(fp, tile_count, registry):
                                f"an image entry holds at most {MAX_IMAGE_COUNT}")
         if e.op == "ctrl.arg" and args and args[0] >> KIND_SHIFT == KIND_CONST:
             arg_arity = max(arg_arity, W.const_value(args[0]) + 1)
-        code[addr] = (op_word, *args)
+        code.append((op_word, *args))
     for what, count in (("tiles", tile_count), ("host arguments", arg_arity)):
         if count > MAX_IMAGE_COUNT:
             raise CompileError(f"{count} {what}; an image holds at most {MAX_IMAGE_COUNT}")
-    return BytecodeImage(VERSION, tile_count, symbols, code, W.mk_ref(fp.root, 0), arg_arity)
+    return BytecodeImage(tile_count, symbols, code, arg_arity)
 
 
 def decode(image):
     """BytecodeImage -> FlatProgram (inverse of encode)."""
-    entries = {}
-    for addr, ws in image.code.items():
+    entries = []
+    for addr, ws in enumerate(image.code):
         opw = ws[0]
         kind = W.kind_of(opw)
         if kind == W.KIND_BUILTIN:
@@ -272,85 +277,83 @@ def decode(image):
                 raise CompileError(f"unknown service/method id {ids[0]}.{ids[1]}")
         else:
             raise CompileError(f"entry r{addr} does not start with an operation")
-        entries[addr] = FlatEntry(op, ws[1:])
-    return FlatProgram(entries, W.ref_addr(image.root))
+        entries.append(FlatEntry(op, ws[1:]))
+    return FlatProgram(entries)
 
 
 # ── Image file I/O (.gprm) ───────────────────────────────────────────
 
 MAGIC = b"GPRM"
-VERSION = 1
+VERSION = 2
 MAX_IMAGE_COUNT = 0xFFFF  # a u16: an entry's word count, the tile and host argument counts
 
 
 _HEADER = struct.Struct("<4sHHH")  # magic, version, tile count, symbol count
 _SYMBOL = struct.Struct("<HHH")  # service id, method id, name length; the name follows
-_COUNT = struct.Struct("<I")  # entry count
-_ENTRY = struct.Struct("<IH")  # address, word count; the words follow
-_TRAILER = struct.Struct("<QH")  # root word, host argument count
-
-
-@functools.lru_cache(maxsize=256)
-def _pack_entry(n):
-    """struct.pack for an entry of n words: address, word count, words."""
-    return struct.Struct(f"<IH{n}Q").pack
-
-
-@functools.lru_cache(maxsize=256)
-def _unpack_words(n):
-    """struct.unpack_from for n words."""
-    return struct.Struct(f"<{n}Q").unpack_from
+_COUNTS = struct.Struct("<II")  # entry count n, word count m; then "<{n}H{m}QH":
+# each entry's word count by address, every entry's words, the host argument count
+_CRC = struct.Struct("<I")  # CRC32 of every byte before it: an image's last 4 bytes
 
 
 def image_to_bytes(image):
-    out = [_HEADER.pack(MAGIC, image.version, image.tile_count, len(image.symbols))]
+    code = image.code
+    counts = [len(ws) for ws in code]
+    nwords = sum(counts)
+    out = [_HEADER.pack(MAGIC, VERSION, image.tile_count, len(image.symbols))]
     for (sid, mid), name in sorted(image.symbols.items()):
         raw = name.encode("utf-8")
         out += (_SYMBOL.pack(sid, mid, len(raw)), raw)
-    out.append(_COUNT.pack(len(image.code)))
-    code = image.code
-    for addr in sorted(code):
-        ws = code[addr]
-        out.append(_pack_entry(len(ws))(addr, len(ws), *ws))
-    out.append(_TRAILER.pack(image.root, image.arg_arity))
-    return b"".join(out)
+    out += (_COUNTS.pack(len(code), nwords),
+            struct.pack(f"<{len(code)}H{nwords}QH", *counts, *itertools.chain.from_iterable(code),
+                        image.arg_arity))
+    body = b"".join(out)
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def image_from_bytes(data):
+    """Bytes -> BytecodeImage.  The magic, the version and the checksum are
+    checked, in that order, before the rest is read."""
     if data[:4] != MAGIC:
         raise CompileError("not a bytecode image (bad magic)")
     try:
-        return _parse_image(data)
+        version = _HEADER.unpack_from(data)[1]
+        if version != VERSION:
+            raise CompileError(f"unsupported image version {version}")
+        body = data[:-_CRC.size]
+        if _CRC.unpack_from(data, len(body))[0] != zlib.crc32(body):
+            raise CompileError("image checksum mismatch")
+        return _parse_image(body)
     except struct.error:
         raise CompileError("truncated bytecode image") from None
 
 
-def _parse_image(data):
-    version, tile_count, nsyms = _HEADER.unpack_from(data)[1:]
-    if version != VERSION:
-        raise CompileError(f"unsupported image version {version}")
+def _parse_image(body):
+    """The image in body, the bytes before its checksum."""
+    tile_count, nsyms = _HEADER.unpack_from(body)[2:]
     off, symbols = _HEADER.size, {}
     for _ in range(nsyms):
-        sid, mid, ln = _SYMBOL.unpack_from(data, off)
+        sid, mid, ln = _SYMBOL.unpack_from(body, off)
         try:
-            symbols[(sid, mid)] = data[off + 6:off + 6 + ln].decode("utf-8")
+            symbols[(sid, mid)] = body[off + 6:off + 6 + ln].decode("utf-8")
         except UnicodeDecodeError:
             raise CompileError(f"symbol name of {sid}.{mid} is not UTF-8") from None
         off += 6 + ln
-    (nentries,) = _COUNT.unpack_from(data, off)
-    off += 4
-    code = {}
-    for _ in range(nentries):
-        addr, n = _ENTRY.unpack_from(data, off)
-        if not n:
-            raise CompileError(f"entry r{addr} has no words")
-        code[addr] = _unpack_words(n)(data, off + 6)
-        off += 6 + 8 * n
-    extra = len(data) - off - _TRAILER.size
+    nentries, nwords = _COUNTS.unpack_from(body, off)
+    off += _COUNTS.size
+    extra = len(body) - off - 2 * nentries - 8 * nwords - 2
     if extra > 0:
         raise CompileError(f"{extra} trailing bytes after the bytecode image")
-    root, arg_arity = _TRAILER.unpack_from(data, off)
-    return BytecodeImage(version, tile_count, symbols, code, root, arg_arity)
+    items = struct.unpack_from(f"<{nentries}H{nwords}QH", body, off)
+    counts = items[:nentries]
+    if 0 in counts:
+        raise CompileError(f"entry r{counts.index(0)} has no words")
+    if sum(counts) != nwords:
+        raise CompileError(f"the entries hold {sum(counts)} words, the image {nwords}")
+    code, end = [], nentries
+    for n in counts:
+        code.append(items[end:end + n])
+        end += n
+    return BytecodeImage(tile_count, symbols, code, items[-1])
 
 
 def write_image(image, path):

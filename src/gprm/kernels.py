@@ -267,11 +267,18 @@ def _builtin_methods():
 
 
 def _ctrl_arg(ctx, i):
-    return ctx.host_arg(_want_int(i, "ctrl.arg"))
+    return _nth(ctx.host_args, _want_int(i, "ctrl.arg"), "ctrl.arg", "supplied")
 
 
 def _ctrl_reg(ctx, i):
-    return ctx.data(_want_int(i, "ctrl.reg"))
+    return _nth(ctx.data, _want_int(i, "ctrl.reg"), "ctrl.reg", "registered")
+
+
+def _nth(items, i, method, held):
+    """items[i], the item the method's index names; a KernelError if it names none."""
+    if not 0 <= i < len(items):
+        raise KernelError(f"{method} index {i} out of range ({len(items)} {held})")
+    return items[i]
 
 
 def _ctrl_run(ctx, ws):

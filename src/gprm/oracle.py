@@ -54,23 +54,11 @@ class _SeqContext:
 
     def __init__(self, host_args=(), data=()):
         self.host_args = tuple(host_args)
-        self._data = list(data)
+        self.data = list(data)
         self._shared = {}
         self._lock = threading.RLock()
         self.random = random.Random(0)
         self.tile_id = 0
-
-    def host_arg(self, i):
-        if not 0 <= i < len(self.host_args):
-            raise KernelError(f"ctrl.arg index {i} out of range "
-                              f"({len(self.host_args)} supplied)")
-        return self.host_args[i]
-
-    def data(self, i):
-        if not 0 <= i < len(self._data):
-            raise KernelError(f"ctrl.reg index {i} out of range "
-                              f"({len(self._data)} registered)")
-        return self._data[i]
 
     def shared(self, name):
         return self._shared.setdefault(name, {}), self._lock

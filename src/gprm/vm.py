@@ -33,16 +33,19 @@ reduced, and runs in the entry's environment (an `if` branch, a literal
 beta operator, `ctrl.run`'s target); a closure runs in its own.
 
 A machine checks its image once, at boot (`check_image`), and the loop
-trusts what the check guarantees: every entry lies below RUNTIME_BASE and
+trusts what the check guarantees: the image has an entry, and every entry
 starts with a special form or an operation of the image's symbol table;
-every argument word is a reference, a 32-bit constant or a variable; the
-root and every reference name a tile of the machine and an entry of the
-image; and no chain of references is a cycle.  So the packet path has no
-branch for an unknown address, form or operation.  What the loop builds at
-run time (closures, handle and error words) it builds from checked words.
-Two things boot cannot see are checked where they arrive: a reference a
-control method restarts (`Machine.restart_evaluation`), and a
-variable no beta bound, which is an error result where it is used.
+every argument word is a reference, a 32-bit constant or a variable; every
+reference names a tile of the machine and an entry of the image; and no
+chain of references is a cycle.  The code is a tuple indexed by address,
+and the root is always its entry 0 on tile 0 (`compiler.ROOT`): no image can
+hold an entry in the runtime code region or a root that names no entry.  So
+the packet path has no branch for an unknown address, form or operation.
+What the loop builds at run time (closures, handle and error words) it
+builds from checked words.  Two things boot cannot see are checked where
+they arrive: a reference a control method restarts
+(`Machine.restart_evaluation`), and a variable no beta bound, which is an
+error result where it is used.
 
 Kernel dispatch follows the paper's split between communication code and
 task code.  Boot resolves each operation word of the image to its kernel
@@ -108,6 +111,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import words as W
+from .compiler import ROOT
 from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, int_result, is_list, materialize
 from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_CONST, KIND_ERROR,
                     KIND_OPER, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_BIT, SIGN_BIT_48,
@@ -222,17 +226,15 @@ class KernelContext:
     def random(self):
         return self._tile.rng
 
-    def host_arg(self, i):
-        args = self._machine.host_args
-        if not 0 <= i < len(args):
-            raise KernelError(f"ctrl.arg index {i} out of range ({len(args)} supplied)")
-        return args[i]
+    @property
+    def host_args(self):
+        """This run's host arguments, for ctrl.arg."""
+        return self._machine.host_args
 
-    def data(self, i):
-        data = self._machine._data
-        if not 0 <= i < len(data):
-            raise KernelError(f"ctrl.reg index {i} out of range ({len(data)} registered)")
-        return data[i]
+    @property
+    def data(self):
+        """The registered host objects, for ctrl.reg."""
+        return self._machine._data
 
     def shared(self, name):
         return self._machine.shared_state(name), self._machine._shared_lock
@@ -574,14 +576,12 @@ def check_image(image):
     its own entry, so only an image with one has its reference graph
     searched.  Returns the addresses of the entries with a variable word."""
     code, past = image.code, image.tile_count << TILE_SHIFT  # the tile field compared in place
+    size = len(code)
+    if not size:
+        raise VmError("the image has no entries")
     first_words = _FORM_WORDS | {W.mk_oper(sid, mid) for sid, mid in image.symbols}
-    fault = _ref_fault(image.root, image)
-    if fault:
-        raise VmError(f"root: {fault}")
-    if max(code) >= RUNTIME_BASE:
-        raise VmError(f"entry r{max(code)} lies in the runtime code region")
     back, variable_entries = False, set()
-    for addr, ws in code.items():
+    for addr, ws in enumerate(code):
         if not ws:
             raise VmError(f"entry r{addr} has no words")
         if ws[0] not in first_words:
@@ -592,8 +592,11 @@ def check_image(image):
                 target = w & ADDR_MASK
                 if target <= addr:
                     back = True
-                if w & _TILE_FIELD >= past or target not in code:
-                    raise VmError(_ref_fault(w, image))
+                if w & _TILE_FIELD >= past:
+                    raise VmError(f"reference {W.word_str(w)} names a tile past "
+                                  f"the image's {image.tile_count}")
+                if target >= size:
+                    raise VmError(f"reference {W.word_str(w)} names no entry")
             elif w >> KIND_SHIFT == KIND_CONST:
                 if CONST_MAX < w & PAYLOAD_MASK < _CONST_NEG:  # not a sign-extended int32
                     raise VmError(f"constant {W.word_str(w)} in r{addr} is out of 32-bit range")
@@ -602,24 +605,14 @@ def check_image(image):
             else:
                 raise VmError(f"bad argument word kind {W.kind_of(w)} in r{addr}")
     if back:
-        graph = {a: [w & ADDR_MASK for w in ws[1:] if w < _REF_END] for a, ws in code.items()}
+        graph = {a: [w & ADDR_MASK for w in ws[1:] if w < _REF_END]
+                 for a, ws in enumerate(code)}
         try:
             graphlib.TopologicalSorter(graph).prepare()
         except graphlib.CycleError as e:  # the path runs against the reference edges
             path = " -> ".join(f"r{a}" for a in reversed(e.args[1]))
             raise VmError(f"reference cycle {path}") from None
     return variable_entries
-
-
-def _ref_fault(w, image):
-    """Why word w is no reference to an entry of the image, or None."""
-    if w >= _REF_END:
-        return f"{W.word_str(w)} is not a reference"
-    if w >> TILE_SHIFT & TILE_MASK >= image.tile_count:
-        return f"reference {W.word_str(w)} names a tile past the image's {image.tile_count}"
-    if w & ADDR_MASK not in image.code:
-        return f"reference {W.word_str(w)} names no entry"
-    return None
 
 
 class Machine:
@@ -655,7 +648,7 @@ class Machine:
         self.fuzz_seed = fuzz_seed
         self.tile_count = image.tile_count
         self.gateway_tile = image.tile_count
-        self.code = dict(image.code)
+        self.code = tuple(image.code)
         # entry -> its variable positions (index, slot, quote bit)
         self.plans = {a: tuple((i, w & PAYLOAD_MASK, w & QUOTE_BIT)
                                for i, w in enumerate(self.code[a]) if w >> KIND_SHIFT == KIND_VAR)
@@ -757,7 +750,7 @@ class Machine:
             raise KernelError("restart requires a quoted reference")
         # a control method's word, unlike an image's, was not checked at boot
         a = W.ref_addr(ref_word)
-        if a not in (self.code if a < RUNTIME_BASE else self.arena):
+        if a >= len(self.code) and a not in self.arena:
             raise KernelError(f"restart of {W.word_str(ref_word)}, which names no entry")
         tile = tile_id % self.tile_count  # out-of-range thread ids wrap
         w = W.clear_quote(W.ref_with_tile(ref_word, tile))
@@ -834,10 +827,9 @@ class Machine:
             with self._handle_lock:  # a handle lives for one run
                 self._handles.clear()
                 self._handle_ids.clear()
-            root = self.image.root
             gw = self.gateway_tile
             deadline = time.monotonic() + timeout
-            pkt = (REQ, gw, W.ref_tile(root), gw, 0, 0, (root, None))
+            pkt = (REQ, gw, W.ref_tile(ROOT), gw, 0, 0, (ROOT, None))
             if self._trace is not None:
                 self._trace.append(pkt)
             self.queue.put(pkt)

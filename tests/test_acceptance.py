@@ -16,7 +16,7 @@ from gprm import compiler, kernels, lang, oracle, vm, words as W
 from gprm.bench import BenchConfig, mergesort_gpir, model_seconds, run_mergesort
 from gprm.gpc import compile_gpc
 from gprm.kernels import ChaseList, ackermann, is_list, materialize, standard_registry
-from gprm.compiler import compile_text, flat_lines
+from gprm.compiler import ROOT, compile_text, flat_lines
 
 from conftest import ProgramGen, fresh_registry
 
@@ -36,7 +36,7 @@ def test_criterion_1_golden_compilation():
     """The canonical composition/lambda/front-end examples flatten to known shapes."""
     t0 = time.perf_counter()
     fp = compiler.flatten(lang.desugar(lang.parse("(t1.m2 (t2.m3 '42) (t3.m4))")))
-    assert fp.root == 0
+    assert fp.entries[ROOT].op == "t1.m2"
     assert flat_lines(fp) == [
         "r0 => (t1.m2 r1@t0 r2@t0)",
         "r1 => (t2.m3 '42)",
@@ -133,7 +133,7 @@ def test_criterion_3_laziness():
         image = compiler.encode(flat, 4, reg)
         with vm.Machine(image, reg, 4, trace=True) as m:
             assert m.run_value() == want
-            unselected = flat.entries[flat.root].args[1 if not truth else 2]
+            unselected = flat.entries[ROOT].args[1 if not truth else 2]
             dead = _reachable(flat, W.ref_addr(unselected))
             for pkt in m.trace_packets():
                 if pkt.kind == vm.REQ:
@@ -156,7 +156,7 @@ def test_criterion_4_placement(monkeypatch):
             flat = compiler.assign_tiles(
                 compiler.flatten(lang.desugar(lang.parse(text))), tiles)
             image = compiler.encode(flat, tiles, reg)
-            target = next(a for a, e in flat.entries.items() if e.op == "t1.m1")
+            target = next(a for a, e in enumerate(flat.entries) if e.op == "t1.m1")
             with vm.Machine(image, reg, tiles, trace=True) as m:
                 m.run_value()
                 req = next(p for p in m.trace_packets()

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import struct
 
 import pytest
 
@@ -193,3 +194,11 @@ def test_run_of_a_corrupt_image_prints_one_error_line(tmp_path, capsys, words, e
     path = tmp_path / "corrupt.gprm"
     write_image(img, path)
     assert run_cli(capsys, "run", str(path)) == (exit_code, "", message)
+
+
+def test_run_of_a_version_1_image_prints_one_error_line(tmp_path, capsys):
+    # the header of the layout that listed every entry's address and a root word
+    path = tmp_path / "v1.gprm"
+    path.write_bytes(b"GPRM" + struct.pack("<HHH", 1, 1, 0))
+    assert run_cli(capsys, "run", str(path)) == (
+        EXIT_COMPILE, "", "compile error: unsupported image version 1")

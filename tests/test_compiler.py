@@ -3,6 +3,7 @@
 import hashlib
 import random
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from gprm import bench, cli, compiler, kernels, lang, vm, words as W
 from gprm.gpc import compile_gpc
 from gprm.compiler import (
+    ROOT,
     CompileError,
     FlatEntry,
     FlatProgram,
@@ -45,7 +47,7 @@ def stub_reg(**services):
 
 def test_flatten_composition_golden():
     fp = flat_of("(t1.m2 (t2.m3 '42) (t3.m4))")
-    assert fp.root == 0
+    assert fp.entries[ROOT].op == "t1.m2"
     assert flat_lines(fp) == [
         "r0 => (t1.m2 r1@t0 r2@t0)",
         "r1 => (t2.m3 '42)",
@@ -91,7 +93,7 @@ def test_assign_tiles_siblings_round_robin():
 
 def test_assign_tiles_single_tile():
     fp = flat_of("(t1.m2 (t2.m3 (t4.m1 '1)) (t3.m4))", tiles=1)
-    for e in fp.entries.values():
+    for e in fp.entries:
         for a in e.args:
             if W.kind_of(a) == W.KIND_REF:
                 assert W.ref_tile(a) == 0
@@ -120,7 +122,7 @@ def test_encode_decode_golden():
     reg = stub_reg(t1=["m2"], t2=["m3"], t3=["m4"])
     img = encode(fp, 4, reg)
     assert len(img.code) == 3
-    assert W.ref_addr(img.root) == 0
+    assert img.code[ROOT][0] == W.mk_oper(*reg.resolve("t1.m2")[:2])
     assert decode(img) == fp
 
 
@@ -134,7 +136,7 @@ def test_quoted_const_word_has_quote_bit():
 
 def test_encode_empty_program_rejected():
     with pytest.raises(CompileError, match="root"):
-        encode(compiler.FlatProgram({}, 0), 1, fresh_registry())
+        encode(compiler.FlatProgram([]), 1, fresh_registry())
 
 
 def test_encode_unknown_service():
@@ -209,16 +211,16 @@ def test_write_image_that_cannot_be_serialized_leaves_no_file(tmp_path):
 
 def test_assign_tiles_rewrites_only_the_entries_whose_references_move():
     ref = W.mk_ref
-    e = {
-        0: FlatEntry("f", (ref(1), ref(2), ref(1, 0, True))),
-        1: FlatEntry("f", (ref(3), W.mk_const(1))),
-        2: FlatEntry("f", ()),
-        3: FlatEntry("f", ()),
-        4: FlatEntry("f", (ref(2), ref(5, 3))),  # unreachable from the root
-        5: FlatEntry("f", ()),
-        6: FlatEntry("f", (ref(5),)),  # unreachable, and nothing moves
-    }
-    out = assign_tiles(FlatProgram(dict(e), 0), 3).entries
+    e = [
+        FlatEntry("f", (ref(1), ref(2), ref(1, 0, True))),
+        FlatEntry("f", (ref(3), W.mk_const(1))),
+        FlatEntry("f", ()),
+        FlatEntry("f", ()),
+        FlatEntry("f", (ref(2), ref(5, 3))),  # unreachable from the root
+        FlatEntry("f", ()),
+        FlatEntry("f", (ref(5),)),  # unreachable, and nothing moves
+    ]
+    out = assign_tiles(FlatProgram(list(e)), 3).entries
     assert flat_lines(FlatProgram(out)) == [
         "r0 => (f r1@t1 r2@t2 'r1@t1)",
         "r1 => (f r3@t1 1)",  # an only child shares its tile
@@ -231,13 +233,22 @@ def test_assign_tiles_rewrites_only_the_entries_whose_references_move():
     assert all(out[a] is e[a] for a in (2, 3, 5, 6))
 
 
+def with_crc(body):
+    """body, the bytes of an image before its checksum, with a checksum that
+    matches, so that an edit of them reaches the check after the CRC."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_image_bad_bytes_rejected():
     with pytest.raises(CompileError, match="bad magic"):
         image_from_bytes(b"NOPE" + b"\x00" * 20)
     reg = stub_reg(t3=["m4"])
     blob = image_to_bytes(compile_text("(t3.m4)", 1, reg))
-    with pytest.raises(CompileError, match="truncated"):
-        image_from_bytes(blob[:-4])
+    with pytest.raises(CompileError, match="^truncated bytecode image$"):
+        image_from_bytes(with_crc(blob[:-8]))
+    flipped = blob[:-5] + bytes([blob[-5] ^ 1]) + blob[-4:]  # the host argument count
+    with pytest.raises(CompileError, match="^image checksum mismatch$"):
+        image_from_bytes(flipped)
 
 
 def test_compile_deterministic():
@@ -252,7 +263,7 @@ def test_ctrl_run_first_argument_quoted_reference():
     reg = stub_reg(t1=["m1"])
     img = compile_text("(ctrl.run '(t1.m1) '3)", 4, reg)
     fp = decode(img)
-    arg0 = fp.entries[fp.root].args[0]
+    arg0 = fp.entries[ROOT].args[0]
     assert W.kind_of(arg0) == W.KIND_REF and W.is_quoted(arg0)
 
 
@@ -283,7 +294,7 @@ def _count_quotes_ast(e):
 
 
 def _count_quotes_flat(fp):
-    return sum(W.is_quoted(a) for e in fp.entries.values() for a in e.args)
+    return sum(W.is_quoted(a) for e in fp.entries for a in e.args)
 
 
 def test_quote_placement_preserved_generated():
@@ -310,14 +321,14 @@ def test_encode_decode_bijection_generated():
 def test_image_trailing_bytes_rejected():
     blob = image_to_bytes(compile_text("(t3.m4)", 1, stub_reg(t3=["m4"])))
     with pytest.raises(CompileError, match="1 trailing bytes"):
-        image_from_bytes(blob + b"\x00")
+        image_from_bytes(with_crc(blob[:-4] + b"\x00"))
 
 
 def test_image_symbol_name_not_utf8_rejected():
     blob = image_to_bytes(compile_text("(t3.m4)", 1, stub_reg(t3=["m4"])))
     name = blob.index(b"t3.m4")
     with pytest.raises(CompileError, match="not UTF-8"):
-        image_from_bytes(blob[:name] + b"\xff" + blob[name + 1:])
+        image_from_bytes(with_crc(blob[:name] + b"\xff" + blob[name + 1:-4]))
 
 
 def test_deep_chain_compiles_and_runs():
@@ -373,47 +384,48 @@ def _golden_sources(tiles):
     yield "shared", "(t1.m1 (t2.m1 '1 L (+ L '2)) (t3.m1 (* '1 '2) (label L (+ '1 '2))))"
 
 
-# SHA-256 of image_to_bytes, recorded with the recursive multi-pass compiler
+# SHA-256 of image_to_bytes, recorded with the version-2 layout; every image's
+# entries, symbols and counts are those of the version-1 image before it
 GOLDEN_IMAGES = {
-    ("compute.gpc", 1): "2f0f104697ce5364892116e19f753b3732dc3f0f665eaa72f0f2bf8f54a00ede",
-    ("mergesort.gpc", 1): "ba66f5a2851f4c20e734b366aa75e387afe9c13c7c58510551886e87376022a5",
-    ("square_minus_one.gpir", 1): "e24851ead762c5cd87000d175cfdfdf00312722823d4a3a913ead6b847576d1d",
-    ("three_tasks.gpir", 1): "b7d7c89c53b701fb7df593ebbc89c0d353fda214c2ab04f916d95fb72f344080",
-    ("mergesort_gpir", 1): "ba66f5a2851f4c20e734b366aa75e387afe9c13c7c58510551886e87376022a5",
-    ("fib15", 1): "f147cbf1efd80eddd458d9e98148ea015763575a3df70eca54d803702d60ff97",
-    ("tree10", 1): "3784adcc9faa00059d9e00a3fc6d8e435377d342454f5d80870409b7a7fd3f3d",
-    ("tiny", 1): "518889ebf2b58bc127ac3b522ee4085d4b31fa999fd9bac12ee0989288001c72",
-    ("labels", 1): "b202da5958388791534c739354b37c67af11fecfa722389ff2dc588e9fe6d99c",
-    ("sugar", 1): "9ad5291ccd87e725230de1671311279164ac539f8316569f837a0ab8a4de3854",
-    ("shared", 1): "b41dfc00d159dabab0efa1373bf22b2175b78ec01d9bf3f94a3e5973e267043a",
-    ("compute.gpc", 2): "22deb062b41b5cb35aaa63ac1368cbd0f38be5c72c5090410bffdc5375a3edf0",
-    ("mergesort.gpc", 2): "98881be53c99e399aef7fd313cd7eb88f4dbe13101a7bcd94d57e731eb80eea5",
-    ("square_minus_one.gpir", 2): "84a1c7c4c44bbe9101183692ca156e13332ff6b85ced615cededd414a0423901",
-    ("three_tasks.gpir", 2): "4c19edb998da4524966abff3bd749d23100a4de6bd6c609633565cc44655d9e1",
-    ("mergesort_gpir", 2): "98881be53c99e399aef7fd313cd7eb88f4dbe13101a7bcd94d57e731eb80eea5",
-    ("fib15", 2): "446fa9efb10daaf475b0c9575d626fe4d1e8a4fa94fa234c73b1591e6a9505db",
-    ("tree10", 2): "5df48e52469eb6b19163f813aec225c3b4f5bf996b569d6855d5184363318710",
-    ("tiny", 2): "34f423a6047628a07d280d2a62169488e8726ff8dace2050b2a1abf0bca5c6fc",
-    ("labels", 2): "3e2c4b897b6455f73423a0b84987b827d50733a49825e7b40f3b32058885752b",
-    ("sugar", 2): "40ac1e8d3b197ef7e5737b19173d7f1cb6b9ad8b696f6179c68aed9acf7a2454",
-    ("shared", 2): "06b7ca4aed60dc3d58981be53f0d81eb1e976d4ba22291a308bc648394f23408",
-    ("compute.gpc", 4): "83f3aec39c7a36866597ebecaebe699ea312d03d7519469b3381fcd7923ee559",
-    ("mergesort.gpc", 4): "78b783a291bbdfe663196943999846ce357301ac49ca6f3f22aee93048016c34",
-    ("square_minus_one.gpir", 4): "d9eaec5b3a129bef57df80ae5da912df5c5efb720e4e162a7fc644e6e16a0189",
-    ("three_tasks.gpir", 4): "34f9ddfe33848a21bad9b5e13c54a18f22022fb2d92b1e27fd633b3dceec03ce",
-    ("mergesort_gpir", 4): "78b783a291bbdfe663196943999846ce357301ac49ca6f3f22aee93048016c34",
-    ("fib15", 4): "fdb5f3673d7599537845eeb70c06958b2c134b2044fbe10705e67f5820afe2c5",
-    ("tree10", 4): "cf5f262310e391dfbaf9c6325a489e2c2c6e62b614f64e451bee20f80a3d59cc",
-    ("tiny", 4): "8228a808a2ba91524dd7dcea08386d58a6b5d36c46dbcbe7d61a83212241225e",
-    ("labels", 4): "5a7f41ad604d71b547eb7ef5101d162bb1fb495d2bc158545e4a4a82d3e99d48",
-    ("sugar", 4): "9b8cfc98731bb1fb92e4bafba358340d8acd3aac62513a7bb5abc325c9de8d15",
-    ("shared", 4): "75d2cc508ec42bcbda4448b80baacf69da05c67af55c5b427f2e11a82e64c149",
+    ("compute.gpc", 1): "b330845c37aa8048224235b881bb047235bfced0eb2638ee50a397257f0f57de",
+    ("mergesort.gpc", 1): "1c82ca3f2696ab0bc345523bb370bffdcc1ba494e2f5f9e063dd97bf4657b092",
+    ("square_minus_one.gpir", 1): "9cf6779e878120d0fdab19eb902ed4e82312116be10d9f4ae2df6467d1f253cc",
+    ("three_tasks.gpir", 1): "8637588f86ea5423550652d7842b7d1f4c49c5682785b4f201fdc8bd48733ecf",
+    ("mergesort_gpir", 1): "1c82ca3f2696ab0bc345523bb370bffdcc1ba494e2f5f9e063dd97bf4657b092",
+    ("fib15", 1): "e9315dc31844d1b9c523eee9a607fd4dda7b2fc6662516294f453498f2c13917",
+    ("tree10", 1): "2768260631d5eacd7ba7d070c4bb865928bbe108045641a241e73a0e5c8f6de8",
+    ("tiny", 1): "74c6885935db1a1b1337d60f8633f5a12692e6055de6f7f9979c22baaedae0da",
+    ("labels", 1): "d72979e14b232f5b8f79179b037b7ba797eb31cfb696e032e1c61ed968b79641",
+    ("sugar", 1): "c0a49f00a5d30a6cbeea7163376e67e9f628ce86cc27003df11c0024cbcba23c",
+    ("shared", 1): "248df3c721bbd3d883a2aba12150850aadeb6d4536128943f48d461e4cef7ebe",
+    ("compute.gpc", 2): "f0cdfd2f317c91cc3b2fa8121396a88de28b52004b9e6c34f3a95244c4394068",
+    ("mergesort.gpc", 2): "19d71f1dc0c58d6332323bc52939db5812108de4e4ba0c19daea928f8624a9fc",
+    ("square_minus_one.gpir", 2): "47e43116efc6df6e94c1aeb0647900a44934b9090a1a74e980dd8cc384552db5",
+    ("three_tasks.gpir", 2): "a0237254ee51524782f7d6648499047d2a5a39305eca98bd1a11dd80f3e8644b",
+    ("mergesort_gpir", 2): "19d71f1dc0c58d6332323bc52939db5812108de4e4ba0c19daea928f8624a9fc",
+    ("fib15", 2): "220d1455e59cd57a49390d963db35184220328a6770c33aef7fc8f6c14089b3f",
+    ("tree10", 2): "7b8e4cbea49bb48555f5e5377c601bb01e4e1618c4bfab3ec10120041a2a8f5a",
+    ("tiny", 2): "41d218afaf2bf05b7a1af05768e643872c5579de83a41d1c901a41a15d936b38",
+    ("labels", 2): "b8694d99dd7087277790032b2193ef906c59f9da7453d9a2cd8e1e0969fd8745",
+    ("sugar", 2): "44cc831de32226fbfc80af6688644f9be44fd2e44be76a46765dae0155ef068c",
+    ("shared", 2): "9d99c688d390d34ba1df3211b6875f75d118d96669f0da1ace42474f8a0018aa",
+    ("compute.gpc", 4): "dad5dae3cf87053da6f8fd41dc066cc0e6c39f5573a028807caf6dde0f6cef56",
+    ("mergesort.gpc", 4): "57277c31ffa113e218ceb08e7ef17775e54b9d096a98eea33d40b38ac78841a3",
+    ("square_minus_one.gpir", 4): "cdbcba2ec1213213070b2d2776f148cc745d0e090ab157324b74314ce4aca6a0",
+    ("three_tasks.gpir", 4): "4b10e3abdefe2471e99e6e829fd901bc0c0890b7dd032ae88d1d0a76b4543aab",
+    ("mergesort_gpir", 4): "57277c31ffa113e218ceb08e7ef17775e54b9d096a98eea33d40b38ac78841a3",
+    ("fib15", 4): "47d6cf519aba648a03c7271e57478aa73c4313a4b6aa8fbc23d352e3ccd337b9",
+    ("tree10", 4): "69d55577984e52126651c8e7e1387c60028256a4c4e8dbeb7a2a8d15022e1e5b",
+    ("tiny", 4): "6c515446841cd9cb6fff92236938eca2d2b89548ecbd7389140f220f9766032a",
+    ("labels", 4): "78aaef9283e4dc49e293f431c49846e865a175ad0413c72b9205e75ae50997cb",
+    ("sugar", 4): "bd6be6acee84a8a551370a15aac77c5ec624d6a78a2829a471671d57e2f00948",
+    ("shared", 4): "53a0a1b3f89d060ff2d9f869405aa0e388ef085cd52f53c06e6433bb8a0df90b",
 }
 
 GOLDEN_GENERATED = {
-    1: "bbec15ac80e17f71d48d0f49631dacf4ebd5bf867e6b26f584d6f7bfdc8a4d61",
-    2: "ce5f8ab63456a5d2660935acdda24a33d8f2c0adb35b521d4a990b60f5ef404d",
-    4: "4a868be1063bd1674037ab88871d5d82f882d621dce3031d8eef76d9506b64ce",
+    1: "1616d8e722e966de0d1e5774f1527b6721b84db49902db07799a7a094a387e89",
+    2: "82df98a54b2c6785ad2a055cca4d7d268a3d455953d0f4fe0187e8a0b5ed8ca8",
+    4: "0093641fa64e5d3a271e6fbba03627a2f47393bf14d2c9dcd60f3171ef3d892f",
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from gprm import compiler, kernels, lang, vm
 from gprm.bench import MERGESORT_GPC
+from gprm.compiler import ROOT
 from gprm.gpc import MAX_NESTING, GpcError, compile_gpc
 from gprm.lang import GpirError
 from gprm.oracle import evaluate
@@ -80,7 +81,7 @@ def test_mergesort_image_root_is_beta_entry():
     gpir = compile_gpc(MERGESORT_GPC, num_threads=4)
     img = compiler.compile_text(gpir, 4, reg)
     fp = compiler.decode(img)
-    assert fp.entries[fp.root].op == "beta"
+    assert fp.entries[ROOT].op == "beta"
 
 
 def test_mergesort_gpc_sorts():
@@ -103,7 +104,7 @@ def test_shared_variable_producer_runs_once():
     gpir = compile_gpc(COMPUTE_GPC)
     out = execute(gpir, threads=4, args=(1,), registry=reg, trace=True, keep=True)
     try:
-        producer = next(a for a, e in out.flat.entries.items() if e.op == "t1.m1")
+        producer = next(a for a, e in enumerate(out.flat.entries) if e.op == "t1.m1")
         reqs = [p for p in out.requests()
                 if p.payload[0] & 0xFFFFFFFF == producer and p.payload[0] >> 60 == 0]
         assert len(reqs) == 1

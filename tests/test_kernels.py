@@ -27,22 +27,12 @@ class _Ctx:
 
     def __init__(self, host_args=(), data=()):
         self.host_args = host_args
-        self._data = list(data)
+        self.data = list(data)
         self._shared = {}
         import threading
         self._lock = threading.RLock()
         import random
         self.random = random.Random(0)
-
-    def host_arg(self, i):
-        if not 0 <= i < len(self.host_args):
-            raise KernelError("ctrl.arg index out of range")
-        return self.host_args[i]
-
-    def data(self, i):
-        if not 0 <= i < len(self._data):
-            raise KernelError("ctrl.reg index out of range")
-        return self._data[i]
 
     def shared(self, name):
         return self._shared.setdefault(name, {}), self._lock

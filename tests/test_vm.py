@@ -10,6 +10,7 @@ import time
 import pytest
 
 from gprm import bench, compiler, kernels, lang, vm, words as W
+from gprm.compiler import ROOT
 from gprm.gpc import compile_gpc
 from gprm.kernels import NO_RESULT, KernelError
 from gprm.oracle import Oracle, evaluate
@@ -26,7 +27,7 @@ from gprm.vm import (
 )
 
 from conftest import execute, fresh_registry
-from test_compiler import FIB_GPC as FIB15_GPC
+from test_compiler import FIB_GPC as FIB15_GPC, with_crc
 
 
 def compile_for(text, tiles, registry):
@@ -128,7 +129,7 @@ def test_ctrl_run_quoted_argument_not_dispatched_at_parse():
     out = execute("(ctrl.run '(t1.m1) (+ '1 '2))", threads=4, registry=reg,
                   trace=True, keep=True)
     try:
-        target = next(a for a, e in out.flat.entries.items() if e.op == "t1.m1")
+        target = next(a for a, e in enumerate(out.flat.entries) if e.op == "t1.m1")
         reqs = [p for p in out.requests() if W.ref_addr(p.payload[0]) == target]
         assert len(reqs) == 1  # only the restart, not the parse
         assert reqs[0].dst == 3 % out.machine.tile_count
@@ -294,7 +295,7 @@ def test_if_selects_and_never_requests_unselected():
                   trace=True, keep=True)
     try:
         assert out.value == 3
-        false_addr = W.ref_addr(out.flat.entries[out.flat.root].args[2])
+        false_addr = W.ref_addr(out.flat.entries[ROOT].args[2])
         reachable = {false_addr}
         stack = [false_addr]
         while stack:
@@ -345,7 +346,7 @@ def test_ctrl_run_places_on_requested_tile():
         out = execute(f"(ctrl.run '(t1.m1) '{t})", threads=4, registry=reg,
                       trace=True, keep=True)
         try:
-            target = next(a for a, e in out.flat.entries.items() if e.op == "t1.m1")
+            target = next(a for a, e in enumerate(out.flat.entries) if e.op == "t1.m1")
             req = next(p for p in out.requests()
                        if W.ref_addr(p.payload[0]) == target)
             assert req.dst == t
@@ -361,7 +362,7 @@ def test_ctrl_run_wraps_out_of_range_tile():
     out = execute("(ctrl.run '(+ '2 '2) '13)", threads=4, trace=True, keep=True)
     try:
         assert out.value == 4
-        target = next(a for a, e in out.flat.entries.items() if e.op == "+")
+        target = next(a for a, e in enumerate(out.flat.entries) if e.op == "+")
         req = next(p for p in out.requests() if W.ref_addr(p.payload[0]) == target)
         assert req.dst == 13 % 4
     finally:
@@ -705,9 +706,8 @@ class Manual:
             k.thread = threading.Thread()
 
     def send_root(self):
-        root = self.machine.image.root
         gw = self.machine.gateway_tile
-        self.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root, None)))
+        self.machine.post((REQ, gw, W.ref_tile(ROOT), gw, 0, 0, (ROOT, None)))
 
     def inject_root(self):
         self.send_root()
@@ -788,9 +788,8 @@ def test_result_arrival_order_does_not_matter():
     for flip in (False, True):
         calls.clear()
         h = Manual("(k.pair (k.a) (k.b))", reg, tiles=4)
-        root = h.machine.image.root
         gw = h.machine.gateway_tile
-        h.machine.post((REQ, gw, W.ref_tile(root), gw, 0, 0, (root, None)))
+        h.machine.post((REQ, gw, W.ref_tile(ROOT), gw, 0, 0, (ROOT, None)))
         (rootpkt,) = h.pending()
         h.handle(rootpkt)
         kids = h.pending()
@@ -915,8 +914,8 @@ def test_ready_control_method_restarts_with_its_callers_continuation():
     for text, want in [("(+ '1 (ctrl.run '(+ '2 '3) '1))", 6),
                        ("(ctrl.run '(+ '2 '3) '1)", 5)]:
         img = compile_for(text, 2, reg)
-        run_at = next(a for a, ws in img.code.items() if ws[0] == W.mk_oper(sid, mid))
-        inner = next(a for a, ws in img.code.items()
+        run_at = next(a for a, ws in enumerate(img.code) if ws[0] == W.mk_oper(sid, mid))
+        inner = next(a for a, ws in enumerate(img.code)
                      if ws[0] == plus and W.const_value(ws[1]) == 2)
         with Machine(img, reg, 2, trace=True) as m:
             assert m.run_value() == want
@@ -1008,7 +1007,7 @@ def test_restart_from_task_kernel_is_refused():
     reg.register("k", [("sneaky", 0, sneaky)])
     img = compile_for("(+ (k.sneaky) (* '2 '3))", 1, reg)
     sid, mid, _ = reg.resolve("*")
-    addr = next(a for a, code in img.code.items() if code[0] == W.mk_oper(sid, mid))
+    addr = next(a for a, code in enumerate(img.code) if code[0] == W.mk_oper(sid, mid))
     target.append(W.mk_ref(addr, 0, quoted=True))
     with Machine(img, reg, 1, trace=True) as m:
         with pytest.raises(TaskError, match="restart") as ei:
@@ -1032,15 +1031,8 @@ def _set_entry(addr, *words):
 def _set_lambda_body(word):
     """An image edit that makes the body of the image's lambda the given word."""
     def edit(img):
-        lam = next(a for a, ws in img.code.items() if ws[0] == W.mk_builtin(W.FORM_CODE_LAMBDA))
+        lam = next(a for a, ws in enumerate(img.code) if ws[0] == W.mk_builtin(W.FORM_CODE_LAMBDA))
         img.code[lam] = img.code[lam][:-1] + (word,)
-    return edit
-
-
-def _set_root(word):
-    """An image edit that makes the root the given word."""
-    def edit(img):
-        img.root = word
     return edit
 
 
@@ -1053,8 +1045,7 @@ _CORRUPT_IMAGES = {
                             "entry r0 starts with 5, not a special form or an operation of "
                             "the image"),
     "no-words": ("(+ '1 '2)", _set_entry(0), "entry r0 has no words"),
-    "runtime-region-entry": ("(+ '1 '2)", _set_entry(vm.RUNTIME_BASE, _PLUS),
-                             f"entry r{vm.RUNTIME_BASE} lies in the runtime code region"),
+    "no-entries": ("(+ '1 '2)", lambda img: img.code.clear(), "the image has no entries"),
     "closure-reference-to-unknown-code": (
         "(beta (lambda 'x '(+ x '1)) '2)", _set_lambda_body(W.mk_ref(999, 0, quoted=True)),
         "reference 'r999@t0 names no entry"),
@@ -1074,10 +1065,6 @@ _CORRUPT_IMAGES = {
         "(+ '1 '2)",
         _set_entry(0, _PLUS, W.mk_const(1), W.CONST_WORD | (-(1 << 31) - 1) & W.PAYLOAD_MASK),
         "constant -2147483649 in r0 is out of 32-bit range"),
-    "root-not-a-reference": ("(+ '1 '2)", _set_root(W.mk_const(0)),
-                             "root: 0 is not a reference"),
-    "root-names-no-entry": ("(+ '1 '2)", _set_root(W.mk_ref(99, 0)),
-                            "root: reference r99@t0 names no entry"),
     "reference-to-tile-past-tile-count": ("(+ '1 (+ '2 '3))",
                                           _set_entry(0, _PLUS, W.mk_const(1), W.mk_ref(1, 1)),
                                           "reference r1@t1 names a tile past the image's 1"),
@@ -1114,28 +1101,56 @@ def test_boot_accepts_a_reference_to_the_last_tile():
         assert m.run_value() == 6
 
 
-@pytest.mark.parametrize("name", ["beta", "fib6"])
-def test_corrupt_images_fail_with_the_package_errors(name):
-    # 400 seeded corruptions of 1-3 bytes each, on 2 tiles: each gives a
-    # value, a CompileError at load, a VmError at boot or a TaskError from
-    # the run; a raw exception, a ProtocolError or a StuckReductionError
-    # (a timeout) fails the test.  A wrong value passes: a corrupted constant
-    # is still a valid program, which only a checksum over the image could
-    # refuse.  Such a program can also outlive the timeout (fib(64) in place
-    # of fib(6)); seed 2 makes none, about 0.5% of other seeds' fib
-    # corruptions do.
+def _corruptions(name, seed):
+    """The registry, the 2-tile image and 400 seeded copies of its bytes with
+    1-3 bytes each set to random values."""
     text = ("(beta (lambda 'x '(* (- x '1) (+ x '1))) '5)" if name == "beta"
             else compile_gpc(FIB_GPC.replace("fib(10)", "fib(6)"), num_threads=2))
     reg = fresh_registry()
     blob = compiler.image_to_bytes(compile_for(text, 2, reg))
-    rng = random.Random(2)
-    outcomes = set()
+    rng = random.Random(seed)
+    copies = []
     for _ in range(400):
         data = bytearray(blob)
         for _ in range(rng.randint(1, 3)):
             data[rng.randrange(len(data))] = rng.randrange(256)
+        copies.append(bytes(data))
+    return reg, blob, copies
+
+
+@pytest.mark.parametrize("name", ["beta", "fib6"])
+def test_raw_corruptions_are_refused_at_load(name):
+    # the image's CRC32 covers every byte before it: 2,000 corruptions over
+    # seeds 1-5 give no value, no boot and no run; a copy whose chosen
+    # bytes all kept their values is no corruption
+    for seed in range(1, 6):
+        _, blob, copies = _corruptions(name, seed)
+        for data in copies:
+            if data != blob:
+                with pytest.raises(compiler.CompileError):
+                    compiler.image_from_bytes(data)
+
+
+@pytest.mark.parametrize("name", ["beta", "fib6"])
+def test_corrupt_images_fail_with_the_package_errors(name):
+    # the seed-2 corruptions with their CRC stamped again, so that they reach
+    # the parser, the boot check and the run: each gives a value, a
+    # CompileError at load, a VmError at boot or a TaskError from the run; a
+    # raw exception or a ProtocolError fails the test.  A wrong value passes:
+    # a corrupted constant is still a valid program, which only the checksum
+    # refuses.  Such a program can also outlive the timeout (fib(33542) in
+    # place of fib(6), three of fib's 400): a timeout passes only if the run,
+    # made again with a trace, sends more packets than the intact program's
+    # whole run, so that it is a longer program still reducing, not a machine
+    # that stopped.
+    reg, blob, copies = _corruptions(name, 2)
+    with Machine(compiler.image_from_bytes(blob), reg, 2, trace=True) as m:
+        m.run_value()
+        intact = len(m.trace_packets())
+    outcomes = set()
+    for data in copies:
         try:
-            img = compiler.image_from_bytes(bytes(data))
+            img = compiler.image_from_bytes(with_crc(data[:-4]))
         except compiler.CompileError:
             outcomes.add("load")
             continue
@@ -1150,6 +1165,11 @@ def test_corrupt_images_fail_with_the_package_errors(name):
                 outcomes.add("value")
             except TaskError:
                 outcomes.add("run")
+            except StuckReductionError:
+                with Machine(img, reg, 2, trace=True) as again:
+                    with pytest.raises(StuckReductionError, match="timed out"):
+                        again.run_value(timeout=0.5)
+                    assert len(again.trace_packets()) > intact
     assert outcomes == {"load", "boot", "run", "value"}
 
 
@@ -1157,7 +1177,7 @@ def test_reference_to_runtime_address_of_missing_tile():
     reg = fresh_registry()
     img = compile_for("(+ '1 '2)", 1, reg)
     bad = W.mk_ref(vm.RUNTIME_BASE + 99 * vm.RUNTIME_STRIDE, 0)
-    img.code[W.ref_addr(img.root)] = (img.code[W.ref_addr(img.root)][0], bad, W.mk_const(1))
+    img.code[ROOT] = (img.code[ROOT][0], bad, W.mk_const(1))
     with pytest.raises(VmError, match=f"^reference r{vm.RUNTIME_BASE + 99 * vm.RUNTIME_STRIDE}"
                                       "@t0 names no entry$"):
         Machine(img, reg, 1)
@@ -1202,16 +1222,15 @@ def test_unbound_variable_in_an_if_branch_is_a_task_error():
 
 @pytest.mark.parametrize("root", [False, True])
 def test_reference_to_missing_tile_fails_at_boot(root):
-    # a child reference (or the root) naming tile 7 of 2 used to leave a
-    # packet counted in flight forever: a 60 s hang, then a raw IndexError
+    # a reference in the root's entry (or in a child's) naming tile 7 of 2
+    # used to leave a packet counted in flight forever: a 60 s hang, then a
+    # raw IndexError
     reg = fresh_registry()
-    img = compile_for("(+ '1 (+ '2 '3))", 2, reg)
-    if root:
-        img.root = W.ref_with_tile(img.root, 7)
-    else:
-        code = img.code[W.ref_addr(img.root)]
-        i = next(i for i, w in enumerate(code) if W.kind_of(w) == W.KIND_REF)
-        img.code[W.ref_addr(img.root)] = code[:i] + (W.ref_with_tile(code[i], 7),) + code[i + 1:]
+    img = compile_for("(+ '1 (+ '2 (+ '3 '4)))", 2, reg)
+    addr = ROOT if root else ROOT + 1
+    code = img.code[addr]
+    i = next(i for i, w in enumerate(code) if W.kind_of(w) == W.KIND_REF)
+    img.code[addr] = code[:i] + (W.ref_with_tile(code[i], 7),) + code[i + 1:]
     start = time.perf_counter()
     with pytest.raises(VmError, match="names a tile past the image's 2"):
         Machine(img, reg, 2)
@@ -1226,9 +1245,9 @@ def test_a_body_never_reads_a_sibling_lambdas_binding(edit):
     # a value read from the caller's bindings and not a timeout
     reg = fresh_registry()
     img = compile_for(compile_gpc(FIB_GPC.replace("fib(10)", "fib(6)")), 2, reg)
-    outer = min(a for a, ws in img.code.items() if ws[0] == W.mk_builtin(W.FORM_CODE_LAMBDA))
+    outer = min(a for a, ws in enumerate(img.code) if ws[0] == W.mk_builtin(W.FORM_CODE_LAMBDA))
     sid, mid, _ = reg.resolve("-")
-    minus = next(a for a, ws in img.code.items()
+    minus = next(a for a, ws in enumerate(img.code)
                  if ws[0] == W.mk_oper(sid, mid) and ws[2] == W.mk_const(1, quoted=True))
     sibling = img.code[outer][2 if edit == "variable" else -1]  # 'n, or '(beta fib fib n)
     img.code[minus] = img.code[minus][:2] + (W.clear_quote(sibling),)
@@ -1331,7 +1350,7 @@ def test_unknown_operation_id_in_an_error_chain_is_a_vm_error():
     reg = fresh_registry()
     img = compile_for("(+ (head (emptylist)) '1)", 1, reg)
     sid, mid, _ = reg.resolve("+")
-    addr = next(a for a, code in img.code.items() if code[0] == W.mk_oper(sid, mid))
+    addr = next(a for a, code in enumerate(img.code) if code[0] == W.mk_oper(sid, mid))
     img.code[addr] = (W.mk_oper(77, 0),) + img.code[addr][1:]
     with pytest.raises(VmError, match=f"^entry r{addr} starts with 77.0, not a special form "
                                       "or an operation of the image$") as ei:
@@ -1343,7 +1362,7 @@ def _error_word_image(text, reg):
     """The image of text with its constant 5 replaced by an error word whose
     index names no error record."""
     img = compile_for(text, 1, reg)
-    for a, ws in img.code.items():
+    for a, ws in enumerate(img.code):
         img.code[a] = tuple(W.mk_error(7) if W.kind_of(w) == W.KIND_CONST
                             and W.const_value(w) == 5 else w for w in ws)
     return img
@@ -1392,7 +1411,7 @@ def _with_root(text, op, nargs, reg):
     constants: arity mismatches the compiler would refuse."""
     img = compile_for(text, 1, reg)
     sid, mid, _ = reg.resolve(op)
-    img.code[W.ref_addr(img.root)] = (W.mk_oper(sid, mid),) + (W.mk_const(1),) * nargs
+    img.code[ROOT] = (W.mk_oper(sid, mid),) + (W.mk_const(1),) * nargs
     img.symbols[(sid, mid)] = op
     return img
 
@@ -1427,7 +1446,7 @@ def _handle_word_image(text, reg):
     """The image of text with its constant 5 replaced by a handle word whose
     index names no handle."""
     img = compile_for(text, 1, reg)
-    for a, ws in img.code.items():
+    for a, ws in enumerate(img.code):
         img.code[a] = tuple(W.mk_handle(99) if W.kind_of(w) == W.KIND_CONST
                             and W.const_value(w) == 5 else w for w in ws)
     return img
