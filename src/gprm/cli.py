@@ -32,6 +32,8 @@ from .kernels import (
     KernelError,
     UnknownServiceError,
     add_stub_service,
+    is_list,
+    materialize,
     standard_registry,
 )
 from .oracle import OracleError, evaluate as oracle_evaluate
@@ -83,9 +85,29 @@ def _registry_for_image(image):
 
 
 def _fmt(v):
+    """A result as printed: a list as its repr, written without recursion so
+    that a list nested past the recursion limit prints too."""
     if isinstance(v, np.ndarray):
         return f"<int array[{len(v)}]>"
-    return repr(v) if isinstance(v, list) else str(v)
+    if not isinstance(v, list):
+        return str(v)
+    parts, stack, first = ["["], [iter(v)], True
+    while stack:
+        for x in stack[-1]:
+            if not first:
+                parts.append(", ")
+            first = False
+            if isinstance(x, list):
+                parts.append("[")
+                stack.append(iter(x))
+                first = True
+                break
+            parts.append(repr(x))
+        else:
+            stack.pop()
+            parts.append("]")
+            first = False
+    return "".join(parts)
 
 
 # ── subcommands ──────────────────────────────────────────────────────
@@ -134,7 +156,8 @@ def cmd_oracle(args):
         source = compile_gpc(source, num_threads=_env_int("GPRM_THREADS", 4))
     ast = lang.parse(source)
     registry = _registry_for_flat(flatten(lang.desugar(ast)))
-    print(_fmt(oracle_evaluate(ast, registry, host_args=tuple(args.arg))))
+    value = oracle_evaluate(ast, registry, host_args=tuple(args.arg))
+    print(_fmt(materialize(value) if is_list(value) else value))
     return EXIT_OK
 
 

@@ -161,15 +161,27 @@ def is_list(v):
 
 
 def materialize(v):
-    """Cons chain -> python list (for printing and test comparison)."""
-    out = []
-    while isinstance(v, Cons):
-        h = v.head
-        out.append(materialize(h) if is_list(h) and h is not EMPTY else h)
-        v = v.tail
-    if v is not EMPTY:
-        raise KernelError("improper list")
-    return out
+    """Cons chain -> python list (for printing and test comparison).  A head
+    that is a Cons becomes a nested list, an EMPTY head stays EMPTY.  The
+    walk keeps its own stack of the chains it left, so nesting depth has no
+    limit."""
+    top = out = []
+    stack = []  # (list, rest of its chain) for each chain left for a head
+    while True:
+        while isinstance(v, Cons):
+            h = v.head
+            if isinstance(h, Cons):
+                stack.append((out, v.tail))
+                out.append(inner := [])
+                out, v = inner, h
+            else:
+                out.append(h)
+                v = v.tail
+        if v is not EMPTY:
+            raise KernelError("improper list")
+        if not stack:
+            return top
+        out, v = stack.pop()
 
 
 def int32(v):

@@ -24,8 +24,8 @@ variable words from it through the entry's plan of variable positions
 formal to its operand, quote cleared, over the operator's environment, and
 requests the body in that environment.  Every reference value is a closure:
 one entry (reference, environment) of the machine's closure arena
-(`Machine.arena`, one dict in which each tile owns a region of
-RUNTIME_STRIDE addresses).  A `lambda` replies with a closure of itself
+(`Machine.arena`, one list whose entry i is the closure at address
+RUNTIME_BASE + i).  A `lambda` replies with a closure of itself
 over its environment, or with the closure it was requested through; a beta
 closes its literal quoted operands over its entry's environment.  So a
 compile-time reference in a slot is always a literal of the entry being
@@ -42,10 +42,12 @@ and the root is always its entry 0 on tile 0 (`compiler.ROOT`): no image can
 hold an entry in the runtime code region or a root that names no entry.  So
 the packet path has no branch for an unknown address, form or operation.
 What the loop builds at run time (closures, handle and error words) it
-builds from checked words.  Two things boot cannot see are checked where
-they arrive: a reference a control method restarts
-(`Machine.restart_evaluation`), and a variable no beta bound, which is an
-error result where it is used.
+builds from checked words.  An error is one record (`ErrorInfo`) under one
+handle: each record it crosses on the way to the host appends its frame and
+forwards the same error word, which has exactly one consumer, the record
+waiting on it.  Two things boot cannot see are checked where they arrive: a
+reference a control method restarts (`Machine.restart_evaluation`), and a
+variable no beta bound, which is an error result where it is used.
 
 Kernel dispatch follows the paper's split between communication code and
 task code.  Boot resolves each operation word of the image to its kernel
@@ -66,9 +68,10 @@ reduce at the same time as the first; only task kernels that release the
 GIL run in parallel, and they do on the kernel threads.
 
 Ownership rules (the whole concurrency argument):
-  - subtask records, the closure arena and its cursors, the count of
-    outstanding kernel jobs and the kept root result are touched only by
-    the loop thread, never by a kernel thread;
+  - subtask records, the closure arena and the tiles' counts of the
+    closures they made, error records, the count of outstanding kernel jobs
+    and the kept root result are touched only by the loop thread, never by
+    a kernel thread;
   - the code and the plans are immutable after boot;
   - only the loop's handlers send packets, and they append every packet,
     the host's result too, to the work list (`Machine.work`), a deque that
@@ -118,8 +121,6 @@ from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_CONST, KIN
                     TILE_MASK, TILE_SHIFT)
 
 RUNTIME_BASE = 1 << 31
-RUNTIME_STRIDE = 1 << 20
-MAX_TILES = ((1 << 32) - RUNTIME_BASE) // RUNTIME_STRIDE
 
 REQ = 0
 RES = 1
@@ -171,10 +172,13 @@ class Packet(NamedTuple):
     payload: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorInfo:
+    """One error of a run: its message and the names of the entries it
+    crossed, innermost first, a list that each hop appends to."""
+
     message: str
-    frames: tuple
+    frames: list
 
 
 class LambdaValue:
@@ -269,7 +273,7 @@ class Tile:
         self.subtask_list = []
         self.subtask_stack = []  # free addresses, reused LIFO
         self.arena = machine.arena
-        self.arena_next = 0  # the next free offset in this tile's closure region
+        self.arena_next = 0  # the closures this tile made this run
         self.local_state = {}
         seed = machine.fuzz_seed
         self.rng = random.Random(None if seed is None else seed + 7919 * tile_id)
@@ -283,7 +287,7 @@ class Tile:
         ref, env = pkt[6]
         a = ref & ADDR_MASK
         if a >= RUNTIME_BASE:  # a closure: its code runs in its own environment
-            code_ref, env = self.arena[a]
+            code_ref, env = self.arena[a - RUNTIME_BASE]
             a = code_ref & ADDR_MASK
         code = self.code[a]
         if env is not None and (plan := self.plans.get(a)):
@@ -378,7 +382,7 @@ class Tile:
                     self.eval_if(op_word, slots, caller, env)
                 else:
                     self.beta_reduce(op_word, slots, caller, env)
-            except VmError as e:  # closure() found its region full
+            except VmError as e:  # closure() found the address space full
                 self.reply_error(op_word, caller, str(e))
             return
         machine = self.machine
@@ -412,13 +416,14 @@ class Tile:
         self.post((RES, self.tile_id, ct, ct, ca, cg, (word,)))
 
     def reply_error(self, op_word, caller, message):
-        info = ErrorInfo(message, (self.op_name(op_word),))
+        info = ErrorInfo(message, [self.op_name(op_word)])
         self.reply(caller, W.mk_error(self.machine.wrap_handle(info)))
 
     def reply_error_word(self, op_word, caller, err_word):
-        info = self.machine.error_info(err_word)
-        chained = ErrorInfo(info.message, info.frames + (self.op_name(op_word),))
-        self.reply(caller, W.mk_error(self.machine.wrap_handle(chained)))
+        """Add this entry's frame to the error and pass its word on: an
+        error word has one consumer, so no other hop sees the frame."""
+        self.machine.error_info(err_word).frames.append(self.op_name(op_word))
+        self.reply(caller, err_word)
 
     def eval_if(self, op_word, slots, caller, env):
         if len(slots) != 3:
@@ -446,7 +451,7 @@ class Tile:
             return
         a, lam_env = W.ref_addr(opw), env  # a literal lambda closes over this entry's env
         if a >= RUNTIME_BASE:
-            code_ref, lam_env = self.arena[a]
+            code_ref, lam_env = self.arena[a - RUNTIME_BASE]
             a = W.ref_addr(code_ref)
         lam = self.code[a]
         if lam[0] != _LAMBDA_WORD:
@@ -481,15 +486,13 @@ class Tile:
             self.reply(caller, W.clear_quote(body_w) if bk in W.QUOTABLE_KINDS else body_w)
 
     def closure(self, ref, env):
-        """A closure of ref's code over env: one entry at the next address of
-        this tile's arena region.  Returns its unquoted reference, on ref's
-        tile."""
-        n = self.arena_next
-        if n >= RUNTIME_STRIDE:
+        """A closure of ref's code over env: the next entry of the machine's
+        arena.  Returns its unquoted reference, on ref's tile."""
+        a = RUNTIME_BASE + len(self.arena)
+        if a > ADDR_MASK:
             raise VmError("address space exhausted (runtime code region)")
-        self.arena_next = n + 1
-        a = RUNTIME_BASE + self.tile_id * RUNTIME_STRIDE + n
-        self.arena[a] = (ref, env)
+        self.arena.append((ref, env))
+        self.arena_next += 1
         return ref & _TILE_FIELD | a
 
     # ── kernel dispatch ──────────────────────────────────────
@@ -627,8 +630,8 @@ class Machine:
             threads = image.tile_count
         if threads < 1:
             raise VmError("thread count must be >= 1 (no kernel thread for task kernels)")
-        if not 1 <= image.tile_count <= MAX_TILES:
-            raise VmError(f"tile count must be in 1..{MAX_TILES}")
+        if not 1 <= image.tile_count <= TILE_MASK + 1:  # a reference's tile field
+            raise VmError(f"tile count must be in 1..{TILE_MASK + 1}")
         self.ops = {}  # operation word -> (service, spec, task); task: run on a kernel thread
         for (sid, mid), name in image.symbols.items():
             try:
@@ -665,7 +668,7 @@ class Machine:
         self._gateway = queue.SimpleQueue()
         self._trace = [] if trace else None
         self._result = None  # the root's result packet, kept by the loop until quiet
-        self.arena = {}  # closures; tile t's region starts at RUNTIME_BASE + t*RUNTIME_STRIDE
+        self.arena = []  # closures; entry i is the closure at RUNTIME_BASE + i
         self.work = deque()  # packets the loop's handlers sent, served LIFO
         # a handler's send: a traced machine also records the packet
         self.post = self.work.append if trace is False else self._post_traced
@@ -728,7 +731,7 @@ class Machine:
             return materialize(obj) if is_list(obj) else obj
         if k == W.KIND_REF:
             return LAMBDA_VALUE
-        if k == W.KIND_ERROR:
+        if k == W.KIND_ERROR:  # the one place an error becomes a TaskError
             info = self.error_info(w)
             raise TaskError(info.message, info.frames)
         raise VmError(f"cannot decode word kind {k}")
@@ -750,7 +753,7 @@ class Machine:
             raise KernelError("restart requires a quoted reference")
         # a control method's word, unlike an image's, was not checked at boot
         a = W.ref_addr(ref_word)
-        if a >= len(self.code) and a not in self.arena:
+        if a >= len(self.code) and not 0 <= a - RUNTIME_BASE < len(self.arena):
             raise KernelError(f"restart of {W.word_str(ref_word)}, which names no entry")
         tile = tile_id % self.tile_count  # out-of-range thread ids wrap
         w = W.clear_quote(W.ref_with_tile(ref_word, tile))
@@ -839,8 +842,7 @@ class Machine:
             self._running.release()
         words = pkt[6]
         if words and W.kind_of(words[0]) == W.KIND_ERROR:
-            info = self.error_info(words[0])
-            raise TaskError(info.message, info.frames)
+            self.decode_word(words[0])  # raises the TaskError
         return words
 
     def run_value(self, host_args=(), timeout=60.0):
@@ -876,8 +878,6 @@ class Machine:
                 raise ResourceLeakError(
                     f"tile {t.tile_id} leaked "
                     f"{len(t.subtask_list) - len(t.subtask_stack)} subtask records")
-            if t.arena_next > RUNTIME_STRIDE:
-                raise ResourceLeakError(f"tile {t.tile_id} ran past its arena region")
             allocated += t.arena_next
         if len(self.arena) != allocated:
             raise ResourceLeakError(

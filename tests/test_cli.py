@@ -32,14 +32,24 @@ def test_compile_three_tasks_example(tmp_path, capsys):
 
 
 def test_run_equals_oracle(tmp_path, capsys):
-    src = os.path.join(PROGRAMS, "three_tasks.gpir")
-    img = tmp_path / "p.gprm"
-    assert run_cli(capsys, "compile", src, "-o", str(img))[0] == EXIT_OK
-    code, ran, _ = run_cli(capsys, "run", str(img), "--threads", "4")
-    assert code == EXIT_OK
-    code, orc, _ = run_cli(capsys, "oracle", src)
-    assert code == EXIT_OK
-    assert ran == orc == "42"
+    n = 1500
+    cases = [(os.path.join(PROGRAMS, "three_tasks.gpir"), "42")]
+    for k, (text, want) in enumerate([  # a short list, a long one, heads nested n deep
+            ("(cons '1 (cons '2 (emptylist)))", "[1, 2]"),
+            ("".join(f"(cons '{i} " for i in range(n)) + "(emptylist)" + ")" * n,
+             repr(list(range(n)))),
+            ("(cons " * n + "'1" + " (emptylist))" * n, "[" * n + "1" + "]" * n)]):
+        src = tmp_path / f"list{k}.gpir"
+        src.write_text(text + "\n")
+        cases.append((str(src), want))
+    for src, want in cases:
+        img = tmp_path / "p.gprm"
+        assert run_cli(capsys, "compile", src, "-o", str(img))[0] == EXIT_OK
+        code, ran, _ = run_cli(capsys, "run", str(img), "--threads", "4")
+        assert code == EXIT_OK
+        code, orc, _ = run_cli(capsys, "oracle", src)
+        assert code == EXIT_OK
+        assert ran == orc == want
 
 
 def test_oracle_on_a_deep_program(tmp_path, capsys):

@@ -126,6 +126,13 @@ def test_cons_laws():
     assert invoke(reg, "isempty", l) == 0
     assert invoke(reg, "isempty", EMPTY) == 1
     assert materialize(Cons(1, Cons(2, EMPTY))) == [1, 2]
+    # a Cons head becomes a nested list, an empty one stays EMPTY
+    nested = Cons(Cons(1, EMPTY), Cons(EMPTY, Cons(Cons(Cons(2, EMPTY), Cons(3, EMPTY)), EMPTY)))
+    got = materialize(nested)
+    assert got == [[1], EMPTY, [[2], 3]] and got[1] is EMPTY
+    for improper in (Cons(1, 2), Cons(Cons(1, 2), EMPTY), Cons(0, Cons(Cons(1, EMPTY), 2))):
+        with pytest.raises(KernelError, match="^improper list$"):
+            materialize(improper)
 
 
 def test_list_errors():

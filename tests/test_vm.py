@@ -57,6 +57,17 @@ def test_boot_zero_threads_rejected():
         Machine(img, reg, 0)
 
 
+def test_boot_refuses_a_tile_count_a_reference_cannot_name():
+    # a reference's tile field has TILE_MASK + 1 values; boot refuses any
+    # other count before it makes a tile or a thread
+    reg = fresh_registry()
+    img = compile_for("(+ '1 '2)", 1, reg)
+    for tiles in (0, W.TILE_MASK + 2):
+        img.tile_count = tiles
+        with pytest.raises(VmError, match=rf"^tile count must be in 1\.\.{W.TILE_MASK + 1}$"):
+            Machine(img, reg, 1)
+
+
 def test_same_value_across_thread_counts():
     text = "(beta (lambda 'x '(* (- x '1) (+ x '1))) (+ '2 '3))"
     values = {execute(text, threads=t) for t in (1, 2, 4, 8)}
@@ -164,6 +175,17 @@ def test_write_trace_untraced_machine_raises(tmp_path):
     assert not path.exists()
 
 
+def test_clear_trace_starts_the_next_run_from_an_empty_trace():
+    reg = fresh_registry()
+    with Machine(compile_for("(+ (+ '1 '2) (+ '3 '4))", 2, reg), reg, 2, trace=True) as m:
+        assert m.run_value() == 10
+        packets = len(m.trace_packets())
+        m.clear_trace()
+        assert m.trace_packets() == []
+        assert m.run_value() == 10
+        assert len(m.trace_packets()) == packets
+
+
 def test_write_trace_lines_give_the_packet_fields(tmp_path):
     reg = fresh_registry()
     with Machine(compile_for("(+ (+ '1 '2) (+ '3 '4))", 2, reg), reg, 2, trace=True) as m:
@@ -254,10 +276,10 @@ def test_runtime_arena_reset_between_runs():
 
 
 def test_runtime_region_exhaustion_is_a_task_error(monkeypatch):
-    # a beta whose closure would run past its tile's region replies an error;
-    # the machine stays sound, and the next run starts from an empty arena.
-    # fib with deferred operands closes two of them per call
-    monkeypatch.setattr(vm, "RUNTIME_STRIDE", 64)
+    # a beta whose closure would run past the 32-bit address space replies an
+    # error; the machine stays sound, and the next run starts from an empty
+    # arena.  fib with deferred operands closes two of them per call
+    monkeypatch.setattr(vm, "RUNTIME_BASE", (1 << 32) - 64)
     reg = fresh_registry()
     src = ("(beta (lambda 'f 'n '(beta f f n))"
            " (lambda 'f 'n '(if (< n '2) 'n '(+ (beta f f '(- n '1)) (beta f f '(- n '2)))))"
@@ -600,6 +622,9 @@ def test_one_loop_and_kernel_threads_by_tile():
         assert m.run_value() == 7
         assert len(m.kernel_threads) == 4
         assert all(k.thread is None for k in m.kernel_threads)
+    with Machine(img, reg) as m:  # threads omitted: one kernel thread per tile
+        assert m.run_value() == 7
+        assert len(m.kernel_threads) == 4
 
 
 def test_run_latency_floor():
@@ -1176,9 +1201,9 @@ def test_corrupt_images_fail_with_the_package_errors(name):
 def test_reference_to_runtime_address_of_missing_tile():
     reg = fresh_registry()
     img = compile_for("(+ '1 '2)", 1, reg)
-    bad = W.mk_ref(vm.RUNTIME_BASE + 99 * vm.RUNTIME_STRIDE, 0)
+    bad = W.mk_ref(vm.RUNTIME_BASE + 99, 0)
     img.code[ROOT] = (img.code[ROOT][0], bad, W.mk_const(1))
-    with pytest.raises(VmError, match=f"^reference r{vm.RUNTIME_BASE + 99 * vm.RUNTIME_STRIDE}"
+    with pytest.raises(VmError, match=f"^reference r{vm.RUNTIME_BASE + 99}"
                                       "@t0 names no entry$"):
         Machine(img, reg, 1)
 
@@ -1329,13 +1354,56 @@ def test_registering_data_between_runs_keeps_the_handle_table_flat():
         assert len(sizes) == 1
 
 
+def test_an_error_holds_one_handle_whatever_its_depth():
+    # each record the error crosses appends its frame to the one error
+    # record and forwards the same word, so the handle table does not grow
+    # with the depth the error is raised at
+    reg = fresh_registry()
+    held = {}
+    for depth in (10, 16000):
+        text = "(+ '1 " * depth + "(head (emptylist))" + ")" * depth
+        with Machine(compile_for(text, 1, reg), reg, 1) as m:
+            with pytest.raises(TaskError) as ei:
+                m.run_value()
+            held[depth] = len(m._handles)
+        assert ei.value.message == "head of empty list"
+        assert ei.value.frames == ("head",) + ("+",) * depth
+    assert held[16000] == held[10]
+
+
+def _same_nested(a, b):
+    """a == b for nested lists, without the recursion of list ==."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if type(x) is list and type(y) is list and len(x) == len(y):
+            pairs.extend(zip(x, y))
+        elif type(x) is list or type(y) is list or x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_list_nested_past_the_recursion_limit_is_a_value(threads):
+    # heads nested 3,000 deep: [[...[1]...]]
+    depth = 3000
+    text = "(cons " * depth + "'1" + " (emptylist))" * depth
+    want = [1]
+    for _ in range(depth - 1):
+        want = [want]
+    got = execute(text, threads=threads)
+    oracle = kernels.materialize(evaluate(lang.parse(text), fresh_registry()))
+    assert _same_nested(got, want) and _same_nested(oracle, want)
+    assert not _same_nested(got, [want])
+
+
 def test_conservation_check_covers_arena_and_handles():
     reg = fresh_registry()
     img = compile_for("(beta (lambda 'x '(cons x (emptylist))) '1)", 1, reg)
     with Machine(img, reg, 1) as m:
         assert m.run_value() == [1]
         m.check_conservation()
-        m.arena[vm.RUNTIME_BASE + 99] = (W.mk_const(0),)  # stray entry
+        m.arena.append((W.mk_const(0),))  # stray entry
         with pytest.raises(ResourceLeakError, match="arena entries"):
             m.check_conservation()
         assert m.run_value() == [1]
