@@ -7,9 +7,27 @@ the program, not with its calls.  A record posts its requests last slot
 first, so its leftmost argument is served first, as the oracle evaluates.
 
 A request packet asks a tile to evaluate one flat S-expression; its payload
-is (reference, environment), and the trace shows only the reference.  An
-entry none of whose argument words is an unquoted reference has nothing to
-wait for: the tile reduces it at once, from its words and the packet's
+is (reference, environment), and the trace shows only the reference.  The
+tile resolves a closure to its code's address and calls that address's
+handler in its handler table (`Tile.entries`): handler(address, caller,
+reference, environment).  An entry's first request on a tile chooses the
+handler for the entry's shape, its op word and each argument word's kind
+and quote bit (`w >> QUOTE_SHIFT`), and stores it in the table; the tile
+builds one handler per shape, shared by the entries of that shape, and a
+handler reads the entry's words from the code.  This is quickening
+(Brunthaler, "Inline Caching Meets Quickening", ECOOP 2010).  Three shapes
+have their own handlers: a builtin binary operation whose arguments are
+constants or unquoted variables, applied at once; an entry that waits on
+references and reads no variable, whose record's requests the shape fixes
+and whose finish applies a builtin binary operation to two constants
+inline; and a lambda whose words are all quoted, which replies with its
+closure and never reads its formals.  The generic handler serves every
+other shape, and a specialised one hands it an entry whose variable is
+bound to anything but a constant, or unbound.  `Tile.finish` is the one
+dispatch path for task and control kernels.
+
+An entry none of whose argument words is an unquoted reference has nothing
+to wait for: the tile reduces it at once, from its words and the packet's
 caller.  Any other entry gets a subtask record: the tile stores present
 arguments, requests referenced arguments from their tiles, and reduces the
 entry once every slot is filled.  Results travel back to the requesting
@@ -72,6 +90,9 @@ Ownership rules (the whole concurrency argument):
     closures they made, error records, the count of outstanding kernel jobs
     and the kept root result are touched only by the loop thread, never by
     a kernel thread;
+  - each tile's handler table and its handlers by shape are the loop's:
+    the table starts with every address on the first-request selector, and
+    only the loop replaces an address's selector with its shape's handler;
   - the code and the plans are immutable after boot;
   - only the loop's handlers send packets, and they append every packet,
     the host's result too, to the work list (`Machine.work`), a deque that
@@ -117,8 +138,8 @@ from . import words as W
 from .compiler import ROOT
 from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, int_result, is_list, materialize
 from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_CONST, KIND_ERROR,
-                    KIND_OPER, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_BIT, SIGN_BIT_48,
-                    TILE_MASK, TILE_SHIFT)
+                    KIND_OPER, KIND_REF, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_BIT,
+                    QUOTE_SHIFT, SIGN_BIT_48, TILE_MASK, TILE_SHIFT)
 
 RUNTIME_BASE = 1 << 31
 
@@ -198,7 +219,7 @@ class SubtaskRecord:
     was requested in.  A requested slot holds None until its result arrives;
     a free record has no slots."""
 
-    __slots__ = ("op_word", "self_ref", "env", "caller", "slots", "pending")
+    __slots__ = ("op_word", "self_ref", "env", "caller", "slots", "pending", "finish")
 
     def __init__(self):
         self.op_word = 0
@@ -207,6 +228,7 @@ class SubtaskRecord:
         self.caller = (0, 0, 0)
         self.slots = ()
         self.pending = 0
+        self.finish = None  # reduces the entry once every slot is filled
 
 
 class KernelContext:
@@ -280,6 +302,8 @@ class Tile:
         self.ctx = KernelContext(self)
         self.task_ctx = KernelContext(self)
         self.kernel_thread = machine.kernel_threads[tile_id % len(machine.kernel_threads)]
+        self.shapes = {}  # shape -> its handler, built once per shape
+        self.entries = [self.select] * len(self.code)  # address -> its entry's handler
 
     # ── packet handlers ──────────────────────────────────────
 
@@ -289,44 +313,7 @@ class Tile:
         if a >= RUNTIME_BASE:  # a closure: its code runs in its own environment
             code_ref, env = self.arena[a - RUNTIME_BASE]
             a = code_ref & ADDR_MASK
-        code = self.code[a]
-        if env is not None and (plan := self.plans.get(a)):
-            code = list(code)
-            for i, slot, quoted in plan:
-                w = env.get(slot)
-                if w is not None:  # else a lambda's own formal, or unbound
-                    # a quoted occurrence stays deferred
-                    code[i] = w | quoted if w >> KIND_SHIFT in W.QUOTABLE_KINDS else w
-        # an unquoted reference is the only word below QUOTE_BIT, and the
-        # first word, a form or an operation, never is one
-        if min(code) >= QUOTE_BIT:
-            self.finish(code[0], code[1:], pkt[3:6], ref, env)
-            return
-        # a record is freed by emptying its slots and pushing its address, so
-        # the most recently freed one is reused first; else the pool grows
-        stack = self.subtask_stack
-        if stack:
-            addr = stack.pop()
-        else:
-            addr = len(self.subtask_list)
-            self.subtask_list.append(SubtaskRecord())
-        rec = self.subtask_list[addr]
-        rec.self_ref = ref
-        rec.env = env
-        rec.caller = pkt[3:6]  # (caller_tile, caller_addr, caller_arg)
-        rec.op_word = code[0]
-        rec.slots = slots = list(code[1:])
-        pending = 0
-        tid = self.tile_id
-        post = self.post
-        # last slot first: the work list is served LIFO, so the leftmost goes first
-        for i in range(len(slots) - 1, -1, -1):
-            w = slots[i]
-            if w < QUOTE_BIT:
-                slots[i] = None
-                pending += 1
-                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w, env)))
-        rec.pending = pending
+        self.entries[a](a, pkt[3:6], ref, env)  # caller: (tile, addr, arg)
 
     def on_result(self, pkt):
         _, _, _, _, addr, arg, (w,) = pkt
@@ -347,7 +334,7 @@ class Tile:
                 err = next(w for w in slots if w >> KIND_SHIFT == KIND_ERROR)
                 self.reply_error_word(rec.op_word, rec.caller, err)
             else:
-                self.finish(rec.op_word, slots, rec.caller, rec.self_ref, rec.env)
+                rec.finish(rec.op_word, slots, rec.caller, rec.self_ref, rec.env)
 
     def on_done(self, pkt):
         """A task kernel's completion packet, addressed to the entry's
@@ -355,6 +342,187 @@ class Tile:
         self.machine.kernel_jobs -= 1
         op_word, value, error = pkt[6]
         self.conclude(op_word, pkt[3:6], value, error)
+
+    # ── entry handlers ───────────────────────────────────────
+    # A request goes to its entry's handler: handler(a, caller, ref, env),
+    # which reads the entry's words from the code.  An entry's shape is its
+    # op word and each argument word's kind and quote bit, `w >> QUOTE_SHIFT`;
+    # a tile builds one handler per shape, and the entries of that shape
+    # share it.
+
+    def select(self, a, caller, ref, env):
+        """An entry's first request on this tile: put its shape's handler in
+        the table, building it on the shape's first entry, and run it."""
+        ws = self.code[a]
+        shape = (ws[0], *[w >> QUOTE_SHIFT for w in ws[1:]])
+        handler = self.shapes.get(shape)
+        if handler is None:
+            handler = self.shapes[shape] = self.handler_for(shape)
+        self.entries[a] = handler
+        handler(a, caller, ref, env)
+
+    def handler_for(self, shape):
+        """A shape's handler: a specialised one for a builtin binary
+        operation on constants and unquoted variables, for an entry that
+        waits on references and reads no variable, and for a lambda whose
+        words are all quoted; the generic one for any other shape."""
+        op_word, args = shape[0], shape[1:]
+        if op_word == _LAMBDA_WORD:
+            return self.reply_lambda if all(s & 1 for s in args) else self.generic
+        op = self.machine.ops.get(op_word)  # None for a special form
+        fn = op[1].fn if (op and op[0].name == BUILTIN_SERVICE and op[1].arity == 2
+                          and len(args) == 2) else None
+        if fn and all(s in _READY_ARGS for s in args):
+            return self.ready_binary(op_word, fn, args)
+        if _REF_ARG in args and _VAR_ARG not in args and _VAR_ARG | 1 not in args:
+            return self.waiting(op_word, args, self.binary_finish(fn) if fn else self.finish)
+        return self.generic
+
+    def generic(self, a, caller, ref, env):
+        """Any shape: fill the entry's variables from the environment, then
+        reduce it at once if no word is an unquoted reference, or else give
+        it a record that requests them."""
+        code = self.code[a]
+        if env is not None and (plan := self.plans.get(a)):
+            code = list(code)
+            for i, slot, quoted in plan:
+                w = env.get(slot)
+                if w is not None:  # else a lambda's own formal, or unbound
+                    # a quoted occurrence stays deferred
+                    code[i] = w | quoted if w >> KIND_SHIFT in W.QUOTABLE_KINDS else w
+        # an unquoted reference is the only word below QUOTE_BIT, and the
+        # first word, a form or an operation, never is one
+        if min(code) >= QUOTE_BIT:
+            self.finish(code[0], code[1:], caller, ref, env)
+            return
+        # a record is freed by emptying its slots and pushing its address, so
+        # the most recently freed one is reused first; else the pool grows
+        stack = self.subtask_stack
+        if stack:
+            addr = stack.pop()
+        else:
+            addr = len(self.subtask_list)
+            self.subtask_list.append(SubtaskRecord())
+        rec = self.subtask_list[addr]
+        rec.self_ref = ref
+        rec.env = env
+        rec.caller = caller
+        rec.op_word = code[0]
+        rec.slots = slots = list(code[1:])
+        rec.finish = self.finish
+        pending = 0
+        tid = self.tile_id
+        post = self.post
+        # last slot first: the work list is served LIFO, so the leftmost goes first
+        for i in range(len(slots) - 1, -1, -1):
+            w = slots[i]
+            if w < QUOTE_BIT:
+                slots[i] = None
+                pending += 1
+                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w, env)))
+        rec.pending = pending
+
+    def waiting(self, op_word, args, finish):
+        """The handler of an entry that waits on references at fixed
+        positions and reads no variable: generic()'s record, its requests
+        found from the shape and reduced by `finish`."""
+        refs = [i for i in range(len(args) - 1, -1, -1) if args[i] == _REF_ARG]  # last first
+        pending = len(refs)
+        code, stack, records = self.code, self.subtask_stack, self.subtask_list
+        post, tid = self.post, self.tile_id
+
+        def handler(a, caller, ref, env):
+            if stack:
+                addr = stack.pop()
+            else:
+                addr = len(records)
+                records.append(SubtaskRecord())
+            rec = records[addr]
+            rec.op_word = op_word
+            rec.self_ref = ref
+            rec.env = env
+            rec.caller = caller
+            rec.slots = slots = list(code[a][1:])
+            rec.finish = finish
+            rec.pending = pending
+            for i in refs:
+                w = slots[i]
+                slots[i] = None
+                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w, env)))
+        return handler
+
+    def ready_binary(self, op_word, fn, args):
+        """The handler of a builtin binary operation on constants and
+        unquoted variables: it applies the builtin to the constants, a
+        variable read from the environment.  A variable bound to anything
+        but a constant, or unbound, goes to the generic handler, which
+        gives it its message or its record."""
+        x_var, y_var = (s == _VAR_ARG for s in args)
+        code, generic, ctx, post, tid, conclude = (self.code, self.generic, self.ctx,
+                                                   self.post, self.tile_id, self.conclude)
+
+        def handler(a, caller, ref, env):
+            _, x, y = code[a]
+            if x_var:
+                x = env.get(x & PAYLOAD_MASK) if env else None
+                if x is None or x >> KIND_SHIFT != KIND_CONST:
+                    generic(a, caller, ref, env)
+                    return
+            if y_var:
+                y = env.get(y & PAYLOAD_MASK) if env else None
+                if y is None or y >> KIND_SHIFT != KIND_CONST:
+                    generic(a, caller, ref, env)
+                    return
+            # as finish() and conclude() would, inline
+            try:
+                value = fn(ctx, ((x & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48,
+                           ((y & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48)
+            except Exception as e:
+                conclude(op_word, caller, None, kernel_failure(e))
+                return
+            if type(value) is int and CONST_MIN <= value <= CONST_MAX:
+                ct, ca, cg = caller
+                post((RES, tid, ct, ct, ca, cg, (CONST_WORD | (value & PAYLOAD_MASK),)))
+            else:
+                conclude(op_word, caller, value, None)
+        return handler
+
+    def binary_finish(self, fn):
+        """A record's `finish` for a builtin binary operation: it applies the
+        builtin to two constants as ready_binary() does, and hands any other
+        pair to `finish`."""
+        finish, ctx, post, tid, conclude = (self.finish, self.ctx, self.post, self.tile_id,
+                                            self.conclude)
+
+        def finish_binary(op_word, slots, caller, self_ref, env):
+            x, y = slots
+            if x >> KIND_SHIFT != KIND_CONST or y >> KIND_SHIFT != KIND_CONST:
+                finish(op_word, slots, caller, self_ref, env)
+                return
+            try:
+                value = fn(ctx, ((x & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48,
+                           ((y & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48)
+            except Exception as e:
+                conclude(op_word, caller, None, kernel_failure(e))
+                return
+            if type(value) is int and CONST_MIN <= value <= CONST_MAX:
+                ct, ca, cg = caller
+                post((RES, tid, ct, ct, ca, cg, (CONST_WORD | (value & PAYLOAD_MASK),)))
+            else:
+                conclude(op_word, caller, value, None)
+        return finish_binary
+
+    def reply_lambda(self, a, caller, ref, env):
+        """A lambda replies with a closure of itself over its environment,
+        or with the closure it was requested through; it never reads its
+        formals."""
+        try:
+            if ref & ADDR_MASK < RUNTIME_BASE:
+                ref = self.closure(ref, env)
+        except VmError as e:  # closure() found the address space full
+            self.reply_error(_LAMBDA_WORD, caller, str(e))
+            return
+        self.reply(caller, ref | QUOTE_BIT)
 
     # ── reduction ────────────────────────────────────────────
     # An entry's fields: its op word, its filled slots (no error among them),
@@ -373,17 +541,15 @@ class Tile:
         called here."""
         if op_word >> KIND_SHIFT != KIND_OPER:
             form = op_word & PAYLOAD_MASK  # boot admits only the three special forms
-            try:
-                if form == W.FORM_CODE_LAMBDA:
-                    if self_ref & ADDR_MASK < RUNTIME_BASE:
-                        self_ref = self.closure(self_ref, env)
-                    self.reply(caller, self_ref | QUOTE_BIT)
-                elif form == W.FORM_CODE_IF:
-                    self.eval_if(op_word, slots, caller, env)
-                else:
+            if form == W.FORM_CODE_LAMBDA:
+                self.reply_lambda(None, caller, self_ref, env)
+            elif form == W.FORM_CODE_IF:
+                self.eval_if(op_word, slots, caller, env)
+            else:
+                try:
                     self.beta_reduce(op_word, slots, caller, env)
-            except VmError as e:  # closure() found the address space full
-                self.reply_error(op_word, caller, str(e))
+                except VmError as e:  # closure() found the address space full
+                    self.reply_error(op_word, caller, str(e))
             return
         machine = self.machine
         service, spec, task = machine.ops[op_word]
@@ -571,6 +737,10 @@ _TILE_FIELD = TILE_MASK << TILE_SHIFT
 _CONST_NEG = PAYLOAD_MASK + 1 + CONST_MIN  # the payload of the constant CONST_MIN
 _FORM_WORDS = frozenset(W.mk_builtin(form) for form in W.FORM_NAMES)
 _LAMBDA_WORD = W.mk_builtin(W.FORM_CODE_LAMBDA)
+# an argument's kind and quote bit, `w >> QUOTE_SHIFT`, in an entry's shape
+_REF_ARG = KIND_REF << 1  # an unquoted reference, requested
+_VAR_ARG = KIND_VAR << 1  # an unquoted variable; | 1 is a quoted one
+_READY_ARGS = frozenset((KIND_CONST << 1, KIND_CONST << 1 | 1, _VAR_ARG))
 
 
 def check_image(image):

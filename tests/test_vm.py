@@ -13,7 +13,7 @@ from gprm import bench, compiler, kernels, lang, vm, words as W
 from gprm.compiler import ROOT
 from gprm.gpc import compile_gpc
 from gprm.kernels import NO_RESULT, KernelError
-from gprm.oracle import Oracle, evaluate
+from gprm.oracle import Oracle, OracleError, evaluate
 from gprm.vm import (
     REQ,
     RES,
@@ -1569,3 +1569,178 @@ def test_the_leftmost_error_wins_in_any_schedule():
             with pytest.raises(TaskError) as ei:
                 execute(text, threads=2, registry=reg, fuzz_seed=seed)
             assert (ei.value.message, ei.value.frames) == (message, frames), (text, seed)
+
+
+# ── quickened entries ────────────────────────────────────────────────
+# each entry's first request picks its handler by the entry's shape; the
+# specialised handlers must answer as the generic one does, in any schedule
+
+
+def _schedules(img, reg):
+    """Machines for img: unfuzzed on 1 and 2 kernel threads, and fuzzed."""
+    for threads, seed in ((1, None), (2, None), (2, 3), (2, 11)):
+        yield Machine(img, reg, threads, trace=True, fuzz_seed=seed)
+
+
+def _outcome(run):
+    """A run's value, or its error as (message, frames)."""
+    try:
+        return run()
+    except TaskError as e:
+        return e.message, e.frames
+
+
+def _agree_with_oracle(text, want, frames=None, reg=None):
+    """The oracle gives want (a value, or an error message); the machine
+    gives it too, with these frames, on every schedule.  Returns the
+    machines' traces."""
+    reg = reg or fresh_registry()
+    try:
+        value = evaluate(text, reg)
+        assert (kernels.materialize(value) if kernels.is_list(value) else value) == want, text
+    except (KernelError, OracleError) as e:
+        assert (str(e), frames) == (want, frames), text
+        want = (want, frames)
+    traces = []
+    for m in _schedules(compile_for(text, 2, reg), reg):
+        with m:
+            assert _outcome(m.run_value) == want, (text, m.fuzz_seed)
+            m.check_conservation()
+            traces.append(m.trace_packets())
+    return traces
+
+
+def _requests_to_closures(trace):
+    return sum(p.kind == REQ and W.ref_addr(p.payload[0]) >= vm.RUNTIME_BASE for p in trace)
+
+
+def test_a_variable_bound_to_a_list_reaching_a_builtin_keeps_its_message():
+    _agree_with_oracle("(beta (lambda 'x '(+ x '1)) (cons '1 (emptylist)))",
+                       "+ expects integers, got Cons", ("+",))
+    _agree_with_oracle("(beta (lambda 'x '(- '7 x)) (emptylist))",
+                       "- expects integers, got EmptyList", ("-",))
+
+
+def test_a_variable_bound_to_a_deferred_operand_takes_the_record_path():
+    # x is bound to a closure of '(+ '2 '3): the `+` entry must request it
+    for trace in _agree_with_oracle("(beta (lambda 'x '(+ x '1)) '(+ '2 '3))", 6):
+        assert _requests_to_closures(trace) == 1
+
+
+def test_an_unbound_variable_reaching_a_kernel_is_a_task_error():
+    # the compiler binds every variable; a variable of an edited image is
+    # unbound at the root (no environment) and inside a lambda body (an
+    # environment without its slot)
+    reg = fresh_registry()
+    root = compile_for("(+ '1 '2)", 1, reg)
+    root.code[ROOT] = (root.code[ROOT][0], W.mk_var(9), W.mk_const(1))
+    body = compile_for("(beta (lambda 'x '(* x '2)) '3)", 1, reg)
+    times = next(a for a, ws in enumerate(body.code) if ws[0] == W.mk_oper(*reg.resolve("*")[:2]))
+    body.code[times] = (body.code[times][0], W.mk_var(9), W.mk_const(2))
+    for img, frames in ((root, ("+",)), (body, ("*",))):
+        for m in _schedules(img, reg):
+            with m:
+                assert _outcome(m.run_value) == ("unbound lambda variable reached a kernel",
+                                                 frames)
+                m.check_conservation()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(+ '2147483647 '1)", -2147483648),
+    ("(- '-2147483648 '1)", 2147483647),
+    ("(* '2147483647 '2)", -2),
+    ("(* '-2147483648 '-1)", -2147483648),
+    # through a variable, and through a record's finish
+    ("(beta (lambda 'x '(+ x '1)) '2147483647)", -2147483648),
+    ("(beta (lambda 'x '(- x '1)) '-2147483648)", 2147483647),
+    ("(beta (lambda 'x 'y '(* x y)) '65536 '65536)", 0),
+    ("(+ (+ '2147483647 '0) '1)", -2147483648),
+    ("(- (- '-2147483648 '0) '1)", 2147483647),
+    ("(* (+ '-2147483648 '0) '-1)", -2147483648),
+])
+def test_builtins_wrap_at_the_int32_bounds(text, want):
+    _agree_with_oracle(text, want)
+
+
+def test_a_quoted_variable_as_a_builtin_argument():
+    _agree_with_oracle("(beta (lambda 'x '(+ 'x '1)) '2)", 3)
+    _agree_with_oracle("(beta (lambda 'x '(+ 'x '1)) '(+ '1 '2))",
+                       "quoted reference passed to non-control method '+'", ("+",))
+
+
+def test_arity_mismatches_keep_their_messages_in_any_schedule():
+    reg = fresh_registry()
+    reg.register("k", [("two", 2, lambda c, a, b: a + b)])
+    cases = [(("+", 1), "+ expects 2 arguments, got 1"),
+             (("+", 3), "+ expects 2 arguments, got 3"),
+             (("-", 0), "- expects 2 arguments, got 0"),
+             (("k.two", 3), "k.two expects 2 arguments, got 3"),
+             (("ctrl.run", 3), "ctrl.run expects 2 arguments, got 3")]
+    for (op, nargs), message in cases:
+        for m in _schedules(_with_root("(+ '1 '2)", op, nargs, reg), reg):
+            with m:
+                assert _outcome(m.run_value) == (message, (op,))
+                m.check_conservation()
+
+
+def test_a_literal_lambda_and_one_reached_through_a_closure():
+    reg = fresh_registry()
+    assert repr(evaluate("(lambda 'x '(+ x '1))", reg)) == "<lambda>"
+    for m in _schedules(compile_for("(lambda 'x '(+ x '1))", 2, reg), reg):
+        with m:
+            assert m.run_value() is vm.LAMBDA_VALUE
+            assert sum(t.arena_next for t in m.tiles) == 1
+    # f is bound to the operand's closure; `(beta f '3)` requests it, and
+    # the lambda replies with that closure: the two requested lambdas make
+    # one closure each, the request through f none
+    text = "(beta (lambda 'f '(beta f '3)) (lambda 'y '(* y '2)))"
+    for trace in _agree_with_oracle(text, 6):
+        assert _requests_to_closures(trace) == 1
+    with Machine(compile_for(text, 1, reg), reg, 1) as m:
+        assert m.run_value() == 6
+        assert m.tiles[0].arena_next == 2
+
+
+def test_a_lambda_with_an_unquoted_reference_is_served_as_before():
+    # the compiler quotes every word of a lambda; in an edited image an
+    # unquoted body is requested first, and here fails unbound, as the
+    # generic handler always did
+    reg = fresh_registry()
+    img = compile_for("(lambda 'x '(+ x '1))", 1, reg)
+    img.code[ROOT] = img.code[ROOT][:-1] + (W.clear_quote(img.code[ROOT][-1]),)
+    for m in _schedules(img, reg):
+        with m:
+            assert _outcome(m.run_value) == ("unbound lambda variable reached a kernel",
+                                             ("+", "lambda"))
+            m.check_conservation()
+
+
+def test_runtime_region_exhaustion_in_the_lambda_handler(monkeypatch):
+    # room for two closures: the third requested lambda finds it full
+    monkeypatch.setattr(vm, "RUNTIME_BASE", (1 << 32) - 2)
+    reg = fresh_registry()
+    img = compile_for("(beta (lambda 'a 'b 'c '(+ '1 '2)) (lambda 'x 'x) (lambda 'y 'y)"
+                      " (lambda 'z 'z))", 2, reg)
+    for m in _schedules(img, reg):
+        with m:
+            for _ in range(2):  # and again, from an empty arena
+                assert _outcome(m.run_value) == (
+                    "address space exhausted (runtime code region)", ("lambda", "beta"))
+                m.check_conservation()
+                assert sum(t.arena_next for t in m.tiles) == 2
+
+
+def test_entries_of_one_shape_share_one_handler():
+    # a `+` tree has two shapes, the leaf (+ 'a 'b) and the inner (+ r r),
+    # both specialised: each tile holds their two handlers and its
+    # first-request selector for the other tile's entries, whatever the
+    # tree's size
+    counts = set()
+    for depth in (8, 12):
+        reg = fresh_registry()
+        img = compile_for(_plus_tree(depth, iter(range(1 << depth))), 2, reg)
+        with Machine(img, reg, 2) as m:
+            assert m.run_value() == kernels.int32((1 << depth) * ((1 << depth) - 1) // 2)
+            counts.add(tuple(len({id(h) for h in t.entries}) for t in m.tiles))
+            assert all(h != t.generic for t in m.tiles for h in t.shapes.values())
+    assert counts == {(3, 3)}
