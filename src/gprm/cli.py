@@ -1,8 +1,8 @@
 """Command-line driver: compile, run, oracle-check and benchmark programs.
 
 Exit codes: 0 ok, 1 usage, 2 compile error, 3 runtime error, 4 verification
-failure.  Environment knobs: GPRM_THREADS (default kernel thread/tile count) and
-GPRM_TRACE (default trace file for `run`).
+failure.  Environment knobs: GPRM_THREADS (default kernel thread/tile count, a
+positive integer) and GPRM_TRACE (default trace file for `run`).
 
 Unknown `service.method` operations are auto-registered as stub kernels that
 return the sum of their integer arguments, so the toy example programs run
@@ -56,8 +56,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_int(name, default):
+    """A positive integer knob from the environment, or default if unset."""
     v = os.environ.get(name)
-    return int(v) if v else default
+    if not v:
+        return default
+    if not v.strip().isdecimal() or int(v) < 1:
+        raise UsageError(f"{name} must be a positive integer, got {v!r}")
+    return int(v)
 
 
 def _stub_registry(op_names):
@@ -225,8 +230,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
+        parser = build_parser()  # reads GPRM_THREADS for a default
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):
             parser.print_usage(sys.stderr)

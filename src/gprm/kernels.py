@@ -294,9 +294,8 @@ def _nth(items, i, method, held):
 
 
 def _ctrl_run(ctx, ws):
-    """Control method: rewrite a quoted reference's tile id and restart it."""
-    if len(ws) != 2:
-        raise KernelError("ctrl.run expects a quoted reference and a thread id")
+    """Control method: rewrite a quoted reference's tile id and restart it.
+    Its arity is checked before it is called."""
     ref = ws[0]
     if W.kind_of(ref) != W.KIND_REF or not W.is_quoted(ref):
         raise KernelError("ctrl.run: first argument is not a quoted reference")

@@ -15,16 +15,19 @@ handler for the entry's shape, its op word and each argument word's kind
 and quote bit (`w >> QUOTE_SHIFT`), and stores it in the table; the tile
 builds one handler per shape, shared by the entries of that shape, and a
 handler reads the entry's words from the code.  This is quickening
-(Brunthaler, "Inline Caching Meets Quickening", ECOOP 2010).  Three shapes
-have their own handlers: a builtin binary operation whose arguments are
-constants or unquoted variables, applied at once; an entry that waits on
-references and reads no variable, whose record's requests the shape fixes
-and whose finish applies a builtin binary operation to two constants
-inline; and a lambda whose words are all quoted, which replies with its
-closure and never reads its formals.  The generic handler serves every
-other shape, and a specialised one hands it an entry whose variable is
-bound to anything but a constant, or unbound.  `Tile.finish` is the one
-dispatch path for task and control kernels.
+(Brunthaler, "Inline Caching Meets Quickening", ECOOP 2010).  What the shape
+decides is fixed when its handler is built (closure generation: Feeley &
+Lapalme, "Using Closures for Code Generation", Computer Languages 1987):
+which argument positions are variables, which are literal unquoted
+references and which unquoted variables may hold a reference once filled,
+and the entry's reducer: `eval_if`, `beta_reduce`, the lambda's reply, a
+builtin binary operation applied inline to two constants, or `Tile.finish`,
+the one dispatch path for task and control kernels.  Two shapes have a
+faster handler in front: a builtin binary operation whose arguments are
+constants or unquoted variables is applied at once, and hands an entry
+whose variable is bound to anything but a constant, or unbound, to its
+shape's entry handler; and a lambda whose words are all quoted replies with
+its closure and never reads its formals.
 
 An entry none of whose argument words is an unquoted reference has nothing
 to wait for: the tile reduces it at once, from its words and the packet's
@@ -36,11 +39,11 @@ argument, and it keeps no error state: error is the highest word kind, so
 `max` over the filled slots tells whether one failed.
 
 Beta reduction binds, it does not copy.  An environment is a dict from
-variable slot to word, or None at the root, and a tile fills an entry's
-variable words from it through the entry's plan of variable positions
-(`Machine.plans`), keeping a quoted occurrence quoted.  A beta binds each
-formal to its operand, quote cleared, over the operator's environment, and
-requests the body in that environment.  Every reference value is a closure:
+variable slot to word, or None at the root, and an entry's handler fills
+its variable words from it, reading each slot from the variable's word and
+keeping a quoted occurrence quoted.  A beta binds each formal to its
+operand, quote cleared, over the operator's environment, and requests the
+body in that environment.  Every reference value is a closure:
 one entry (reference, environment) of the machine's closure arena
 (`Machine.arena`, one list whose entry i is the closure at address
 RUNTIME_BASE + i).  A `lambda` replies with a closure of itself
@@ -93,7 +96,7 @@ Ownership rules (the whole concurrency argument):
   - each tile's handler table and its handlers by shape are the loop's:
     the table starts with every address on the first-request selector, and
     only the loop replaces an address's selector with its shape's handler;
-  - the code and the plans are immutable after boot;
+  - the code is immutable after boot;
   - only the loop's handlers send packets, and they append every packet,
     the host's result too, to the work list (`Machine.work`), a deque that
     only the loop touches, through `Machine.post`.  A packet is a plain
@@ -290,7 +293,6 @@ class Tile:
         self.machine = machine
         self.tile_id = tile_id
         self.code = machine.code
-        self.plans = machine.plans
         self.post = machine.post
         self.subtask_list = []
         self.subtask_stack = []  # free addresses, reused LIFO
@@ -362,76 +364,60 @@ class Tile:
         handler(a, caller, ref, env)
 
     def handler_for(self, shape):
-        """A shape's handler: a specialised one for a builtin binary
-        operation on constants and unquoted variables, for an entry that
-        waits on references and reads no variable, and for a lambda whose
-        words are all quoted; the generic one for any other shape."""
+        """A shape's handler: `entry`'s, with the reducer the shape's op word
+        picks, behind `ready_binary` for a builtin binary operation on
+        constants and unquoted variables; `reply_lambda` for a lambda whose
+        words are all quoted."""
         op_word, args = shape[0], shape[1:]
-        if op_word == _LAMBDA_WORD:
-            return self.reply_lambda if all(s & 1 for s in args) else self.generic
-        op = self.machine.ops.get(op_word)  # None for a special form
-        fn = op[1].fn if (op and op[0].name == BUILTIN_SERVICE and op[1].arity == 2
-                          and len(args) == 2) else None
+        fn = None
+        if op_word >> KIND_SHIFT == KIND_OPER:
+            service, spec, _ = self.machine.ops[op_word]
+            if service.name == BUILTIN_SERVICE and spec.arity == 2 and len(args) == 2:
+                fn = spec.fn
+            reduce = self.binary_finish(fn) if fn else self.finish
+        elif op_word == _LAMBDA_WORD:
+            if all(s & 1 for s in args):
+                return self.reply_lambda
+            reply_lambda = self.reply_lambda
+            reduce = lambda op_word, slots, caller, ref, env: reply_lambda(None, caller, ref, env)
+        else:  # boot admits only the three special forms
+            reduce = self.eval_if if op_word == _IF_WORD else self.beta_reduce
+        handler = self.entry(op_word, args, reduce)
         if fn and all(s in _READY_ARGS for s in args):
-            return self.ready_binary(op_word, fn, args)
-        if _REF_ARG in args and _VAR_ARG not in args and _VAR_ARG | 1 not in args:
-            return self.waiting(op_word, args, self.binary_finish(fn) if fn else self.finish)
-        return self.generic
+            return self.ready_binary(op_word, fn, args, handler)
+        return handler
 
-    def generic(self, a, caller, ref, env):
-        """Any shape: fill the entry's variables from the environment, then
-        reduce it at once if no word is an unquoted reference, or else give
-        it a record that requests them."""
-        code = self.code[a]
-        if env is not None and (plan := self.plans.get(a)):
-            code = list(code)
-            for i, slot, quoted in plan:
-                w = env.get(slot)
-                if w is not None:  # else a lambda's own formal, or unbound
-                    # a quoted occurrence stays deferred
-                    code[i] = w | quoted if w >> KIND_SHIFT in W.QUOTABLE_KINDS else w
-        # an unquoted reference is the only word below QUOTE_BIT, and the
-        # first word, a form or an operation, never is one
-        if min(code) >= QUOTE_BIT:
-            self.finish(code[0], code[1:], caller, ref, env)
-            return
-        # a record is freed by emptying its slots and pushing its address, so
-        # the most recently freed one is reused first; else the pool grows
-        stack = self.subtask_stack
-        if stack:
-            addr = stack.pop()
-        else:
-            addr = len(self.subtask_list)
-            self.subtask_list.append(SubtaskRecord())
-        rec = self.subtask_list[addr]
-        rec.self_ref = ref
-        rec.env = env
-        rec.caller = caller
-        rec.op_word = code[0]
-        rec.slots = slots = list(code[1:])
-        rec.finish = self.finish
-        pending = 0
-        tid = self.tile_id
-        post = self.post
+    def entry(self, op_word, args, reduce):
+        """The handler of a shape's entries: it fills their variables from
+        the environment, then reduces the entry at once if no word is an
+        unquoted reference, or else gives it a record that requests them."""
+        fills = tuple((i, (s & 1) << QUOTE_SHIFT) for i, s in enumerate(args)
+                      if s >> 1 == KIND_VAR)
+        # unquoted references, and unquoted variables, which may fill with one,
         # last slot first: the work list is served LIFO, so the leftmost goes first
-        for i in range(len(slots) - 1, -1, -1):
-            w = slots[i]
-            if w < QUOTE_BIT:
-                slots[i] = None
-                pending += 1
-                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w, env)))
-        rec.pending = pending
-
-    def waiting(self, op_word, args, finish):
-        """The handler of an entry that waits on references at fixed
-        positions and reads no variable: generic()'s record, its requests
-        found from the shape and reduced by `finish`."""
-        refs = [i for i in range(len(args) - 1, -1, -1) if args[i] == _REF_ARG]  # last first
-        pending = len(refs)
+        asks = [i for i in range(len(args) - 1, -1, -1) if args[i] in (_REF_ARG, _VAR_ARG)]
+        at_once = _REF_ARG not in args
         code, stack, records = self.code, self.subtask_stack, self.subtask_list
         post, tid = self.post, self.tile_id
 
         def handler(a, caller, ref, env):
+            slots = list(code[a][1:])
+            if env:
+                for i, quoted in fills:
+                    w = env.get(slots[i] & PAYLOAD_MASK)
+                    if w is not None:  # else a lambda's own formal, or unbound
+                        # a quoted occurrence stays deferred
+                        slots[i] = w | quoted if w >> KIND_SHIFT in W.QUOTABLE_KINDS else w
+            if at_once:
+                # an unquoted reference is the only word below QUOTE_BIT
+                for i in asks:
+                    if slots[i] < QUOTE_BIT:
+                        break
+                else:
+                    reduce(op_word, slots, caller, ref, env)
+                    return
+            # a record is freed by emptying its slots and pushing its address, so
+            # the most recently freed one is reused first; else the pool grows
             if stack:
                 addr = stack.pop()
             else:
@@ -442,36 +428,36 @@ class Tile:
             rec.self_ref = ref
             rec.env = env
             rec.caller = caller
-            rec.slots = slots = list(code[a][1:])
-            rec.finish = finish
-            rec.pending = pending
-            for i in refs:
+            rec.slots = slots
+            rec.finish = reduce
+            for i in asks:
                 w = slots[i]
-                slots[i] = None
-                post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w, env)))
+                if w < QUOTE_BIT:
+                    slots[i] = None
+                    post((REQ, tid, (w >> TILE_SHIFT) & TILE_MASK, tid, addr, i, (w, env)))
+            rec.pending = slots.count(None)
         return handler
 
-    def ready_binary(self, op_word, fn, args):
+    def ready_binary(self, op_word, fn, args, entry):
         """The handler of a builtin binary operation on constants and
         unquoted variables: it applies the builtin to the constants, a
         variable read from the environment.  A variable bound to anything
-        but a constant, or unbound, goes to the generic handler, which
-        gives it its message or its record."""
+        but a constant, or unbound, goes to the shape's `entry` handler,
+        which gives it its message or its record."""
         x_var, y_var = (s == _VAR_ARG for s in args)
-        code, generic, ctx, post, tid, conclude = (self.code, self.generic, self.ctx,
-                                                   self.post, self.tile_id, self.conclude)
+        code, ctx, post, tid, conclude = self.code, self.ctx, self.post, self.tile_id, self.conclude
 
         def handler(a, caller, ref, env):
             _, x, y = code[a]
             if x_var:
                 x = env.get(x & PAYLOAD_MASK) if env else None
                 if x is None or x >> KIND_SHIFT != KIND_CONST:
-                    generic(a, caller, ref, env)
+                    entry(a, caller, ref, env)
                     return
             if y_var:
                 y = env.get(y & PAYLOAD_MASK) if env else None
                 if y is None or y >> KIND_SHIFT != KIND_CONST:
-                    generic(a, caller, ref, env)
+                    entry(a, caller, ref, env)
                     return
             # as finish() and conclude() would, inline
             try:
@@ -534,23 +520,11 @@ class Tile:
         return W.word_str(op_word, self.machine.image.symbols)
 
     def finish(self, op_word, slots, caller, self_ref, env):
-        """Reduce an entry whose slots are all filled.  This is the one
+        """Reduce an operation whose slots are all filled.  This is the one
         kernel dispatch path: every method's arity is checked here, then a
         task kernel goes, its arguments unwrapped, to the kernel thread,
         counted in `kernel_jobs` until on_done, and any other method is
         called here."""
-        if op_word >> KIND_SHIFT != KIND_OPER:
-            form = op_word & PAYLOAD_MASK  # boot admits only the three special forms
-            if form == W.FORM_CODE_LAMBDA:
-                self.reply_lambda(None, caller, self_ref, env)
-            elif form == W.FORM_CODE_IF:
-                self.eval_if(op_word, slots, caller, env)
-            else:
-                try:
-                    self.beta_reduce(op_word, slots, caller, env)
-                except VmError as e:  # closure() found the address space full
-                    self.reply_error(op_word, caller, str(e))
-            return
         machine = self.machine
         service, spec, task = machine.ops[op_word]
         ctx = self.ctx
@@ -591,7 +565,7 @@ class Tile:
         self.machine.error_info(err_word).frames.append(self.op_name(op_word))
         self.reply(caller, err_word)
 
-    def eval_if(self, op_word, slots, caller, env):
+    def eval_if(self, op_word, slots, caller, self_ref, env):
         if len(slots) != 3:
             self.reply_error(op_word, caller, "if expects a condition and two branches")
             return
@@ -610,7 +584,7 @@ class Tile:
         else:
             self.reply(caller, W.clear_quote(selected))
 
-    def beta_reduce(self, op_word, slots, caller, env):
+    def beta_reduce(self, op_word, slots, caller, self_ref, env):
         opw = slots[0] if slots else 0
         if W.kind_of(opw) != W.KIND_REF or not W.is_quoted(opw):
             self.reply_error(op_word, caller, "operator is not a lambda value")
@@ -633,11 +607,15 @@ class Tile:
         # the quote is removed in binding, so a deferred operand is evaluated
         # at each unquoted use; a literal one is closed over this entry's env
         bound = dict(lam_env) if lam_env else {}
-        for f, v in zip(formals, operands):
-            v = W.clear_quote(v)
-            if v < _REF_END and v & ADDR_MASK < RUNTIME_BASE:
-                v = self.closure(v, env)
-            bound[W.var_slot(f)] = v
+        try:
+            for f, v in zip(formals, operands):
+                v = W.clear_quote(v)
+                if v < _REF_END and v & ADDR_MASK < RUNTIME_BASE:
+                    v = self.closure(v, env)
+                bound[W.var_slot(f)] = v
+        except VmError as e:  # closure() found the address space full
+            self.reply_error(op_word, caller, str(e))
+            return
         bk = W.kind_of(body_w)
         if bk == W.KIND_VAR:
             body_w = bound.get(W.var_slot(body_w))
@@ -737,6 +715,7 @@ _TILE_FIELD = TILE_MASK << TILE_SHIFT
 _CONST_NEG = PAYLOAD_MASK + 1 + CONST_MIN  # the payload of the constant CONST_MIN
 _FORM_WORDS = frozenset(W.mk_builtin(form) for form in W.FORM_NAMES)
 _LAMBDA_WORD = W.mk_builtin(W.FORM_CODE_LAMBDA)
+_IF_WORD = W.mk_builtin(W.FORM_CODE_IF)
 # an argument's kind and quote bit, `w >> QUOTE_SHIFT`, in an entry's shape
 _REF_ARG = KIND_REF << 1  # an unquoted reference, requested
 _VAR_ARG = KIND_VAR << 1  # an unquoted variable; | 1 is a quoted one
@@ -747,13 +726,13 @@ def check_image(image):
     """Refuse, with VmError, an image that breaks what the loop trusts (see
     the module docstring).  A reference cycle needs a reference at or before
     its own entry, so only an image with one has its reference graph
-    searched.  Returns the addresses of the entries with a variable word."""
+    searched."""
     code, past = image.code, image.tile_count << TILE_SHIFT  # the tile field compared in place
     size = len(code)
     if not size:
         raise VmError("the image has no entries")
     first_words = _FORM_WORDS | {W.mk_oper(sid, mid) for sid, mid in image.symbols}
-    back, variable_entries = False, set()
+    back = False
     for addr, ws in enumerate(code):
         if not ws:
             raise VmError(f"entry r{addr} has no words")
@@ -773,9 +752,7 @@ def check_image(image):
             elif w >> KIND_SHIFT == KIND_CONST:
                 if CONST_MAX < w & PAYLOAD_MASK < _CONST_NEG:  # not a sign-extended int32
                     raise VmError(f"constant {W.word_str(w)} in r{addr} is out of 32-bit range")
-            elif w >> KIND_SHIFT == KIND_VAR:
-                variable_entries.add(addr)
-            else:
+            elif w >> KIND_SHIFT != KIND_VAR:
                 raise VmError(f"bad argument word kind {W.kind_of(w)} in r{addr}")
     if back:
         graph = {a: [w & ADDR_MASK for w in ws[1:] if w < _REF_END]
@@ -785,7 +762,6 @@ def check_image(image):
         except graphlib.CycleError as e:  # the path runs against the reference edges
             path = " -> ".join(f"r{a}" for a in reversed(e.args[1]))
             raise VmError(f"reference cycle {path}") from None
-    return variable_entries
 
 
 class Machine:
@@ -815,17 +791,13 @@ class Machine:
             service, spec = registry.spec(sid, mid)
             task = not spec.control and service.name not in _ENGINE_SERVICES
             self.ops[W.mk_oper(sid, mid)] = service, spec, task
-        variable_entries = check_image(image)
+        check_image(image)
         self.image = image
         self.registry = registry
         self.fuzz_seed = fuzz_seed
         self.tile_count = image.tile_count
         self.gateway_tile = image.tile_count
         self.code = tuple(image.code)
-        # entry -> its variable positions (index, slot, quote bit)
-        self.plans = {a: tuple((i, w & PAYLOAD_MASK, w & QUOTE_BIT)
-                               for i, w in enumerate(self.code[a]) if w >> KIND_SHIFT == KIND_VAR)
-                      for a in variable_entries}
         self.host_args = ()
         self._data = []
         self._handles = []

@@ -158,6 +158,15 @@ def test_env_config(tmp_path, capsys, monkeypatch):
     assert trace.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_a_bad_gprm_threads_is_a_usage_error(capsys, monkeypatch, value):
+    # every command reads the default, so even `oracle` of a .gpir refuses it
+    monkeypatch.setenv("GPRM_THREADS", value)
+    code, _, err = run_cli(capsys, "oracle", os.path.join(PROGRAMS, "three_tasks.gpir"))
+    assert code == EXIT_USAGE
+    assert err == f"usage error: GPRM_THREADS must be a positive integer, got {value!r}"
+
+
 def test_bench_mergesort_cli(tmp_path, capsys):
     out = tmp_path / "ms.csv"
     code, _, _ = run_cli(capsys, "bench", "mergesort", "--size", "2048",

@@ -695,6 +695,41 @@ def test_leftmost_argument_is_served_first():
         assert m.shared_state("log")["events"] == [1, 2, 3]
 
 
+def _record_handoffs(m):
+    """The arguments of each task kernel call the loop hands off, in order."""
+    handed = []
+    for k in m.kernel_threads:
+        def submit(job, submit=k.submit):
+            handed.append(job[4])
+            submit(job)
+        k.submit = submit
+    return handed
+
+
+@pytest.mark.parametrize("text, want, events", [
+    ("(beta (lambda 'x '(+ x (log.rec '2))) '(log.rec '1))", 3, [1, 2]),
+    ("(beta (lambda 'x 'y '(+ (+ x (log.rec '2)) y)) '(log.rec '1) '(log.rec '3))", 6,
+     [1, 2, 3]),
+])
+def test_a_deferred_variable_and_a_literal_reference_are_served_leftmost_first(
+        text, want, events):
+    # x and y are bound to deferred operands, so an entry that reads one
+    # requests it along with its literal reference, last slot first.  On two
+    # kernel threads the log kernels may run in either order, so the order
+    # the loop hands them off in is compared there
+    o = Oracle(fresh_registry())
+    assert o.eval_program(lang.parse(text)) == want
+    assert o.ctx.shared("log")[0]["events"] == events
+    for tiles, threads in ((1, 1), (2, 1), (2, 2)):
+        reg = fresh_registry()
+        with Machine(compile_for(text, tiles, reg), reg, threads) as m:
+            handed = _record_handoffs(m)
+            assert m.run_value() == want
+            assert handed == [[e] for e in events], (tiles, threads)
+            logged = m.shared_state("log")["events"]
+            assert (logged if threads == 1 else sorted(logged)) == events, (tiles, threads)
+
+
 @pytest.mark.parametrize("n, want", [(12, 144), (15, 610), (18, 2584), (24, 46368)])
 def test_fib_records_bounded_by_depth(n, want):
     # served depth-first, a run holds records for the path it is on; a call
@@ -1572,8 +1607,8 @@ def test_the_leftmost_error_wins_in_any_schedule():
 
 
 # ── quickened entries ────────────────────────────────────────────────
-# each entry's first request picks its handler by the entry's shape; the
-# specialised handlers must answer as the generic one does, in any schedule
+# each entry's first request picks its handler by the entry's shape; every
+# handler must answer as the oracle does, in any schedule
 
 
 def _schedules(img, reg):
@@ -1703,8 +1738,7 @@ def test_a_literal_lambda_and_one_reached_through_a_closure():
 
 def test_a_lambda_with_an_unquoted_reference_is_served_as_before():
     # the compiler quotes every word of a lambda; in an edited image an
-    # unquoted body is requested first, and here fails unbound, as the
-    # generic handler always did
+    # unquoted body is requested first, and here fails unbound
     reg = fresh_registry()
     img = compile_for("(lambda 'x '(+ x '1))", 1, reg)
     img.code[ROOT] = img.code[ROOT][:-1] + (W.clear_quote(img.code[ROOT][-1]),)
@@ -1734,7 +1768,8 @@ def test_entries_of_one_shape_share_one_handler():
     # a `+` tree has two shapes, the leaf (+ 'a 'b) and the inner (+ r r),
     # both specialised: each tile holds their two handlers and its
     # first-request selector for the other tile's entries, whatever the
-    # tree's size
+    # tree's size, and an inner entry's record applies `+` by its shape's
+    # own reducer, not through the kernel dispatch path
     counts = set()
     for depth in (8, 12):
         reg = fresh_registry()
@@ -1742,5 +1777,6 @@ def test_entries_of_one_shape_share_one_handler():
         with Machine(img, reg, 2) as m:
             assert m.run_value() == kernels.int32((1 << depth) * ((1 << depth) - 1) // 2)
             counts.add(tuple(len({id(h) for h in t.entries}) for t in m.tiles))
-            assert all(h != t.generic for t in m.tiles for h in t.shapes.values())
+            records = [(t, rec) for t in m.tiles for rec in t.subtask_list]
+            assert records and all(rec.finish != t.finish for t, rec in records)
     assert counts == {(3, 3)}
