@@ -65,6 +65,26 @@ def _env_int(name, default):
     return int(v)
 
 
+def _ints(least, count=None):
+    """An argparse type: comma-separated integers, each at least `least`,
+    and exactly `count` of them when `count` is given.  A count of 1 gives a
+    plain int, any other a tuple.  A bad value is a usage error that names
+    its flag."""
+    kind = ("positive" if least else "non-negative") + " integer"
+    want = {None: f"comma-separated {kind}s", 1: f"a {kind}",
+            2: f"two comma-separated {kind}s"}[count]
+
+    def parse(text):
+        try:
+            values = [int(t) for t in text.split(",")]
+        except ValueError:
+            values = []
+        if not values or min(values) < least or count and len(values) != count:
+            raise argparse.ArgumentTypeError(f"expects {want}, got {text!r}")
+        return values[0] if count == 1 else tuple(values)
+    return parse
+
+
 def _stub_registry(op_names):
     """standard registry + stub services for unknown dotted operations."""
     registry = standard_registry()
@@ -173,11 +193,11 @@ def cmd_bench(args):
     cfg = BenchConfig(
         benchmark=args.which,
         size=size,
-        threads=tuple(int(t) for t in args.threads.split(",")),
+        threads=args.threads,
         reps=args.reps,
         seed=args.seed,
         csv_path=args.csv or "",
-        work=tuple(int(w) for w in args.work.split(",")),
+        work=args.work,
         strategy=args.strategy,
     )
     rows = run_benchmark(cfg)
@@ -217,13 +237,14 @@ def build_parser():
 
     b = sub.add_parser("bench", help="run a benchmark and emit CSV rows")
     b.add_argument("which", choices=("mergesort", "listchase"))
-    b.add_argument("--size", type=int, default=None,
+    b.add_argument("--size", type=_ints(0, 1), default=None,
                    help="elements (default: 4M for mergesort, 100k for listchase)")
-    b.add_argument("--threads", default="1,2,4")
+    b.add_argument("--threads", type=_ints(1), default="1,2,4")
     b.add_argument("--reps", type=int, default=3)
     b.add_argument("--seed", type=int, default=1)
     b.add_argument("--csv", default="")
-    b.add_argument("--work", default="3,3")
+    b.add_argument("--work", type=_ints(0, 2), default="3,3",
+                   help="Ackermann m,x of each listchase node")
     b.add_argument("--strategy", choices=("strided", "contended"), default="strided")
     b.set_defaults(func=cmd_bench)
     return p

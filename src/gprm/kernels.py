@@ -63,7 +63,7 @@ class KernelRegistry:
     def __init__(self):
         self._by_name = {}
         self._by_id = {}
-        self._install(BUILTIN_SERVICE, _builtin_methods())
+        self._install(BUILTIN_SERVICE, _BUILTIN_METHODS)
 
     def _install(self, name, methods):
         sid = len(self._by_id)
@@ -223,6 +223,7 @@ def _want_list(v, op):
 
 
 def _builtin_methods():
+    """(the arithmetic and comparison methods, every builtin method)"""
     # each arithmetic and comparison method is one Python call: an argument
     # is checked only when it is not a plain int, and arithmetic wraps its
     # result as int32 does, inline
@@ -257,7 +258,7 @@ def _builtin_methods():
     def cons(ctx, h, t):
         return Cons(h, _want_list(t, "cons"))
 
-    return [
+    total = [
         arith("+", operator.add),
         arith("-", operator.sub),
         arith("*", operator.mul),
@@ -267,12 +268,21 @@ def _builtin_methods():
         cmp("<", operator.lt),
         cmp("==", operator.eq),
         cmp("!=", operator.ne),
+    ]
+    return total, total + [
         ("cons", 2, cons),
         ("head", 1, head),
         ("tail", 1, tail),
         ("emptylist", 0, lambda ctx: EMPTY),
         ("isempty", 1, lambda ctx, l: int(_want_list(l, "isempty") is EMPTY)),
     ]
+
+
+_INT32_METHODS, _BUILTIN_METHODS = _builtin_methods()  # shared by every registry
+#: the builtin methods total on int32: given two ints in CONST_MIN..CONST_MAX
+#: each returns an int in that range and never raises, so the machine applies
+#: them inline
+INT32_BUILTINS = frozenset(fn for _, _, fn in _INT32_METHODS)
 
 
 # ── ctrl service ─────────────────────────────────────────────────────

@@ -191,8 +191,8 @@ class Oracle:
             return t_branch if c != 0 else f_branch
         service, mid, spec = kernel
         if spec.control:  # ctrl.run: placement is irrelevant sequentially
-            if len(values) != 2:
-                raise OracleError("ctrl.run expects a quoted reference and a thread id")
+            if len(values) != spec.arity:
+                raise self.registry.arity_error(service, spec, len(values))
             ref, t = values
             if not isinstance(ref, _CODE):
                 raise OracleError("ctrl.run: first argument is not a quoted reference")

@@ -20,14 +20,16 @@ decides is fixed when its handler is built (closure generation: Feeley &
 Lapalme, "Using Closures for Code Generation", Computer Languages 1987):
 which argument positions are variables, which are literal unquoted
 references and which unquoted variables may hold a reference once filled,
-and the entry's reducer: `eval_if`, `beta_reduce`, the lambda's reply, a
-builtin binary operation applied inline to two constants, or `Tile.finish`,
-the one dispatch path for task and control kernels.  Two shapes have a
-faster handler in front: a builtin binary operation whose arguments are
-constants or unquoted variables is applied at once, and hands an entry
-whose variable is bound to anything but a constant, or unbound, to its
-shape's entry handler; and a lambda whose words are all quoted replies with
-its closure and never reads its formals.
+and the entry's reducer: `eval_if`, `beta_reduce`, an int32 builtin (an
+arithmetic or comparison builtin, `kernels.INT32_BUILTINS`) applied inline
+to two constants, or `Tile.finish`, the one dispatch path for every other
+kernel.  An int32 builtin is total on int32, so its result word is posted
+with no error path and no range test.  A reducer takes four fields: the entry's op word, its filled slots
+(no error among them), the caller its result goes to and its environment.
+Every lambda is served by its reply, which never reads its formals or its
+body.  An int32 builtin whose arguments are constants or unquoted variables
+has a faster handler in front, which applies it at once, and hands an entry whose variable is bound to anything but a
+constant, or unbound, to its shape's entry handler.
 
 An entry none of whose argument words is an unquoted reference has nothing
 to wait for: the tile reduces it at once, from its words and the packet's
@@ -57,12 +59,14 @@ A machine checks its image once, at boot (`check_image`), and the loop
 trusts what the check guarantees: the image has an entry, and every entry
 starts with a special form or an operation of the image's symbol table;
 every argument word is a reference, a 32-bit constant or a variable; every
-reference names a tile of the machine and an entry of the image; and no
-chain of references is a cycle.  The code is a tuple indexed by address,
-and the root is always its entry 0 on tile 0 (`compiler.ROOT`): no image can
-hold an entry in the runtime code region or a root that names no entry.  So
-the packet path has no branch for an unknown address, form or operation.
-What the loop builds at run time (closures, handle and error words) it
+reference names a tile of the machine and an entry of the image; no chain
+of references is a cycle; and each special form has the one shape
+`lang.parse` emits: an `if` has three arguments, a `beta` an operator, and
+a `lambda` quoted formal variables and a quoted body.  The code is a tuple
+indexed by address, and the root is always its entry 0 on tile 0
+(`compiler.ROOT`): no image can hold an entry in the runtime code region or
+a root that names no entry.  So the packet path has no branch for an
+unknown address, form, operation or form shape.  What the loop builds at run time (closures, handle and error words) it
 builds from checked words.  An error is one record (`ErrorInfo`) under one
 handle: each record it crosses on the way to the host appends its frame and
 forwards the same error word, which has exactly one consumer, the record
@@ -90,9 +94,11 @@ GIL run in parallel, and they do on the kernel threads.
 
 Ownership rules (the whole concurrency argument):
   - subtask records, the closure arena and the tiles' counts of the
-    closures they made, error records, the count of outstanding kernel jobs
-    and the kept root result are touched only by the loop thread, never by
-    a kernel thread;
+    closures they made, error records, the handle table, the count of
+    outstanding kernel jobs and the kept root result are touched only by
+    the loop thread, never by a kernel thread.  The host clears the arena
+    and the handle table, and decodes the root result, only while the loop
+    is idle, so neither takes a lock;
   - each tile's handler table and its handlers by shape are the loop's:
     the table starts with every address on the first-request selector, and
     only the loop replaces an address's selector with its shape's handler;
@@ -139,7 +145,8 @@ from typing import NamedTuple
 
 from . import words as W
 from .compiler import ROOT
-from .kernels import BUILTIN_SERVICE, KernelError, NO_RESULT, int_result, is_list, materialize
+from .kernels import (BUILTIN_SERVICE, INT32_BUILTINS, KernelError, NO_RESULT, int_result,
+                      is_list, materialize)
 from .words import (ADDR_MASK, CONST_MAX, CONST_MIN, CONST_WORD, KIND_CONST, KIND_ERROR,
                     KIND_OPER, KIND_REF, KIND_SHIFT, KIND_VAR, PAYLOAD_MASK, QUOTE_BIT,
                     QUOTE_SHIFT, SIGN_BIT_48, TILE_MASK, TILE_SHIFT)
@@ -222,11 +229,10 @@ class SubtaskRecord:
     was requested in.  A requested slot holds None until its result arrives;
     a free record has no slots."""
 
-    __slots__ = ("op_word", "self_ref", "env", "caller", "slots", "pending", "finish")
+    __slots__ = ("op_word", "env", "caller", "slots", "pending", "finish")
 
     def __init__(self):
         self.op_word = 0
-        self.self_ref = 0
         self.env = None
         self.caller = (0, 0, 0)
         self.slots = ()
@@ -336,7 +342,7 @@ class Tile:
                 err = next(w for w in slots if w >> KIND_SHIFT == KIND_ERROR)
                 self.reply_error_word(rec.op_word, rec.caller, err)
             else:
-                rec.finish(rec.op_word, slots, rec.caller, rec.self_ref, rec.env)
+                rec.finish(rec.op_word, slots, rec.caller, rec.env)
 
     def on_done(self, pkt):
         """A task kernel's completion packet, addressed to the entry's
@@ -364,27 +370,22 @@ class Tile:
         handler(a, caller, ref, env)
 
     def handler_for(self, shape):
-        """A shape's handler: `entry`'s, with the reducer the shape's op word
-        picks, behind `ready_binary` for a builtin binary operation on
-        constants and unquoted variables; `reply_lambda` for a lambda whose
-        words are all quoted."""
+        """A shape's handler: `reply_lambda` for a lambda, else `entry`'s, with
+        the reducer the shape's op word picks; a builtin total on int32
+        applied to constants and unquoted variables has `ready_binary` in
+        front."""
         op_word, args = shape[0], shape[1:]
-        fn = None
-        if op_word >> KIND_SHIFT == KIND_OPER:
-            service, spec, _ = self.machine.ops[op_word]
-            if service.name == BUILTIN_SERVICE and spec.arity == 2 and len(args) == 2:
-                fn = spec.fn
-            reduce = self.binary_finish(fn) if fn else self.finish
-        elif op_word == _LAMBDA_WORD:
-            if all(s & 1 for s in args):
-                return self.reply_lambda
-            reply_lambda = self.reply_lambda
-            reduce = lambda op_word, slots, caller, ref, env: reply_lambda(None, caller, ref, env)
-        else:  # boot admits only the three special forms
-            reduce = self.eval_if if op_word == _IF_WORD else self.beta_reduce
-        handler = self.entry(op_word, args, reduce)
-        if fn and all(s in _READY_ARGS for s in args):
-            return self.ready_binary(op_word, fn, args, handler)
+        if op_word == _LAMBDA_WORD:  # boot: every word of a lambda is quoted
+            return self.reply_lambda
+        if op_word >> KIND_SHIFT != KIND_OPER:  # boot admits only the three special forms
+            return self.entry(op_word, args,
+                              self.eval_if if op_word == _IF_WORD else self.beta_reduce)
+        fn = self.machine.ops[op_word][1].fn
+        if fn not in INT32_BUILTINS or len(args) != 2:
+            return self.entry(op_word, args, self.finish)
+        handler = self.entry(op_word, args, self.binary_finish(fn))
+        if all(s in _READY_ARGS for s in args):
+            return self.ready_binary(fn, args, handler)
         return handler
 
     def entry(self, op_word, args, reduce):
@@ -414,7 +415,7 @@ class Tile:
                     if slots[i] < QUOTE_BIT:
                         break
                 else:
-                    reduce(op_word, slots, caller, ref, env)
+                    reduce(op_word, slots, caller, env)
                     return
             # a record is freed by emptying its slots and pushing its address, so
             # the most recently freed one is reused first; else the pool grows
@@ -425,7 +426,6 @@ class Tile:
                 records.append(SubtaskRecord())
             rec = records[addr]
             rec.op_word = op_word
-            rec.self_ref = ref
             rec.env = env
             rec.caller = caller
             rec.slots = slots
@@ -438,14 +438,14 @@ class Tile:
             rec.pending = slots.count(None)
         return handler
 
-    def ready_binary(self, op_word, fn, args, entry):
-        """The handler of a builtin binary operation on constants and
-        unquoted variables: it applies the builtin to the constants, a
-        variable read from the environment.  A variable bound to anything
-        but a constant, or unbound, goes to the shape's `entry` handler,
-        which gives it its message or its record."""
+    def ready_binary(self, fn, args, entry):
+        """The handler of an int32 builtin on constants and unquoted
+        variables: it applies the builtin to the constants, a variable read
+        from the environment, and replies.  A variable bound to anything but
+        a constant, or unbound, goes to the shape's `entry` handler, which
+        gives it its message or its record."""
         x_var, y_var = (s == _VAR_ARG for s in args)
-        code, ctx, post, tid, conclude = self.code, self.ctx, self.post, self.tile_id, self.conclude
+        code, ctx, post, tid = self.code, self.ctx, self.post, self.tile_id
 
         def handler(a, caller, ref, env):
             _, x, y = code[a]
@@ -459,43 +459,27 @@ class Tile:
                 if y is None or y >> KIND_SHIFT != KIND_CONST:
                     entry(a, caller, ref, env)
                     return
-            # as finish() and conclude() would, inline
-            try:
-                value = fn(ctx, ((x & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48,
-                           ((y & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48)
-            except Exception as e:
-                conclude(op_word, caller, None, kernel_failure(e))
-                return
-            if type(value) is int and CONST_MIN <= value <= CONST_MAX:
-                ct, ca, cg = caller
-                post((RES, tid, ct, ct, ca, cg, (CONST_WORD | (value & PAYLOAD_MASK),)))
-            else:
-                conclude(op_word, caller, value, None)
+            value = fn(ctx, ((x & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48,
+                       ((y & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48)
+            ct, ca, cg = caller
+            post((RES, tid, ct, ct, ca, cg, (CONST_WORD | (value & PAYLOAD_MASK),)))
         return handler
 
     def binary_finish(self, fn):
-        """A record's `finish` for a builtin binary operation: it applies the
-        builtin to two constants as ready_binary() does, and hands any other
-        pair to `finish`."""
-        finish, ctx, post, tid, conclude = (self.finish, self.ctx, self.post, self.tile_id,
-                                            self.conclude)
+        """A record's `finish` for an int32 builtin: it applies the builtin
+        to two constants as ready_binary() does, and hands any other pair to
+        `finish`."""
+        finish, ctx, post, tid = self.finish, self.ctx, self.post, self.tile_id
 
-        def finish_binary(op_word, slots, caller, self_ref, env):
+        def finish_binary(op_word, slots, caller, env):
             x, y = slots
             if x >> KIND_SHIFT != KIND_CONST or y >> KIND_SHIFT != KIND_CONST:
-                finish(op_word, slots, caller, self_ref, env)
+                finish(op_word, slots, caller, env)
                 return
-            try:
-                value = fn(ctx, ((x & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48,
-                           ((y & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48)
-            except Exception as e:
-                conclude(op_word, caller, None, kernel_failure(e))
-                return
-            if type(value) is int and CONST_MIN <= value <= CONST_MAX:
-                ct, ca, cg = caller
-                post((RES, tid, ct, ct, ca, cg, (CONST_WORD | (value & PAYLOAD_MASK),)))
-            else:
-                conclude(op_word, caller, value, None)
+            value = fn(ctx, ((x & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48,
+                       ((y & PAYLOAD_MASK) ^ SIGN_BIT_48) - SIGN_BIT_48)
+            ct, ca, cg = caller
+            post((RES, tid, ct, ct, ca, cg, (CONST_WORD | (value & PAYLOAD_MASK),)))
         return finish_binary
 
     def reply_lambda(self, a, caller, ref, env):
@@ -511,15 +495,14 @@ class Tile:
         self.reply(caller, ref | QUOTE_BIT)
 
     # ── reduction ────────────────────────────────────────────
-    # An entry's fields: its op word, its filled slots (no error among them),
-    # the caller its result goes to, the reference it was requested by and
-    # its environment.
+    # A reducer takes an entry's four fields: its op word, its filled slots
+    # (no error among them), the caller its result goes to and its environment.
 
     def op_name(self, op_word):
         """The frame name of an entry: its special form's or operation's name."""
         return W.word_str(op_word, self.machine.image.symbols)
 
-    def finish(self, op_word, slots, caller, self_ref, env):
+    def finish(self, op_word, slots, caller, env):
         """Reduce an operation whose slots are all filled.  This is the one
         kernel dispatch path: every method's arity is checked here, then a
         task kernel goes, its arguments unwrapped, to the kernel thread,
@@ -565,10 +548,7 @@ class Tile:
         self.machine.error_info(err_word).frames.append(self.op_name(op_word))
         self.reply(caller, err_word)
 
-    def eval_if(self, op_word, slots, caller, self_ref, env):
-        if len(slots) != 3:
-            self.reply_error(op_word, caller, "if expects a condition and two branches")
-            return
+    def eval_if(self, op_word, slots, caller, env):
         cw = slots[0]
         if W.kind_of(cw) != W.KIND_CONST:
             self.reply_error(op_word, caller, "if condition did not evaluate to an integer")
@@ -584,8 +564,8 @@ class Tile:
         else:
             self.reply(caller, W.clear_quote(selected))
 
-    def beta_reduce(self, op_word, slots, caller, self_ref, env):
-        opw = slots[0] if slots else 0
+    def beta_reduce(self, op_word, slots, caller, env):
+        opw = slots[0]
         if W.kind_of(opw) != W.KIND_REF or not W.is_quoted(opw):
             self.reply_error(op_word, caller, "operator is not a lambda value")
             return
@@ -657,16 +637,16 @@ class Tile:
 
     def unwrap(self, w, spec):
         """Evaluated non-constant word -> kernel value; only control methods
-        may see code."""
+        may see code.  A filled slot holds no error, and boot admits no other
+        kind, so a word that is neither a handle nor a reference is a
+        variable no beta bound."""
         k = W.kind_of(w)
         if k == W.KIND_HANDLE:
             return self.machine.handle_object(W.handle_index(w))
         if k == W.KIND_REF:
             raise KernelError(
                 f"quoted reference passed to non-control method '{spec.name}'")
-        if k == W.KIND_VAR:
-            raise KernelError("unbound lambda variable reached a kernel")
-        raise KernelError(f"word kind {k} is not a kernel value")
+        raise KernelError("unbound lambda variable reached a kernel")
 
 
 def kernel_failure(e):
@@ -716,6 +696,7 @@ _CONST_NEG = PAYLOAD_MASK + 1 + CONST_MIN  # the payload of the constant CONST_M
 _FORM_WORDS = frozenset(W.mk_builtin(form) for form in W.FORM_NAMES)
 _LAMBDA_WORD = W.mk_builtin(W.FORM_CODE_LAMBDA)
 _IF_WORD = W.mk_builtin(W.FORM_CODE_IF)
+_BETA_WORD = W.mk_builtin(W.FORM_CODE_BETA)
 # an argument's kind and quote bit, `w >> QUOTE_SHIFT`, in an entry's shape
 _REF_ARG = KIND_REF << 1  # an unquoted reference, requested
 _VAR_ARG = KIND_VAR << 1  # an unquoted variable; | 1 is a quoted one
@@ -754,6 +735,16 @@ def check_image(image):
                     raise VmError(f"constant {W.word_str(w)} in r{addr} is out of 32-bit range")
             elif w >> KIND_SHIFT != KIND_VAR:
                 raise VmError(f"bad argument word kind {W.kind_of(w)} in r{addr}")
+        if ws[0] in _FORM_WORDS:  # only the shapes `lang.parse` emits
+            op, n = ws[0], len(ws) - 1
+            if op == _IF_WORD and n != 3:
+                raise VmError(f"if entry r{addr} has {n} arguments, not 3")
+            if op == _BETA_WORD and not n:
+                raise VmError(f"beta entry r{addr} has no operator")
+            if op == _LAMBDA_WORD and (not n or not ws[-1] & QUOTE_BIT or any(
+                    w >> QUOTE_SHIFT != _VAR_ARG | 1 for w in ws[1:-1])):
+                raise VmError(f"lambda entry r{addr} is not quoted formal variables "
+                              f"and a quoted body")
     if back:
         graph = {a: [w & ADDR_MASK for w in ws[1:] if w < _REF_END]
                  for a, ws in enumerate(code)}
@@ -802,7 +793,6 @@ class Machine:
         self._data = []
         self._handles = []
         self._handle_ids = {}
-        self._handle_lock = threading.Lock()
         self._shared = {}
         self._shared_lock = threading.RLock()
         self._fatal = None
@@ -831,13 +821,14 @@ class Machine:
         return len(self._data) - 1
 
     def wrap_handle(self, obj):
-        with self._handle_lock:
-            idx = self._handle_ids.get(id(obj))
-            if idx is None:
-                idx = len(self._handles)
-                self._handles.append(obj)
-                self._handle_ids[id(obj)] = idx
-            return idx
+        """The handle index of obj, a new one on its first wrap this run; on
+        the loop only."""
+        idx = self._handle_ids.get(id(obj))
+        if idx is None:
+            idx = len(self._handles)
+            self._handles.append(obj)
+            self._handle_ids[id(obj)] = idx
+        return idx
 
     def handle_object(self, idx):
         """The object a handle word's index names; ProtocolError if it names none."""
@@ -969,9 +960,8 @@ class Machine:
             self.arena.clear()
             for t in self.tiles:
                 t.arena_next = 0
-            with self._handle_lock:  # a handle lives for one run
-                self._handles.clear()
-                self._handle_ids.clear()
+            self._handles.clear()  # a handle lives for one run
+            self._handle_ids.clear()
             gw = self.gateway_tile
             deadline = time.monotonic() + timeout
             pkt = (REQ, gw, W.ref_tile(ROOT), gw, 0, 0, (ROOT, None))

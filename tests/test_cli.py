@@ -3,6 +3,8 @@
 import csv
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +167,45 @@ def test_a_bad_gprm_threads_is_a_usage_error(capsys, monkeypatch, value):
     code, _, err = run_cli(capsys, "oracle", os.path.join(PROGRAMS, "three_tasks.gpir"))
     assert code == EXIT_USAGE
     assert err == f"usage error: GPRM_THREADS must be a positive integer, got {value!r}"
+
+
+@pytest.mark.parametrize("argv, flag, want", [
+    (["--threads", "abc"], "--threads", "comma-separated positive integers"),
+    (["--threads", "1,0"], "--threads", "comma-separated positive integers"),
+    (["--work", "1,2,3"], "--work", "two comma-separated non-negative integers"),
+    (["--work", "1,-1"], "--work", "two comma-separated non-negative integers"),
+    (["--size", "-5"], "--size", "a non-negative integer"),
+    (["--size", "1.5"], "--size", "a non-negative integer"),
+])
+def test_a_bad_bench_argument_is_a_usage_error(capsys, argv, flag, want):
+    # each of these used to end in a raw traceback, a compile error or a
+    # verification failure
+    code, out, err = run_cli(capsys, "bench", "listchase", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"usage error: argument {flag}: expects {want}, got {argv[1]!r}"
+
+
+def test_python_dash_m_gprm_runs_the_cli(tmp_path):
+    # the package's entry point, in its own process: compile, run and
+    # oracle-check an example, then a usage error
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("GPRM_THREADS", None)
+    env.pop("GPRM_TRACE", None)
+
+    def gprm(*argv):
+        done = subprocess.run([sys.executable, "-m", "gprm", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout.strip(), done.stderr.strip()
+
+    src = os.path.join(PROGRAMS, "square_minus_one.gpir")
+    code, out, _ = gprm("compile", src, "-o", "sq.gprm", "-t", "2")
+    assert code == EXIT_OK and "2 tiles" in out
+    assert gprm("run", "sq.gprm") == (EXIT_OK, "24", "")
+    assert gprm("oracle", src) == (EXIT_OK, "24", "")
+    code, out, err = gprm("frobnicate")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: argument command: invalid choice: 'frobnicate'")
 
 
 def test_bench_mergesort_cli(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Kernel registry, builtins, list ops, workload kernels."""
 
+import random
 import re
 
 import numpy as np
 import pytest
 
-from gprm import kernels
+from gprm import kernels, words as W
 from gprm.kernels import (
     EMPTY,
     Cons,
@@ -110,6 +111,28 @@ def test_builtins_wrap_at_the_int32_edges_through_the_oracle():
                               ("(- '-2147483648 '1)", -(2**31) - 1, 2147483647),
                               ("(* '-2147483648 '-1)", 2**31, -2147483648)]:
         assert evaluate(text, reg) == int32(exact) == want, text
+
+
+def test_the_int32_builtins_are_total_on_int32():
+    # the machine applies these inline, with no error path and no range
+    # test: on ints in range each returns an int in range and never raises
+    regs = KernelRegistry(), KernelRegistry()
+    names = regs[0]._by_name[kernels.BUILTIN_SERVICE].by_name
+    builtins = [regs[0].resolve(name)[2] for name in names]
+    assert {s.name for s in builtins if s.fn in kernels.INT32_BUILTINS} == {
+        "+", "-", "*", ">=", ">", "<=", "<", "==", "!="}
+    assert len(kernels.INT32_BUILTINS) == 9
+    assert {s.fn for s in builtins} == {regs[1].resolve(s.name)[2].fn for s in builtins}
+    edges = [W.CONST_MIN, W.CONST_MIN + 1, -65536, -1, 0, 1, 65536, W.CONST_MAX - 1,
+             W.CONST_MAX]
+    rng = random.Random(30)
+    pairs = [(a, b) for a in edges for b in edges] + [
+        (rng.randint(W.CONST_MIN, W.CONST_MAX), rng.randint(W.CONST_MIN, W.CONST_MAX))
+        for _ in range(2000)]
+    for fn in kernels.INT32_BUILTINS:
+        for a, b in pairs:
+            v = fn(None, a, b)
+            assert type(v) is int and W.CONST_MIN <= v <= W.CONST_MAX, (a, b)
 
 
 def test_arity_mismatch():

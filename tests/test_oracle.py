@@ -80,6 +80,8 @@ def test_oracle_errors_match_machine_classes():
         "(if (emptylist) '1 '2)",
         "(if '(+ '1 '2) '1 '2)",  # a quoted condition is code, not an integer
         "(ctrl.run (+ '1 '2) '0)",
+        "(ctrl.run '(+ '1 '2) '0 '1)",  # the registry's arity error on both routes
+        "(ctrl.run '(+ '1 '2) (emptylist))",
         "(t? '1)".replace("?", "9.m"),  # unknown service
     ]:
         with pytest.raises((OracleError, KernelError)) as orc:

@@ -1149,6 +1149,57 @@ def test_boot_refuses_a_corrupt_image(case):
         Machine(img, reg, 1)
 
 
+def _set_root_args(*args):
+    """An image edit that keeps the root's op word and gives it these arguments."""
+    def edit(img):
+        img.code[ROOT] = img.code[ROOT][:1] + args
+    return edit
+
+
+_X, _Y = W.mk_var(0, quoted=True), W.mk_var(1, quoted=True)
+_ONE = W.mk_const(1, quoted=True)
+_NOT_A_LAMBDA = "^lambda entry r0 is not quoted formal variables and a quoted body$"
+_MALFORMED_FORMS = {
+    "if-with-two-arguments": ("(if '1 '2 '0)", _set_root_args(_ONE, _ONE),
+                              "^if entry r0 has 2 arguments, not 3$"),
+    "if-with-four-arguments": ("(if '1 '2 '0)", _set_root_args(_ONE, _ONE, _ONE, _ONE),
+                               "^if entry r0 has 4 arguments, not 3$"),
+    "if-with-no-arguments": ("(if '1 '2 '0)", _set_root_args(),
+                             "^if entry r0 has 0 arguments, not 3$"),
+    "beta-with-no-operator": ("(beta (lambda 'x 'x) '1)", _set_root_args(),
+                              "^beta entry r0 has no operator$"),
+    "lambda-with-no-body": ("(lambda 'x 'x)", _set_root_args(), _NOT_A_LAMBDA),
+    "lambda-with-an-unquoted-body": ("(lambda 'x 'x)", _set_root_args(_X, W.mk_var(0)),
+                                     _NOT_A_LAMBDA),
+    "lambda-with-an-unquoted-formal": ("(lambda 'x 'y 'x)",
+                                       _set_root_args(W.mk_var(0), _Y, _X), _NOT_A_LAMBDA),
+    "lambda-with-a-constant-formal": ("(lambda 'x 'x)", _set_root_args(_ONE, _X),
+                                      _NOT_A_LAMBDA),
+    "lambda-with-a-reference-formal": ("(lambda 'x '(+ x '1))",
+                                       _set_root_args(*[W.mk_ref(1, quoted=True)] * 2),
+                                       _NOT_A_LAMBDA),
+    # the word kinds are checked first, so a lambda keeps its kind message
+    "error-word-in-a-lambda-body": ("(beta (lambda 'x '(+ x '1)) '2)",
+                                    _set_lambda_body(W.mk_error(1)),
+                                    f"^bad argument word kind {W.KIND_ERROR} in r1$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_FORMS))
+def test_boot_refuses_a_special_form_the_parser_never_emits(case):
+    # the loop has one path per special form and trusts its shape: an if
+    # has three arguments, a beta an operator, and a lambda quoted formal
+    # variables and a quoted body
+    text, edit, message = _MALFORMED_FORMS[case]
+    reg = fresh_registry()
+    img = compile_for(text, 1, reg)
+    edit(img)
+    start = time.perf_counter()
+    with pytest.raises(VmError, match=message):
+        Machine(img, reg, 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_boot_accepts_the_int32_bounds():
     assert execute("(+ '2147483647 '-2147483648)", threads=1) == -1
 
@@ -1697,6 +1748,17 @@ def test_builtins_wrap_at_the_int32_bounds(text, want):
     _agree_with_oracle(text, want)
 
 
+@pytest.mark.parametrize("text, frames", [
+    ("(cons '1 '2)", ("cons",)),
+    ("(beta (lambda 'x '(cons x '2)) '1)", ("cons",)),
+    ("(+ '1 (cons '1 '2))", ("cons", "+")),
+])
+def test_cons_of_two_constants_keeps_its_message(text, frames):
+    # cons is an arity-2 builtin that raises on two constants, so it takes
+    # the kernel dispatch path, not the inline int32 one
+    _agree_with_oracle(text, "cons expects a list, got int", frames)
+
+
 def test_a_quoted_variable_as_a_builtin_argument():
     _agree_with_oracle("(beta (lambda 'x '(+ 'x '1)) '2)", 3)
     _agree_with_oracle("(beta (lambda 'x '(+ 'x '1)) '(+ '1 '2))",
@@ -1736,17 +1798,18 @@ def test_a_literal_lambda_and_one_reached_through_a_closure():
         assert m.tiles[0].arena_next == 2
 
 
-def test_a_lambda_with_an_unquoted_reference_is_served_as_before():
-    # the compiler quotes every word of a lambda; in an edited image an
-    # unquoted body is requested first, and here fails unbound
+def test_a_lambda_with_an_unquoted_reference_is_refused_at_boot():
+    # the compiler quotes every word of a lambda, so the loop serves every
+    # lambda by its reply and never requests a lambda's body; an edited image
+    # with an unquoted body never boots
     reg = fresh_registry()
     img = compile_for("(lambda 'x '(+ x '1))", 1, reg)
     img.code[ROOT] = img.code[ROOT][:-1] + (W.clear_quote(img.code[ROOT][-1]),)
-    for m in _schedules(img, reg):
-        with m:
-            assert _outcome(m.run_value) == ("unbound lambda variable reached a kernel",
-                                             ("+", "lambda"))
-            m.check_conservation()
+    start = time.perf_counter()
+    with pytest.raises(VmError, match="^lambda entry r0 is not quoted formal variables "
+                                      "and a quoted body$"):
+        Machine(img, reg, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_runtime_region_exhaustion_in_the_lambda_handler(monkeypatch):
