@@ -43,11 +43,25 @@ class BenchConfig:
     strategy: str = "strided"
 
     def __post_init__(self):
+        """Refuse what `gprm bench` refuses as a usage error, and a rep count
+        too small to time."""
         if self.reps < 3:
             raise VerificationError("repetitions must be >= 3 for timing stability")
+        if not _ints_at_least(self.work, 0) or len(self.work) != 2:
+            raise VerificationError(f"work must be two non-negative integers "
+                                    f"(Ackermann m, x), got {self.work!r}")
+        if not _ints_at_least((self.size,), 0):
+            raise VerificationError(f"size must be a non-negative integer, got {self.size!r}")
+        if not self.threads or not _ints_at_least(self.threads, 1):
+            raise VerificationError(f"thread counts must be integers >= 1, got {self.threads!r}")
         if self.benchmark == "mergesort" and self.size < max(self.threads):
             raise VerificationError("size must be >= thread count (every leaf "
                                     "needs at least one element)")
+
+
+def _ints_at_least(values, least):
+    return isinstance(values, (tuple, list)) and all(
+        isinstance(v, int) and v >= least for v in values)
 
 
 MERGESORT_GPC = """

@@ -19,6 +19,12 @@ id and UTF-8 name; the entry count and the total word count; one u16 word
 count per entry, by address; every entry's u64 words in one array; the host
 argument count; and a CRC32 of every byte before it.  It stores no address
 and no root: the order gives both.
+
+`flatten`, `assign_tiles`, `encode` and `image_from_bytes` run with the
+cyclic collector paused, as `lang.parse` does (`lang.collector_paused`):
+their per-entry objects stay live to the end of the stage, so a collection
+inside one frees nothing.  The pause is process-wide while the stage runs
+and restores the caller's state, also on an error.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ def used_operations(fp):
 # ── Flatten ──────────────────────────────────────────────────────────
 
 
+@lang.collector_paused
 def flatten(e):
     """Desugared AST -> FlatProgram; labels become one shared entry each.
 
@@ -165,6 +172,7 @@ def flatten(e):
 # ── Tile assignment ──────────────────────────────────────────────────
 
 
+@lang.collector_paused
 def assign_tiles(fp, tile_count):
     """Place entries on tiles: root on 0, siblings spread round-robin,
     an only child shares its parent's tile (dependent work can't overlap).
@@ -228,6 +236,7 @@ class BytecodeImage:
     arg_arity: int  # host arguments the program reads via ctrl.arg
 
 
+@lang.collector_paused
 def encode(fp, tile_count, registry):
     """FlatProgram -> BytecodeImage; names resolved against the registry snapshot.
 
@@ -310,6 +319,7 @@ def image_to_bytes(image):
     return body + _CRC.pack(zlib.crc32(body))
 
 
+@lang.collector_paused
 def image_from_bytes(data):
     """Bytes -> BytecodeImage.  The magic, the version and the checksum are
     checked, in that order, before the rest is read."""

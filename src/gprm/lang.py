@@ -17,10 +17,24 @@ since code can only be deferred once.
 
 Every pass keeps its own stack instead of recursing, so nesting depth has no
 limit.
+
+`parse` runs with CPython's cyclic collector paused (`collector_paused`),
+as do the compiler's `flatten`, `assign_tiles`, `encode` and
+`image_from_bytes`.  Each allocates objects per entry that stay live until
+it returns, so a collection inside it walks them and frees nothing.  On a
+balanced `+` tree of depth 14 (16,383 entries, a 2-vCPU x86-64 host), the
+collector took about 67 ms of a 225 ms compile and two boots, 25 ms of it
+in `parse`; paused, about 19 ms of 170 ms, mostly the one young collection
+each stage's output owes once the collector is back on.  `desugar`,
+`image_to_bytes` and boot showed no collector time, so they run unpaused.
+The pause is process-wide while a stage runs, and it restores the caller's
+state, also when the stage raises.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import graphlib
 import re
 from dataclasses import MISSING, dataclass, fields
@@ -84,6 +98,23 @@ def node_class(cls):
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     return cls
+
+
+def collector_paused(stage):
+    """Run a compile stage with CPython's cyclic collector paused (the
+    module docstring says which stages, and why).  The pause is process-wide
+    while the stage runs.  It restores the caller's state, on an exception
+    too: a collector the caller had disabled stays disabled."""
+    @functools.wraps(stage)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return stage(*args, **kwargs)
+        gc.disable()
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 @node_class
@@ -200,6 +231,7 @@ def _position(text, index):
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
+@collector_paused
 def parse(text):
     """Parse GPIR source into a validated AST in one pass over the tokens.
 

@@ -130,6 +130,16 @@ one more row of the loop's handler table (id == tile_count):
 `Machine.on_root_result` keeps the root's result, and a second one poisons
 the machine.  When quiet, the loop puts exactly one message on the gateway
 queue: the kept result, or None.
+
+A shut-down machine holds no reference cycle.  `Machine.shutdown` stops the
+loop and the kernel threads, then drops the closure arena, the handle table,
+a kept fatal error (once raised, its traceback holds `run()`'s frame) and,
+for each tile, what leads back to it: the machine, its two kernel contexts,
+its handler table and handlers by shape, and its records, each holding its
+reducer (`Tile.release`).  A traced machine's send closes over the trace and
+the work list, not over the machine.  So the host's last reference frees a
+shut-down machine by reference count, with the cyclic collector on or off.
+It refuses `run()`, and its trace stays readable.
 """
 
 from __future__ import annotations
@@ -312,6 +322,17 @@ class Tile:
         self.kernel_thread = machine.kernel_threads[tile_id % len(machine.kernel_threads)]
         self.shapes = {}  # shape -> its handler, built once per shape
         self.entries = [self.select] * len(self.code)  # address -> its entry's handler
+
+    def release(self):
+        """Drop, at shutdown, every field that leads back to this tile or its
+        machine: the machine, the two kernel contexts, the handler table and
+        its handlers by shape (they close over this tile's methods), and the
+        subtask records (each holds its reducer).  The machine empties the
+        closure arena, so the tile's count of its closures goes too."""
+        self.machine = self.ctx = self.task_ctx = None
+        self.entries, self.shapes = [], {}
+        self.subtask_list, self.subtask_stack = [], []
+        self.arena_next = 0
 
     # ── packet handlers ──────────────────────────────────────
 
@@ -649,6 +670,13 @@ class Tile:
         raise KernelError("unbound lambda variable reached a kernel")
 
 
+def _traced_post(record, send):
+    def post(pkt):
+        record(pkt)
+        send(pkt)
+    return post
+
+
 def kernel_failure(e):
     """Error message for an exception raised in a kernel: a KernelError's
     own message, or the type and message of any other (a kernel panic)."""
@@ -802,8 +830,10 @@ class Machine:
         self._result = None  # the root's result packet, kept by the loop until quiet
         self.arena = []  # closures; entry i is the closure at RUNTIME_BASE + i
         self.work = deque()  # packets the loop's handlers sent, served LIFO
-        # a handler's send: a traced machine also records the packet
-        self.post = self.work.append if trace is False else self._post_traced
+        # a handler's send: a traced machine also records the packet.  Neither
+        # holds the machine, so the tiles that share it form no cycle through it
+        self.post = self.work.append if self._trace is None else _traced_post(
+            self._trace.append, self.work.append)
         self.kernel_jobs = 0  # task kernels handed off, completion not yet handled
         self.queue = queue.SimpleQueue()  # the loop's inbox
         self.kernel_threads = [_KernelThread(self.queue, i)
@@ -870,10 +900,6 @@ class Machine:
         raise VmError(f"cannot decode word kind {k}")
 
     # ── packet plumbing ──────────────────────────────────────
-
-    def _post_traced(self, pkt):
-        self._trace.append(pkt)
-        self.work.append(pkt)
 
     def on_root_result(self, pkt):
         """The host's handler: keep the root's result until the machine is quiet."""
@@ -1045,6 +1071,13 @@ class Machine:
     # ── lifecycle ────────────────────────────────────────────
 
     def shutdown(self):
+        """Stop the loop and the kernel threads, then drop the run state: the
+        closure arena, the handle table, a kept fatal error, and each tile's
+        records, handler table and references to the machine
+        (`Tile.release`).  A shut-down machine holds no reference cycle, so
+        it is freed by reference count once the host drops it, with the
+        cyclic collector on or off.  It refuses `run()`, and its trace stays
+        readable."""
         if self._closed:
             return
         self._closed = True
@@ -1054,6 +1087,12 @@ class Machine:
             if k.thread is not None:
                 k.jobs.put(_STOP)
                 k.thread.join(timeout=5.0)
+        self.arena.clear()
+        self._handles.clear()
+        self._handle_ids.clear()
+        self._fatal = None  # once raised, its traceback holds run()'s frame, so this machine
+        for t in self.tiles:
+            t.release()
 
     def __enter__(self):
         return self

@@ -1,5 +1,6 @@
 """Shared helpers: registries, one-shot program execution, program generator."""
 
+import gc
 import random
 
 import pytest
@@ -16,6 +17,29 @@ def fresh_registry(*, ctrl=True, log_jitter=0.0, stubs=()):
     for name, methods in stubs:
         kernels.add_stub_service(reg, name, methods)
     return reg
+
+
+def collections_during(call):
+    """The generations of the collections the cyclic collector starts while
+    call() runs.  A full collection first leaves no allocation owed, so a
+    call that allocates less than the young threshold before it pauses the
+    collector cannot start one; and nothing is allocated between call()'s
+    return and the callback's removal, so the collection the call leaves
+    owed is not counted."""
+    gc.collect()
+    seen = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    remove = gc.callbacks.remove
+    gc.callbacks.append(on_gc)
+    try:
+        call()
+    finally:
+        remove(on_gc)
+    return seen
 
 
 @pytest.fixture

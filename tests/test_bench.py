@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -131,6 +132,57 @@ def test_mergesort_requires_leaf_per_thread():
 def test_reps_floor():
     with pytest.raises(VerificationError, match="timing stability"):
         BenchConfig("mergesort", size=64, threads=(1,), reps=1)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"benchmark": "listchase", "work": (1, -1)}, "work must be two non-negative"),
+    ({"benchmark": "listchase", "work": (3,)}, "work must be two non-negative"),
+    ({"benchmark": "listchase", "work": (1, 2, 3)}, "work must be two non-negative"),
+    ({"benchmark": "listchase", "work": (1.5, 2)}, "work must be two non-negative"),
+    ({"benchmark": "listchase", "size": -1}, "size must be a non-negative"),
+    ({"benchmark": "mergesort", "size": -8}, "size must be a non-negative"),
+    ({"benchmark": "listchase", "threads": (0,)}, "thread counts must be"),
+    ({"benchmark": "mergesort", "threads": (2, -1)}, "thread counts must be"),
+    ({"benchmark": "listchase", "threads": ()}, "thread counts must be"),
+], ids=["negative-x", "one-value", "three-values", "float", "negative-size",
+        "negative-sort-size", "zero-threads", "negative-threads", "no-threads"])
+def test_config_refuses_what_the_cli_refuses(kw, message):
+    # each would run until memory or time runs out, or fail deep in a run
+    start = time.perf_counter()
+    with pytest.raises(VerificationError, match=message):
+        BenchConfig(**{"size": 10, "threads": (1, 2), "reps": 3, **kw})
+    assert time.perf_counter() - start < 1.0
+
+
+def _chased(n, threads):
+    """A list every element of which was processed once, by its owner."""
+    data = ChaseList(n, 0, 0)
+    data.counts = [1] * n
+    data.owners = [[i % threads] for i in range(n)]
+    return data
+
+
+def test_verify_chase_refuses_each_miscount():
+    verify_chase = bench.verify_chase
+    verify_chase(_chased(10, 2), 2, 10)
+    with pytest.raises(VerificationError, match="^processed 9 of 10 elements$"):
+        verify_chase(_chased(10, 2), 2, 9)
+    twice, never = _chased(10, 2), _chased(10, 2)
+    twice.counts[3] = 2
+    never.counts[4] = 0
+    with pytest.raises(VerificationError, match="^element 3 processed 2 times$"):
+        verify_chase(twice, 2, 10)
+    with pytest.raises(VerificationError, match="^element 4 processed 0 times$"):
+        verify_chase(never, 2, 10)
+
+
+def test_verify_chase_checks_owners_of_a_strided_run_only():
+    stolen = _chased(10, 2)
+    stolen.owners[5] = [0]
+    with pytest.raises(VerificationError,
+                       match=re.escape("element 5 touched by [0], want [1]")):
+        bench.verify_chase(stolen, 2, 10)
+    bench.verify_chase(stolen, 2, 10, strided=False)  # a contended run claims freely
 
 
 def test_sorting_example():

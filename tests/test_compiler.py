@@ -1,5 +1,6 @@
 """Flattening, tile assignment, encoding, image files."""
 
+import gc
 import hashlib
 import random
 import struct
@@ -30,7 +31,7 @@ from gprm.compiler import (
 )
 from gprm.oracle import evaluate
 
-from conftest import ProgramGen, fresh_registry
+from conftest import ProgramGen, collections_during, fresh_registry
 
 
 def flat_of(text, tiles=None):
@@ -447,3 +448,46 @@ def test_images_byte_identical_to_golden(tiles):
     for _ in range(40):
         h.update(image_to_bytes(compile_text(gen.program(depth=5), tiles, fresh_registry())))
     assert h.hexdigest() == GOLDEN_GENERATED[tiles]
+
+
+# ── the collector pause ──────────────────────────────────────────────
+
+
+def _stage_calls(stage):
+    """A paused stage, arguments it accepts, arguments it refuses, and its
+    error for them.  The accepted ones are a `+` tree of 4,095 entries, so
+    each stage allocates well past the young threshold."""
+    reg = kernels.standard_registry()
+    text = _plus_tree(list(range(1 << 12)))
+
+    def fp():
+        return flatten(lang.parse(text))
+
+    image = image_to_bytes(encode(assign_tiles(fp(), 2), 2, reg))
+    return {
+        "parse": (lang.parse, (text,), ("(+ '1",), lang.GpirSyntaxError),
+        "flatten": (flatten, (lang.parse(text),), (lang.ConstInt(1),), CompileError),
+        "assign_tiles": (assign_tiles, (fp(), 2), (fp(), 0), CompileError),
+        "encode": (encode, (assign_tiles(fp(), 2), 2, reg), (FlatProgram(), 2, reg),
+                   CompileError),
+        "image_from_bytes": (image_from_bytes, (image,), (b"nope",), CompileError),
+    }[stage]
+
+
+@pytest.mark.parametrize("stage", ["parse", "flatten", "assign_tiles", "encode",
+                                   "image_from_bytes"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_a_paused_stage_restores_the_callers_collector(stage, enabled):
+    # a paused stage starts no collection, and leaves the collector as its
+    # caller had it, on an error too
+    fn, good, bad, error = _stage_calls(stage)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert collections_during(lambda: fn(*good)) == []
+        assert gc.isenabled() is enabled
+        with pytest.raises(error):
+            fn(*bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -1,6 +1,7 @@
 """Parser, printer and desugarer."""
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from gprm.lang import (
     to_text,
 )
 
-from conftest import ProgramGen
+from conftest import ProgramGen, collections_during
 
 
 def test_parse_composition_example():
@@ -344,3 +345,19 @@ def test_node_contract(make, text):
             setattr(a, f.name, getattr(b, f.name))
     assert not hasattr(a, "__dict__")
     assert a != ConstInt(-1) and a != (text,)
+
+
+def _plus_tree(depth, leaf=0):
+    if depth == 0:
+        return f"'{leaf}"
+    return f"(+ {_plus_tree(depth - 1, 2 * leaf)} {_plus_tree(depth - 1, 2 * leaf + 1)})"
+
+
+def test_parse_of_a_large_tree_starts_no_collection():
+    # a depth-14 `+` tree allocates some 100,000 nodes, all live until parse
+    # returns; at the default thresholds the collector would walk them
+    # again and again
+    text = _plus_tree(14)
+    assert gc.isenabled()
+    assert collections_during(lambda: parse(text)) == []
+    assert gc.isenabled()

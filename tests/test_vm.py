@@ -1,12 +1,15 @@
 """The reduction machine: dispatch, beta, if, placement, errors, conservation."""
 
+import gc
 import queue
 import random
 import re
 import sys
 import threading
 import time
+import weakref
 
+import numpy as np
 import pytest
 
 from gprm import bench, compiler, kernels, lang, vm, words as W
@@ -544,6 +547,69 @@ def test_run_after_shutdown_is_refused():
         m.run()
 
 
+def test_a_shut_down_machine_keeps_its_trace():
+    reg = fresh_registry()
+    m = Machine(compile_for("(+ '1 (+ '2 '3))", 2, reg), reg, 2, trace=True)
+    assert m.run_value() == 6
+    packets = m.trace_packets()
+    m.shutdown()
+    assert packets and m.trace_packets() == packets
+    with pytest.raises(VmError, match="machine is shut down"):
+        m.run()
+
+
+_FIB_FN = ("(beta (lambda 'f 'n '(beta f f n))"
+           " (lambda 'f 'n '(if (< n '2) 'n '(+ (beta f f (- n '1)) (beta f f (- n '2)))))"
+           " (ctrl.arg '0))")
+
+
+def _run_twice(m):
+    # the second answer poisons the machine; its error is raised from run()
+    for _ in range(2):
+        with pytest.raises(ProtocolError, match="second result"):
+            m.run_value()
+
+
+def _twice(ctx, ws):
+    ctx.restart(ws[0], 0)
+    return 5
+
+
+def _sort(m):
+    data = np.arange(64, 0, -1, dtype=np.int32)
+    m.register_data(data)
+    m.run()
+    assert data.tolist() == list(range(1, 65))
+    assert all(k.thread is not None for k in m.kernel_threads)
+
+
+@pytest.mark.parametrize("text, kw, run", [
+    (_FIB_FN, {}, lambda m: m.run_value((8,))),
+    (_FIB_FN, {"trace": True}, lambda m: m.run_value((8,))),
+    (_FIB_FN, {"fuzz_seed": 3}, lambda m: m.run_value((8,))),
+    ("(+ '1 (beta '5))", {}, lambda m: pytest.raises(TaskError, m.run_value)),
+    (bench.mergesort_gpir(2), {}, _sort),
+    ("(k.twice '(+ '1 '2))", {}, _run_twice),
+], ids=["plain", "traced", "fuzzed", "task-error", "kernel-threads", "poisoned"])
+def test_a_shut_down_machine_is_freed_by_reference_count(text, kw, run):
+    # with the cyclic collector off, only reference counting frees the
+    # machine: it must hold no cycle once shut down
+    reg = kernels.standard_registry()
+    reg.register("k", [("twice", 1, _twice, True)])
+    img = compile_for(text, 2, reg)
+    gc.collect()
+    gc.disable()
+    try:
+        m = Machine(img, reg, 2, **kw)
+        run(m)
+        m.shutdown()
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_second_concurrent_run_is_refused():
     reg = fresh_registry()
     started, go = threading.Event(), threading.Event()
@@ -760,7 +826,9 @@ class Manual:
     def __init__(self, text, registry, tiles=2):
         img = compiler.compile_text(text, tiles, registry)
         self.machine = Machine(img, registry, tiles)
-        self.machine.shutdown()
+        # stop the loop only: shutdown() would also release the tiles' state
+        self.machine.queue.put(vm._STOP)
+        self.machine._loop.join()
         for k in self.machine.kernel_threads:
             # never started: handed-off kernel jobs wait in k.jobs for run_jobs
             k.thread = threading.Thread()
